@@ -11,6 +11,7 @@ a bit-exact reproduction of the reference forward/backward program).
 from .congruence import (
     MAX_MODULUS,
     ExtGcdResult,
+    InvariantError,
     InverseParams,
     LcgParams,
     NotInvertibleError,
@@ -64,6 +65,7 @@ __all__ = [
     "MAX_MODULUS",
     "SWEEP_MAX_M",
     "ExtGcdResult",
+    "InvariantError",
     "InverseParams",
     "LcgParams",
     "NotInvertibleError",

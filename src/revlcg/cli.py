@@ -6,13 +6,16 @@ text, ``verify`` runs one of the verification checks and reports via
 the exit code.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
-2 usage or parameter error. Output is deterministic byte for byte for
-identical flags.
+2 usage or parameter error, 141 stdout closed by its reader (as in
+``revlcg generate --n 1000000 | head -1``; 128 + SIGPIPE, the status a
+shell reports for a process that signal ended). Output is
+deterministic byte for byte for identical flags.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import NamedTuple, Optional
 
@@ -41,6 +44,7 @@ from .verification import (
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
+EXIT_BROKEN_PIPE = 141
 
 # `verify paper` walks imax = m**2 steps twice; cap it at the reference size.
 PAPER_MAX_M = RUND.m
@@ -252,6 +256,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     }
     try:
         return handlers[args.command](args)
+    except BrokenPipeError:
+        # Quiet stop, no traceback. Pointing stdout at devnull keeps the
+        # interpreter's final flush from failing on the closed pipe again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     except NotInvertibleError as exc:
         print(f"not invertible: gcd(a,m)={exc.gcd}", file=sys.stderr)
         return EXIT_USAGE

@@ -29,6 +29,13 @@ class NotInvertibleError(ValueError):
         self.gcd = gcd
 
 
+class InvariantError(RuntimeError):
+    """An identity the arithmetic guarantees does not hold: a defect, not bad input.
+
+    Raised instead of ``assert`` so that ``python -O`` keeps every check.
+    """
+
+
 class ExtGcdResult(NamedTuple):
     g: int
     s: int
@@ -121,7 +128,6 @@ def derive_inverse(params: LcgParams) -> InverseParams:
     a, b, m = params.a, params.b, params.m
     c = mod_inverse(a, m)
     d = mod_nonneg(-c * b, m)
-    assert (a * c) % m == 1
-    assert (c * b + d) % m == 0
-    assert (a * d + b) % m == 0
+    if (a * c) % m != 1 or (c * b + d) % m != 0 or (a * d + b) % m != 0:
+        raise InvariantError(f"derived (c, d) = ({c}, {d}) does not reverse a={a}, b={b} mod {m}")
     return InverseParams(c, d)

@@ -39,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .congruence import InverseParams, LcgParams, derive_inverse
+from .congruence import InverseParams, InvariantError, LcgParams, derive_inverse
 
 
 class CoupledState(NamedTuple):
@@ -139,7 +139,8 @@ def backward_step(
         coupling.carry_enabled,
         params.m * params.m,
     )
-    assert slack >= 0, "coupling value exceeded m**2"
+    if slack < 0:
+        raise InvariantError("coupling value exceeded m**2")
     return CoupledState(x0, y0)
 
 
@@ -209,7 +210,8 @@ def reverse_sequence(
     append = out.append
     for _ in range(n):
         x, y, slack = _backward_words(x, y, a, b, m, c, d, s, carry, m2)
-        assert slack >= 0, "coupling value exceeded m**2"
+        if slack < 0:
+            raise InvariantError("coupling value exceeded m**2")
         append(CoupledState(x, y))
     return out
 

@@ -71,8 +71,10 @@ def rund_backward_step(x, y, k: RundConstants = RUND):
 
     The subtracted quotient (a*x0 + b - x) / m recomputes the forward
     carry: when (c, d) are the true reversal constants, x is the
-    forward image of x0 and the numerator is an exact multiple of m
-    (the exhaustive sweep asserts a zero remainder on every state).
+    forward image of x0 and the numerator is an exact multiple of m.
+    ``tests/test_rund.py::TestExhaustiveEquivalence::
+    test_backward_carry_division_is_exact`` checks the zero remainder
+    and the carry on all m**2 states.
     """
     x0 = (k.c * x + k.d) % k.m
     t = y + k.imax - k.s * x0 - (k.a * x0 + k.b - x) // k.m

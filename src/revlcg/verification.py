@@ -1,16 +1,39 @@
 """Desk-scale exhaustive verification of the coupled generator.
 
-Everything here is exact: orbit periods by direct iteration,
-equidistribution by a one-byte-per-state coverage table, round-trip
-identity by sweeping the full state space, full-period preconditions by
-trial division, and the forward/backward/compare reproduction run of
-the reference program.
+Everything here is exact: orbit periods and equidistribution from the
+walked orbit itself, round-trip identity by sweeping the full state
+space, full-period preconditions by trial division, and the
+forward/backward/compare reproduction run of the reference program.
 
 The sweeps evaluate the same ``_forward_words`` / ``_backward_words``
 arithmetic as the scalar step functions, elementwise over packed numpy
 arrays, so enumerating all m**2 states stays a sub-second operation at
-the reference scale (m = 2048, 2**22 states). Orbit walks are
-inherently sequential and run as plain integer loops.
+the reference scale (m = 2048, 2**22 states).
+
+The orbit walks run in lanes. An orbit of N states is cut into up to
+``_LANES`` consecutive stretches of T steps; lane l starts T*l steps
+along the orbit, and all lanes advance together through the unchanged
+step arithmetic, elementwise on int64 arrays. The lane starts come
+from an O(log T) jump: with the carry on the coupled map is the packed
+LCG z -> ((a + s*m)*z + b) mod m**2, with it off the affine map
+(x, y) -> [[a, 0], [s, a]]·(x, y) + (b, 0) mod m. This is the
+blocking split of L'Ecuyer et al. (2017, "Random numbers for parallel
+computers"), seeded by the arbitrary-stride jump of Brown (1994,
+"Random number generation with arbitrary strides"). The jump is never
+trusted: lane l must end exactly where lane l + 1 started (the stitch
+check, an explicit raise), and by induction from the seed the stitched
+table is the sequential walk. The period and equidistribution walks
+build their orbit tables in blocks of at most ``_BLOCK`` states, so
+memory does not grow with the step limit, and stop at the first block
+that closes the orbit.
+
+The reproduction keeps its whole forward table, which the comparisons
+read, and seeds its backward lanes from it, at the states the backward
+walk must reach if it retraces the forward one. When every comparison
+passes, induction from the backward seed makes the lanes the
+sequential backward walk; at the first mismatch the rest of the
+backward walk is retraced step by step, so the mismatch count is
+exactly that of the sequential run.
 
 Each report renders two ways: ``kv_line()`` gives a stable single-line
 ``key=value`` form for scripts, ``as_text()`` a small human-readable
@@ -27,7 +50,7 @@ from typing import Optional
 
 import numpy as np
 
-from .congruence import InverseParams, LcgParams, derive_inverse
+from .congruence import InverseParams, InvariantError, LcgParams, derive_inverse
 from .generator import (
     CoupledState,
     CouplingSpec,
@@ -43,6 +66,11 @@ from .rund import RUND, RundConstants, rund_backward_step, rund_forward_step
 # Exhaustive modes enumerate m**2 states; beyond this bound the table and
 # the walk stop being desk-scale.
 SWEEP_MAX_M = 4096
+
+# Orbit walks step this many lanes at once, and hold at most _BLOCK
+# packed states (32 MiB of int64) of one orbit at a time.
+_LANES = 4096
+_BLOCK = 1 << 22
 
 
 def _format_kv(value) -> str:
@@ -229,6 +257,104 @@ def _require_sweepable(m: int, what: str, hint: str = "") -> None:
         )
 
 
+def _compose(f, g, mod):
+    """f after g, for maps (x, y) -> (p*x + u, q*x + p*y + v) mod ``mod``."""
+    p1, q1, u1, v1 = f
+    p2, q2, u2, v2 = g
+    return (
+        p1 * p2 % mod,
+        (q1 * p2 + p1 * q2) % mod,
+        (p1 * u2 + u1) % mod,
+        (q1 * u2 + p1 * v2 + v1) % mod,
+    )
+
+
+def _lane_jump(a, b, m, s, carry, n):
+    """The coupled map applied n times, as a function of (x, y), in O(log n).
+
+    With the carry on, the map is the packed LCG z -> (a + s*m)*z + b
+    mod m**2 (the y terms of the composed map stay zero); with it off,
+    it is (x, y) -> (a*x + b, s*x + a*y) mod m.
+    """
+    f = (a + s * m, 0, b, 0) if carry else (a, s, b, 0)
+    mod = m * m if carry else m
+    acc = (1, 0, 0, 0)
+    while n:
+        if n & 1:
+            acc = _compose(f, acc, mod)
+        f = _compose(f, f, mod)
+        n >>= 1
+    p, q, u, v = acc
+    if carry:
+
+        def jump(x, y):
+            z = (p * (x + m * y) + u) % mod
+            return z % m, z // m
+
+        return jump
+    return lambda x, y: ((p * x + u) % m, (q * x + p * y + v) % m)
+
+
+def _walk_lanes(xs, ys, span, step, m):
+    """Advance every lane ``span`` steps together.
+
+    Returns the packed states in orbit order (lane 0's states after 1 ..
+    span steps, then lane 1's, ...) and the lanes' final words.
+    """
+    # Row l is lane l, so the flattened table is in orbit order without a
+    # transposed copy.
+    table = np.empty((xs.size, span), dtype=np.int64)
+    for t in range(span):
+        xs, ys = step(xs, ys)
+        np.add(xs, m * ys, out=table[:, t])
+    return table.ravel(), xs, ys
+
+
+def _orbit_table(x, y, count, step, a, b, m, s, carry):
+    """Packed states after 1 .. count steps from (x, y), walked in stitched lanes.
+
+    ``step`` advances the lanes; :func:`_lane_jump` of the same map
+    seeds lane l + 1 from lane l's start. The result does not rely on
+    the jump: each lane must end exactly where the next one started, or
+    :class:`InvariantError` is raised.
+    """
+    span = -(-count // _LANES)
+    lanes = -(-count // span)
+    jump = _lane_jump(a, b, m, s, carry, span)
+    seeds = [(x, y)]
+    for _ in range(lanes - 1):
+        seeds.append(jump(*seeds[-1]))
+    sx, sy = np.array(seeds, dtype=np.int64).T
+    table, ex, ey = _walk_lanes(sx, sy, span, step, m)
+    broken = np.flatnonzero((ex[:-1] != sx[1:]) | (ey[:-1] != sy[1:]))
+    if broken.size:
+        lane = int(broken[0])
+        raise InvariantError(
+            f"orbit lanes do not stitch: lane {lane + 1} should start where lane {lane} "
+            f"ends, expected ({ex[lane]}, {ey[lane]}), got ({sx[lane + 1]}, {sy[lane + 1]})"
+        )
+    return table[:count]
+
+
+def _orbit_blocks(seed, params, coupling, limit):
+    """Yield (start, z) with z[i] the packed state start + i + 1 steps after the seed.
+
+    Covers steps 1 .. limit in blocks of at most ``_BLOCK`` states; each
+    block continues from the last state of the one before.
+    """
+    a, b, m = params.a, params.b, params.m
+    s, carry = coupling.s, coupling.carry_enabled
+
+    def step(x, y):
+        return _forward_words(x, y, a, b, m, s, carry)
+
+    x, y = seed
+    for start in range(0, limit, _BLOCK):
+        z = _orbit_table(x, y, min(_BLOCK, limit - start), step, a, b, m, s, carry)
+        yield start, z
+        x, y = int(z[-1]) % m, int(z[-1]) // m
+
+
 def orbit_period(
     seed: CoupledState,
     params: LcgParams,
@@ -238,11 +364,12 @@ def orbit_period(
     """Walk forward from the seed until it recurs and report the exact period.
 
     The coupled map is a bijection whenever gcd(a, m) = 1, so every
-    orbit is a pure cycle through its seed and direct iteration is
-    exact; no cycle-finding machinery is needed. A seed that has not
-    recurred within ``limit`` steps (default m**2 + 1) is reported as
-    undetermined, which can only happen when the map is not bijective
-    or the limit is below the true period.
+    orbit is a pure cycle through its seed and the first return in the
+    walked orbit is the exact period; no cycle-finding machinery is
+    needed. A seed that has not recurred within ``limit`` steps
+    (default m**2 + 1) is reported as undetermined, which can only
+    happen when the map is not bijective or the limit is below the
+    true period.
     """
     _require_state(seed, params.m)
     _require_coupling(params, coupling)
@@ -251,19 +378,15 @@ def orbit_period(
         limit = m2 + 1
     if limit < 1:
         raise ValueError(f"limit must be positive, got {limit}")
-    a, b, m = params.a, params.b, params.m
-    s, carry = coupling.s, coupling.carry_enabled
-    sx, sy = seed
-    x, y = sx, sy
-    steps = 0
-    while steps < limit:
-        x, y = _forward_words(x, y, a, b, m, s, carry)
-        steps += 1
-        if x == sx and y == sy:
+    z0 = seed.x + params.m * seed.y
+    for start, z in _orbit_blocks(seed, params, coupling, limit):
+        hits = np.flatnonzero(z == z0)
+        if hits.size:
+            period = start + int(hits[0]) + 1
             return OrbitReport(
-                period=steps,
-                reached_full_period=(steps == m2),
-                states_visited=steps,
+                period=period,
+                reached_full_period=(period == m2),
+                states_visited=period,
                 first_repeat_state=seed,
             )
     return OrbitReport(
@@ -276,7 +399,7 @@ def equidistribution_check(
 ) -> EquidistributionReport:
     """Check that one period of the seed's orbit hits each packed value once.
 
-    Walks the orbit marking a one-byte-per-state table. A full-period
+    Marks the walked orbit in a one-flag-per-state table. A full-period
     orbit marks all m**2 entries exactly once; a shorter cycle leaves
     gaps; a non-bijective map revisits a marked state before closing,
     which is reported as a duplicate.
@@ -284,32 +407,26 @@ def equidistribution_check(
     _require_state(seed, params.m)
     _require_coupling(params, coupling)
     _require_sweepable(params.m, "equidistribution_check")
-    a, b, m = params.a, params.b, params.m
-    s, carry = coupling.s, coupling.carry_enabled
+    m = params.m
     total = m * m
-    seen = bytearray(total)
     z0 = seed.x + m * seed.y
-    seen[z0] = 1
-    covered = 1
-    first_duplicate = None
-    x, y = seed
-    for _ in range(total):
-        x, y = _forward_words(x, y, a, b, m, s, carry)
-        z = x + m * y
-        if z == z0:
+    seen = np.zeros(total, dtype=bool)
+    seen[z0] = True
+    for start, z in _orbit_blocks(seed, params, coupling, total):
+        seen[z] = True
+        covered = int(np.count_nonzero(seen))
+        if covered <= start + z.size:
             break
-        if seen[z]:
-            first_duplicate = z
-            break
-        seen[z] = 1
-        covered += 1
-    first_missing = seen.index(0) if covered < total else None
+    # The map is deterministic, so the states after 0 .. covered - 1 steps
+    # are distinct and the state after `covered` steps is the first repeat;
+    # with total + 1 states in total slots that happens by step total.
+    repeat = int(z[covered - start - 1])
     return EquidistributionReport(
         covered=covered,
         total=total,
         complete=(covered == total),
-        first_duplicate=first_duplicate,
-        first_missing=first_missing,
+        first_duplicate=None if repeat == z0 else repeat,
+        first_missing=int(np.argmin(seen)) if covered < total else None,
     )
 
 
@@ -338,7 +455,8 @@ def roundtrip_sweep(
     y = z // m
     x1, y1 = _forward_words(x, y, a, b, m, s, carry)
     x0, y0, slack = _backward_words(x1, y1, a, b, m, inverse.c, inverse.d, s, carry, m2)
-    assert int(slack.min()) >= 0, "backward offset went negative"
+    if int(slack.min()) < 0:
+        raise InvariantError("backward offset went negative")
     bad = (x0 != x) | (y0 != y)
     mismatches = int(bad.sum())
     first = None
@@ -437,28 +555,49 @@ def paper_reproduction(
     if not (0 <= bx < k.m and 0 <= by < k.m):
         raise ValueError(f"backward seed words must lie in [0, {k.m}), got ({bx}, {by})")
 
-    forw = array("q")
-    record_f = forw.append
-    x = y = 0
-    for _ in range(n):
-        x, y = rund_forward_step(x, y, k)
-        record_f(x + k.m * y)
-
-    back = array("q")
-    record_b = back.append
-    x, y = bx, by
-    for _ in range(n):
-        x, y = rund_backward_step(x, y, k)
-        record_b(x + k.m * y)
-
-    fz = np.frombuffer(forw, dtype=np.int64)
-    bz = np.frombuffer(back, dtype=np.int64)
-    equal = bz[: n - 1] == fz[: n - 1][::-1]
-    mismatches = int(n - 1 - int(equal.sum()))
-    first = (int(np.argmin(equal)) + 1) if mismatches else None
+    m = k.m
+    forw = _orbit_table(0, 0, n, lambda x, y: rund_forward_step(x, y, k), k.a, k.b, m, k.s, True)
+    count = n - 1
+    # expected[i] = forw(imax - (i + 1)), the state back(i + 1) must equal.
+    expected = forw[:count][::-1]
+    mismatches, first = 0, None
+    if count:
+        # Lane 0 starts at the backward seed, lane l at back(l*span) as the
+        # forward table predicts it; if every comparison passes, each lane's
+        # start was checked by the lane before it.
+        span = -(-count // _LANES)
+        starts = expected[span - 1 : count - 1 : span]
+        xs = np.concatenate(([bx], starts % m))
+        ys = np.concatenate(([by], starts // m))
+        back, _, _ = _walk_lanes(xs, ys, span, lambda x, y: rund_backward_step(x, y, k), m)
+        equal = back[:count] == expected
+        if not equal.all():
+            first = int(np.argmin(equal)) + 1
+            mismatches = _retrace_mismatches(k, back, first, (bx, by), expected)
     return ReproductionReport(
-        comparisons=n - 1,
+        comparisons=count,
         mismatches=mismatches,
         first_mismatch_n=first,
         passed=(mismatches == 0),
     )
+
+
+def _retrace_mismatches(k, back, first, backward_seed, expected):
+    """Mismatches of back(first) .. back(imax - 1), walked one step at a time.
+
+    The lanes after the first mismatch started from forward states the
+    backward walk never reached, so only the walk up to back(first - 1)
+    is known; the rest is retraced sequentially from there.
+    """
+    m = k.m
+    if first == 1:
+        x, y = backward_seed
+    else:
+        z = int(back[first - 2])
+        x, y = z % m, z // m
+    tail = array("q")
+    record = tail.append
+    for _ in range(expected.size - first + 1):
+        x, y = rund_backward_step(x, y, k)
+        record(x + m * y)
+    return int(np.count_nonzero(np.frombuffer(tail, dtype=np.int64) != expected[first - 1 :]))

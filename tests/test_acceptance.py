@@ -140,7 +140,8 @@ def test_criterion_8_negative_controls():
     d_detected = sweep.mismatches == sweep.states_checked == STATE_SPACE
 
     rep = paper_reproduction(replace(RUND, c=204))
-    c_detected = (not rep.passed) and rep.first_mismatch_n is not None
+    # the counts of the sequential forward/backward/compare run
+    c_detected = (not rep.passed) and (rep.mismatches, rep.first_mismatch_n) == (STATE_SPACE - 2, 1)
     ok = d_detected and c_detected
     report(
         8,

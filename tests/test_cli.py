@@ -108,7 +108,7 @@ class TestVerify:
             "verify", "paper", "--m", "16", "--a", "5", "--b", "3", "--s", "2", "--c", "7"
         )
         assert bad.returncode == 1
-        assert "pass=false" in bad.stdout
+        assert bad.stdout == "comparisons=255 mismatches=254 pass=false first_mismatch_n=1\n"
 
     def test_roundtrip_toy(self):
         res = run_cli("verify", "roundtrip", "--m", "8", "--a", "5", "--b", "3", "--s", "2")
@@ -174,6 +174,26 @@ class TestVerify:
         )
         assert res.returncode == 1
         assert res.stdout == "period=4 full=false\n"
+
+
+class TestClosedStdout:
+    def test_reader_closing_the_pipe_stops_quietly(self):
+        # `revlcg generate --n 1000000 | head -1`
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "revlcg", "generate", "--n", "1000000"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        try:
+            returncode = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        assert first == b"1 1731 0\n"
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+        assert returncode == 141
 
 
 class TestUsageErrors:

@@ -103,11 +103,18 @@ class TestExhaustiveEquivalence:
         assert np.array_equal(lx, gx) and np.array_equal(ly, gy)
 
     def test_backward_carry_division_is_exact(self):
-        # (a*x0 + b - x) must be a multiple of m on every state, since x is
-        # the forward image of the recovered x0
-        x, _, _ = all_states()
-        x0 = (RUND.c * x + RUND.d) % RUND.m
-        assert int(((RUND.a * x0 + RUND.b - x) % RUND.m).max()) == 0
+        # The claim in rund_backward_step's docstring: with the true (c, d),
+        # (a*x0 + b - x) is a multiple of m on every state, since x is the
+        # forward image of the recovered x0, and the quotient is the carry
+        # of the forward step from x0.
+        x, y, _ = all_states()
+        x0, _ = rund_backward_step(x, y)
+        numerator = RUND.a * x0 + RUND.b - x
+        assert int((numerator % RUND.m).max()) == 0
+        assert np.array_equal(numerator // RUND.m, (RUND.a * x0 + RUND.b) // RUND.m)
+        # a corrupted c breaks the exact division
+        bad_x0, _ = rund_backward_step(x, y, replace(RUND, c=204))
+        assert int(((RUND.a * bad_x0 + RUND.b - x) % RUND.m).max()) > 0
 
     def test_roundtrip_identity_everywhere(self):
         x, y, _ = all_states()
