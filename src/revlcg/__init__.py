@@ -6,6 +6,10 @@ derived backward recursion that retraces any sequence exactly, and an
 exhaustive desk-scale verification suite (orbit period, state-space
 equidistribution, round-trip identity, full-period preconditions, and
 a bit-exact reproduction of the reference forward/backward program).
+
+The verification names load :mod:`revlcg.verification`, and with it
+numpy, on first use (PEP 562), so ``import revlcg`` and the streaming
+CLI commands stay free of numpy.
 """
 
 from .congruence import (
@@ -15,6 +19,7 @@ from .congruence import (
     InverseParams,
     LcgParams,
     NotInvertibleError,
+    ParameterError,
     derive_inverse,
     ext_gcd,
     mod_inverse,
@@ -44,20 +49,38 @@ from .rund import (
     rund_forward_step,
     unpack_word,
 )
-from .verification import (
-    SWEEP_MAX_M,
-    EquidistributionReport,
-    HullDobellReport,
-    OrbitReport,
-    ReproductionReport,
-    RoundTripReport,
-    equidistribution_check,
-    hull_dobell_check,
-    orbit_period,
-    paper_reproduction,
-    roundtrip_sample,
-    roundtrip_sweep,
+
+_VERIFICATION_NAMES = frozenset(
+    {
+        "SWEEP_MAX_M",
+        "EquidistributionReport",
+        "HullDobellReport",
+        "OrbitReport",
+        "ReproductionReport",
+        "RoundTripReport",
+        "equidistribution_check",
+        "hull_dobell_check",
+        "orbit_period",
+        "paper_reproduction",
+        "roundtrip_sample",
+        "roundtrip_sweep",
+    }
 )
+
+
+def __getattr__(name: str):
+    if name in _VERIFICATION_NAMES:
+        from . import verification
+
+        value = getattr(verification, name)
+        globals()[name] = value
+        return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _VERIFICATION_NAMES)
+
 
 __version__ = "0.1.0"
 
@@ -69,6 +92,7 @@ __all__ = [
     "InverseParams",
     "LcgParams",
     "NotInvertibleError",
+    "ParameterError",
     "derive_inverse",
     "ext_gcd",
     "mod_inverse",

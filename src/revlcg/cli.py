@@ -5,6 +5,14 @@ triple, ``generate`` and ``reverse`` stream sequence records as plain
 text, ``verify`` runs one of the verification checks and reports via
 the exit code.
 
+``generate`` and ``reverse`` share one loop. It validates the seed and
+the coupling once, steps plain ints through the word-level step
+functions of :mod:`revlcg.generator` (``reverse`` still checks every
+step's non-negativity offset), and writes ``_BLOCK_LINES`` lines at a
+time with a single ``write``. Only ``verify`` imports
+:mod:`revlcg.verification`, so ``derive``, ``generate`` and
+``reverse`` start without loading numpy.
+
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 usage or parameter error, 141 stdout closed by its reader (as in
 ``revlcg generate --n 1000000 | head -1``; 128 + SIGPIPE, the status a
@@ -17,29 +25,27 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import NamedTuple, Optional
+from decimal import Decimal
+from typing import Callable, Optional
 
-from .congruence import InverseParams, LcgParams, NotInvertibleError, derive_inverse
+from .congruence import (
+    InvariantError,
+    InverseParams,
+    LcgParams,
+    NotInvertibleError,
+    ParameterError,
+    derive_inverse,
+)
 from .generator import (
+    REAL_CONTEXT,
     CoupledState,
     CouplingSpec,
+    _backward_words,
+    _forward_words,
     _require_coupling,
     _require_state,
-    backward_step,
-    forward_step,
-    pack_state,
-    real_decimal,
 )
 from .rund import RUND, RundConstants
-from .verification import (
-    SWEEP_MAX_M,
-    equidistribution_check,
-    hull_dobell_check,
-    orbit_period,
-    paper_reproduction,
-    roundtrip_sample,
-    roundtrip_sweep,
-)
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -49,27 +55,10 @@ EXIT_BROKEN_PIPE = 141
 # `verify paper` walks imax = m**2 steps twice; cap it at the reference size.
 PAPER_MAX_M = RUND.m
 
+# generate/reverse write this many lines per write call.
+_BLOCK_LINES = 8192
 
-class SequenceRecord(NamedTuple):
-    """One emitted step: 1-based index, state words, packed value, decimal output."""
-
-    n: int
-    x: int
-    y: int
-    z: int
-    r: str
-
-
-def _record(n: int, state: CoupledState, m: int) -> SequenceRecord:
-    return SequenceRecord(n, state.x, state.y, pack_state(state, m), real_decimal(state, m))
-
-
-def _format_record(rec: SequenceRecord, fmt: str, m: int) -> str:
-    if fmt == "state":
-        return f"{rec.n} {rec.x} {rec.y}"
-    if fmt == "z":
-        return f"{rec.z}"
-    return f"{rec.n} {rec.z}/{m * m} {rec.r}"
+Step = Callable[[int, int], tuple[int, int]]
 
 
 def _add_params_args(p: argparse.ArgumentParser) -> None:
@@ -175,36 +164,79 @@ def cmd_derive(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
+def _forward(params: LcgParams, coupling: CouplingSpec) -> Step:
+    a, b, m, s, carry = params.a, params.b, params.m, coupling.s, coupling.carry_enabled
+    return lambda x, y: _forward_words(x, y, a, b, m, s, carry)
+
+
+def _backward(params: LcgParams, coupling: CouplingSpec) -> Step:
+    inverse = derive_inverse(params)
+    a, b, m, s, carry = params.a, params.b, params.m, coupling.s, coupling.carry_enabled
+    c, d, m2 = inverse.c, inverse.d, m * m
+
+    def step(x: int, y: int) -> tuple[int, int]:
+        x, y, slack = _backward_words(x, y, a, b, m, c, d, s, carry, m2)
+        if slack < 0:
+            raise InvariantError("coupling value exceeded m**2")
+        return x, y
+
+    return step
+
+
+def _render(fmt: str, m: int, n0: int, states: list[tuple[int, int]]) -> str:
+    """The lines of one block of records; ``n0`` is the 1-based index of the first."""
+    if fmt == "state":
+        return "".join([f"{n} {x} {y}\n" for n, (x, y) in enumerate(states, n0)])
+    if fmt == "z":
+        return "".join([f"{x + m * y}\n" for x, y in states])
+    # Same context, hence the same digits, as generator.real_decimal.
+    m2 = m * m
+    den, divide = Decimal(m2), REAL_CONTEXT.divide
+    return "".join(
+        [
+            f"{n} {z}/{m2} {divide(Decimal(z), den)}\n"
+            for n, z in enumerate([x + m * y for x, y in states], n0)
+        ]
+    )
+
+
+def _stream(args: argparse.Namespace, step: Callable[[LcgParams, CouplingSpec], Step]) -> int:
+    """Write the states after 1 .. n steps of ``step`` from the seed, in blocks."""
     params, coupling = _params(args), _coupling(args)
     if args.n < 0:
-        raise ValueError(f"--n must be non-negative, got {args.n}")
-    state = _seed(args)
-    _require_state(state, params.m)
+        raise ParameterError(f"--n must be non-negative, got {args.n}")
+    advance = step(params, coupling)
+    _require_state(_seed(args), params.m)
     _require_coupling(params, coupling)
-    out = sys.stdout
-    for n in range(1, args.n + 1):
-        state = forward_step(state, params, coupling)
-        out.write(_format_record(_record(n, state, params.m), args.format, params.m) + "\n")
+    x, y = args.x0, args.y0
+    for n0 in range(1, args.n + 1, _BLOCK_LINES):
+        states = []
+        for _ in range(min(_BLOCK_LINES, args.n + 1 - n0)):
+            x, y = advance(x, y)
+            states.append((x, y))
+        sys.stdout.write(_render(args.format, params.m, n0, states))
     return EXIT_OK
+
+
+def cmd_generate(args: argparse.Namespace) -> int:
+    return _stream(args, _forward)
 
 
 def cmd_reverse(args: argparse.Namespace) -> int:
-    params, coupling = _params(args), _coupling(args)
-    if args.n < 0:
-        raise ValueError(f"--n must be non-negative, got {args.n}")
-    inverse = derive_inverse(params)
-    state = _seed(args)
-    _require_state(state, params.m)
-    _require_coupling(params, coupling)
-    out = sys.stdout
-    for n in range(1, args.n + 1):
-        state = backward_step(state, params, inverse, coupling)
-        out.write(_format_record(_record(n, state, params.m), args.format, params.m) + "\n")
-    return EXIT_OK
+    return _stream(args, _backward)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from .verification import (
+        SWEEP_MAX_M,
+        equidistribution_check,
+        hull_dobell_check,
+        orbit_period,
+        paper_reproduction,
+        roundtrip_sample,
+        roundtrip_sweep,
+    )
+
     params, coupling = _params(args), _coupling(args)
     if args.which == "roundtrip":
         inverse = _inverse(args, params)
@@ -214,7 +246,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             report = roundtrip_sweep(params, coupling, inverse=inverse)
     elif args.which == "period":
         if args.limit is None and params.m > SWEEP_MAX_M:
-            raise ValueError(
+            raise ParameterError(
                 f"verify period walks up to m**2 steps; pass --limit or keep m <= {SWEEP_MAX_M}"
             )
         report = orbit_period(_seed(args), params, coupling, limit=args.limit)
@@ -224,11 +256,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
         report = hull_dobell_check(params)
     else:  # paper
         if params.m > PAPER_MAX_M:
-            raise ValueError(
+            raise ParameterError(
                 f"verify paper walks m**2 steps twice; refusing m > {PAPER_MAX_M}"
             )
         if not coupling.carry_enabled:
-            raise ValueError("the reproduction run always couples the carry; drop --no-carry")
+            raise ParameterError("the reproduction run always couples the carry; drop --no-carry")
         _require_coupling(params, coupling)
         derived = derive_inverse(params)
         constants = RundConstants(
@@ -266,7 +298,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     except NotInvertibleError as exc:
         print(f"not invertible: gcd(a,m)={exc.gcd}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except ParameterError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

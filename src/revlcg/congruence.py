@@ -9,6 +9,7 @@ make the result language-dependent.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -19,7 +20,30 @@ from typing import NamedTuple
 MAX_MODULUS = 2_097_151
 
 
-class NotInvertibleError(ValueError):
+class ParameterError(ValueError):
+    """A parameter, state word or count given by the caller is out of range or not an int."""
+
+
+def _require_int(value, name: str) -> int:
+    """``value`` as a plain int; bools, floats and other non-integers are refused.
+
+    ``operator.index`` accepts exactly the types that are integers
+    (int and numpy integer scalars); bool is an int subclass, so it is
+    refused by name: a flag is never a modulus or a state word.
+    """
+    if type(value) is int:  # the common case, checked first: steps validate every word
+        return value
+    if isinstance(value, bool):
+        raise ParameterError(f"{name} must be an integer, got bool {value!r}")
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterError(
+            f"{name} must be an integer, got {type(value).__name__} {value!r}"
+        ) from None
+
+
+class NotInvertibleError(ParameterError):
     """The multiplier has no inverse mod m, so the recursion cannot be reversed."""
 
     def __init__(self, a: int, m: int, gcd: int):
@@ -51,17 +75,21 @@ class LcgParams:
     m: int
 
     def __post_init__(self):
+        # Stored as plain ints, so no step or sweep inherits a float or a
+        # fixed-width scalar from the caller.
+        for name in ("a", "b", "m"):
+            object.__setattr__(self, name, _require_int(getattr(self, name), name))
         if self.m < 2:
-            raise ValueError(f"modulus must be >= 2, got {self.m}")
+            raise ParameterError(f"modulus must be >= 2, got {self.m}")
         if self.m > MAX_MODULUS:
-            raise ValueError(
+            raise ParameterError(
                 f"modulus {self.m} exceeds {MAX_MODULUS}; m**3 must fit in "
                 "64-bit arithmetic so every step and sweep stays exact"
             )
         if not 0 <= self.a < self.m:
-            raise ValueError(f"multiplier must lie in [0, m), got a={self.a}, m={self.m}")
+            raise ParameterError(f"multiplier must lie in [0, m), got a={self.a}, m={self.m}")
         if not 0 <= self.b < self.m:
-            raise ValueError(f"increment must lie in [0, m), got b={self.b}, m={self.m}")
+            raise ParameterError(f"increment must lie in [0, m), got b={self.b}, m={self.m}")
 
 
 @dataclass(frozen=True)
@@ -79,9 +107,9 @@ def ext_gcd(u: int, v: int) -> ExtGcdResult:
     normalizes them to a canonical residue.
     """
     if u < 0 or v < 0:
-        raise ValueError(f"ext_gcd expects non-negative inputs, got ({u}, {v})")
+        raise ParameterError(f"ext_gcd expects non-negative inputs, got ({u}, {v})")
     if u == 0 and v == 0:
-        raise ValueError("gcd(0, 0) is undefined")
+        raise ParameterError("gcd(0, 0) is undefined")
     r0, r1 = u, v
     s0, s1 = 1, 0
     t0, t1 = 0, 1
@@ -96,7 +124,7 @@ def ext_gcd(u: int, v: int) -> ExtGcdResult:
 def mod_nonneg(v: int, m: int) -> int:
     """Reduce v, of either sign, to the unique residue in [0, m)."""
     if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
+        raise ParameterError(f"modulus must be >= 2, got {m}")
     return v % m
 
 
@@ -107,7 +135,7 @@ def mod_inverse(a: int, m: int) -> int:
     signal that the generator built on ``a`` cannot run backwards.
     """
     if m < 2:
-        raise ValueError(f"modulus must be >= 2, got {m}")
+        raise ParameterError(f"modulus must be >= 2, got {m}")
     g, s, _ = ext_gcd(a % m, m)
     if g != 1:
         raise NotInvertibleError(a, m, g)

@@ -39,7 +39,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .congruence import InverseParams, InvariantError, LcgParams, derive_inverse
+from .congruence import (
+    InverseParams,
+    InvariantError,
+    LcgParams,
+    ParameterError,
+    _require_int,
+    derive_inverse,
+)
 
 
 class CoupledState(NamedTuple):
@@ -59,8 +66,9 @@ class CouplingSpec:
     carry_enabled: bool = True
 
     def __post_init__(self):
+        object.__setattr__(self, "s", _require_int(self.s, "coupling slope"))
         if self.s < 0:
-            raise ValueError(f"coupling slope must be non-negative, got {self.s}")
+            raise ParameterError(f"coupling slope must be non-negative, got {self.s}")
 
 
 def _coupling_words(x, a, b, m, s, carry_enabled):
@@ -84,8 +92,8 @@ def _backward_words(x, y, a, b, m, c, d, s, carry_enabled, m2):
 
 
 def _require_word(value: int, m: int, name: str) -> None:
-    if not 0 <= value < m:
-        raise ValueError(f"{name} must lie in [0, {m}), got {value}")
+    if not 0 <= _require_int(value, name) < m:
+        raise ParameterError(f"{name} must lie in [0, {m}), got {value}")
 
 
 def _require_state(state: CoupledState, m: int) -> None:
@@ -95,7 +103,7 @@ def _require_state(state: CoupledState, m: int) -> None:
 
 def _require_coupling(params: LcgParams, coupling: CouplingSpec) -> None:
     if coupling.s >= params.m:
-        raise ValueError(
+        raise ParameterError(
             f"coupling slope {coupling.s} must be below m={params.m} so that "
             "f(x) stays below m**2"
         )
@@ -153,7 +161,7 @@ def pack_state(state: CoupledState, m: int) -> int:
 def unpack_state(z: int, m: int) -> CoupledState:
     """Inverse of :func:`pack_state`."""
     if not 0 <= z < m * m:
-        raise ValueError(f"packed value must lie in [0, {m * m}), got {z}")
+        raise ParameterError(f"packed value must lie in [0, {m * m}), got {z}")
     return CoupledState(z % m, z // m)
 
 
@@ -163,12 +171,16 @@ def output_real(state: CoupledState, m: int) -> Fraction:
 
 
 REAL_DIGITS = 17
+# The one context every decimal rendering divides in. A division only
+# sets its flags (Inexact, Rounded), which no rendering reads, so sharing
+# it changes no result; building a context per value nearly doubled the
+# cost of a rendering.
+REAL_CONTEXT = decimal.Context(prec=REAL_DIGITS)
 
 
 def real_decimal(state: CoupledState, m: int) -> str:
     """Decimal rendering of the real output, 17 significant digits."""
-    ctx = decimal.Context(prec=REAL_DIGITS)
-    return str(ctx.divide(decimal.Decimal(pack_state(state, m)), decimal.Decimal(m * m)))
+    return str(REAL_CONTEXT.divide(decimal.Decimal(pack_state(state, m)), decimal.Decimal(m * m)))
 
 
 def generate_sequence(
@@ -176,7 +188,7 @@ def generate_sequence(
 ) -> list[CoupledState]:
     """States after 1..n forward steps; the seed itself is not recorded."""
     if n < 0:
-        raise ValueError(f"step count must be non-negative, got {n}")
+        raise ParameterError(f"step count must be non-negative, got {n}")
     _require_state(seed, params.m)
     _require_coupling(params, coupling)
     a, b, m, s, carry = params.a, params.b, params.m, coupling.s, coupling.carry_enabled
@@ -198,7 +210,7 @@ def reverse_sequence(
 ) -> list[CoupledState]:
     """States after 1..n backward steps from the seed."""
     if n < 0:
-        raise ValueError(f"step count must be non-negative, got {n}")
+        raise ParameterError(f"step count must be non-negative, got {n}")
     _require_state(seed, params.m)
     _require_coupling(params, coupling)
     a, b, m = params.a, params.b, params.m

@@ -50,7 +50,7 @@ from typing import Optional
 
 import numpy as np
 
-from .congruence import InverseParams, InvariantError, LcgParams, derive_inverse
+from .congruence import InverseParams, InvariantError, LcgParams, ParameterError, derive_inverse
 from .generator import (
     CoupledState,
     CouplingSpec,
@@ -71,6 +71,10 @@ SWEEP_MAX_M = 4096
 # packed states (32 MiB of int64) of one orbit at a time.
 _LANES = 4096
 _BLOCK = 1 << 22
+
+# The round-trip sweep checks this many packed states at a time, so its
+# dozen int64 temporaries take about 24 MiB whatever m is.
+_SWEEP_CHUNK = 1 << 18
 
 
 def _format_kv(value) -> str:
@@ -251,7 +255,7 @@ class ReproductionReport(_Report):
 
 def _require_sweepable(m: int, what: str, hint: str = "") -> None:
     if m > SWEEP_MAX_M:
-        raise ValueError(
+        raise ParameterError(
             f"{what} enumerates m**2 = {m * m} states, too large for m > "
             f"{SWEEP_MAX_M}{hint}"
         )
@@ -377,7 +381,7 @@ def orbit_period(
     if limit is None:
         limit = m2 + 1
     if limit < 1:
-        raise ValueError(f"limit must be positive, got {limit}")
+        raise ParameterError(f"limit must be positive, got {limit}")
     z0 = seed.x + params.m * seed.y
     for start, z in _orbit_blocks(seed, params, coupling, limit):
         hits = np.flatnonzero(z == z0)
@@ -437,7 +441,9 @@ def roundtrip_sweep(
 ) -> RoundTripReport:
     """Check backward(forward(state)) = state on every state in [0, m)**2.
 
-    Runs the step arithmetic elementwise over the packed state space.
+    Runs the step arithmetic elementwise over the packed state space, in
+    chunks of ``_SWEEP_CHUNK`` states taken in packed (z) order, so the
+    first mismatch reported is the one with the smallest z.
     Pass an explicit ``inverse`` to test corrupted reversal constants;
     by default the true inverse is derived from the parameters.
     """
@@ -450,19 +456,19 @@ def roundtrip_sweep(
     a, b, m = params.a, params.b, params.m
     s, carry = coupling.s, coupling.carry_enabled
     m2 = m * m
-    z = np.arange(m2, dtype=np.int64)
-    x = z % m
-    y = z // m
-    x1, y1 = _forward_words(x, y, a, b, m, s, carry)
-    x0, y0, slack = _backward_words(x1, y1, a, b, m, inverse.c, inverse.d, s, carry, m2)
-    if int(slack.min()) < 0:
-        raise InvariantError("backward offset went negative")
-    bad = (x0 != x) | (y0 != y)
-    mismatches = int(bad.sum())
-    first = None
-    if mismatches:
-        i = int(bad.argmax())
-        first = CoupledState(int(x[i]), int(y[i]))
+    mismatches, first = 0, None
+    for start in range(0, m2, _SWEEP_CHUNK):
+        y, x = np.divmod(np.arange(start, min(start + _SWEEP_CHUNK, m2), dtype=np.int64), m)
+        x1, y1 = _forward_words(x, y, a, b, m, s, carry)
+        x0, y0, slack = _backward_words(x1, y1, a, b, m, inverse.c, inverse.d, s, carry, m2)
+        if int(slack.min()) < 0:
+            raise InvariantError("backward offset went negative")
+        bad = (x0 != x) | (y0 != y)
+        count = int(np.count_nonzero(bad))
+        if count and first is None:
+            i = int(bad.argmax())
+            first = CoupledState(int(x[i]), int(y[i]))
+        mismatches += count
     return RoundTripReport(states_checked=m2, mismatches=mismatches, first_mismatch=first)
 
 
@@ -479,7 +485,7 @@ def roundtrip_sample(
     the public scalar step functions rather than the packed sweep.
     """
     if samples < 1:
-        raise ValueError(f"sample count must be positive, got {samples}")
+        raise ParameterError(f"sample count must be positive, got {samples}")
     _require_coupling(params, coupling)
     if inverse is None:
         inverse = derive_inverse(params)
@@ -550,10 +556,10 @@ def paper_reproduction(
     k = constants
     n = k.imax if imax is None else imax
     if not 1 <= n <= k.m * k.m:
-        raise ValueError(f"imax must lie in [1, {k.m * k.m}], got {n}")
+        raise ParameterError(f"imax must lie in [1, {k.m * k.m}], got {n}")
     bx, by = (0, 0) if backward_seed is None else backward_seed
     if not (0 <= bx < k.m and 0 <= by < k.m):
-        raise ValueError(f"backward seed words must lie in [0, {k.m}), got ({bx}, {by})")
+        raise ParameterError(f"backward seed words must lie in [0, {k.m}), got ({bx}, {by})")
 
     m = k.m
     forw = _orbit_table(0, 0, n, lambda x, y: rund_forward_step(x, y, k), k.a, k.b, m, k.s, True)

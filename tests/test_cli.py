@@ -1,8 +1,23 @@
+import json
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from revlcg import (
+    CoupledState,
+    CouplingSpec,
+    InvariantError,
+    LcgParams,
+    ParameterError,
+    derive_inverse,
+    generate_sequence,
+    pack_state,
+    real_decimal,
+    reverse_sequence,
+)
+from revlcg import cli
 
 GOLDEN = Path(__file__).parent / "golden" / "rund_first_64.txt"
 
@@ -212,3 +227,109 @@ class TestUsageErrors:
     def test_bad_modulus(self):
         res = run_cli("derive", "--a", "1", "--b", "0", "--m", "1")
         assert res.returncode == 2
+
+
+class TestErrorMapping:
+    def test_internal_value_error_is_not_a_usage_error(self, monkeypatch):
+        def broken(args):
+            raise ValueError("a defect, not bad input")
+
+        monkeypatch.setattr(cli, "cmd_derive", broken)
+        with pytest.raises(ValueError, match="a defect"):
+            cli.main(["derive"])
+
+    def test_parameter_error_is_a_usage_error(self, monkeypatch, capsys):
+        def refuse(args):
+            raise ParameterError("bad flag")
+
+        monkeypatch.setattr(cli, "cmd_derive", refuse)
+        assert cli.main(["derive"]) == 2
+        assert capsys.readouterr().err == "error: bad flag\n"
+
+
+# (params, coupling, seed) for the in-process stream tests: the reference
+# generator, and an odd modulus with the carry on and off.
+STREAM_CASES = [
+    (LcgParams(1029, 1731, 2048), CouplingSpec(1536), CoupledState(7, 9)),
+    (LcgParams(4, 7, 15), CouplingSpec(3), CoupledState(2, 11)),
+    (LcgParams(4, 7, 15), CouplingSpec(3, carry_enabled=False), CoupledState(14, 0)),
+]
+BLOCK = 4
+
+
+def expected_lines(states, fmt, m):
+    if fmt == "state":
+        return "".join(f"{n} {s.x} {s.y}\n" for n, s in enumerate(states, 1))
+    if fmt == "z":
+        return "".join(f"{pack_state(s, m)}\n" for s in states)
+    return "".join(
+        f"{n} {pack_state(s, m)}/{m * m} {real_decimal(s, m)}\n" for n, s in enumerate(states, 1)
+    )
+
+
+class TestStreamBlocks:
+    """In-process ``cli.main`` against the library sequences, across block edges."""
+
+    @pytest.mark.parametrize("fmt", ["state", "z", "real"])
+    @pytest.mark.parametrize(
+        "params, coupling, seed", STREAM_CASES, ids=["reference", "odd-m", "odd-m-no-carry"]
+    )
+    def test_matches_library_sequences(self, monkeypatch, capsys, params, coupling, seed, fmt):
+        monkeypatch.setattr(cli, "_BLOCK_LINES", BLOCK)
+        flags = [
+            "--a", str(params.a), "--b", str(params.b), "--m", str(params.m),
+            "--s", str(coupling.s), "--carry" if coupling.carry_enabled else "--no-carry",
+            "--x0", str(seed.x), "--y0", str(seed.y), "--format", fmt,
+        ]
+        inverse = derive_inverse(params)
+        for n in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3):
+            assert cli.main(["generate", "--n", str(n), *flags]) == 0
+            forward = generate_sequence(seed, n, params, coupling)
+            assert capsys.readouterr().out == expected_lines(forward, fmt, params.m)
+            assert cli.main(["reverse", "--n", str(n), *flags]) == 0
+            backward = reverse_sequence(seed, n, params, inverse, coupling)
+            assert capsys.readouterr().out == expected_lines(backward, fmt, params.m)
+
+    def test_reverse_keeps_the_slack_check(self, monkeypatch):
+        # A backward step whose offset goes negative is a defect and must
+        # still stop the stream, not print a wrong state.
+        def negative_slack(x, y, *rest):
+            return x, y, -1
+
+        monkeypatch.setattr(cli, "_backward_words", negative_slack)
+        with pytest.raises(InvariantError):
+            cli.main(["reverse", "--n", "3"])
+
+
+# Runs `python -m revlcg ARGS` in this interpreter and reports, on stderr,
+# the exit status and whether numpy was imported along the way.
+NUMPY_PROBE = """
+import json, runpy, sys
+sys.argv = ["revlcg", *sys.argv[1:]]
+try:
+    runpy.run_module("revlcg", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    status = exc.code
+print(json.dumps([status, "numpy" in sys.modules]), file=sys.stderr)
+"""
+
+
+def numpy_probe(*args):
+    res = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE, *args], capture_output=True, text=True
+    )
+    return json.loads(res.stderr.splitlines()[-1])
+
+
+class TestStartWithoutNumpy:
+    @pytest.mark.parametrize(
+        "args",
+        [("generate", "--n", "3"), ("reverse", "--n", "3"), ("derive",)],
+        ids=["generate", "reverse", "derive"],
+    )
+    def test_streaming_commands_leave_numpy_out(self, args):
+        assert numpy_probe(*args) == [0, False]
+
+    def test_verify_loads_numpy(self):
+        # control: the probe does see numpy when a command needs it
+        assert numpy_probe("verify", "hulldobell") == [0, True]

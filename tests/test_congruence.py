@@ -9,6 +9,7 @@ from revlcg import (
     InverseParams,
     LcgParams,
     NotInvertibleError,
+    ParameterError,
     derive_inverse,
     ext_gcd,
     mod_inverse,
@@ -74,6 +75,10 @@ class TestModInverse:
 
     def test_not_invertible_is_value_error(self):
         assert issubclass(NotInvertibleError, ValueError)
+
+    def test_not_invertible_is_a_parameter_error(self):
+        assert issubclass(NotInvertibleError, ParameterError)
+        assert issubclass(ParameterError, ValueError)
 
     def test_modulus_too_small(self):
         with pytest.raises(ValueError):
@@ -184,3 +189,28 @@ class TestLcgParams:
         # the guard exists so every backward product stays in 64-bit range
         assert MAX_MODULUS**3 <= 2**63 - 1
         assert (MAX_MODULUS + 1) ** 3 > 2**63 - 1
+
+
+class TestIntegerParameters:
+    @pytest.mark.parametrize(
+        "a, b, m",
+        [(1029.0, 1731, 2048), (1029, 1731.0, 2048), (1029, 1731, 2048.0)],
+        ids=["float a", "float b", "float m"],
+    )
+    def test_float_rejected(self, a, b, m):
+        # 1029.0 used to derive c=205.0, d=1497.0
+        with pytest.raises(ParameterError, match="must be an integer"):
+            LcgParams(a, b, m)
+
+    @pytest.mark.parametrize(
+        "a, b, m", [(True, 0, 2), (1, False, 2)], ids=["bool a", "bool b"]
+    )
+    def test_bool_rejected(self, a, b, m):
+        with pytest.raises(ParameterError, match="bool"):
+            LcgParams(a, b, m)
+
+    def test_numpy_integers_stored_as_int(self):
+        np = pytest.importorskip("numpy")
+        params = LcgParams(np.int64(1029), np.int32(1731), np.int64(2048))
+        assert params == LcgParams(1029, 1731, 2048)
+        assert {type(v) for v in (params.a, params.b, params.m)} == {int}

@@ -13,6 +13,7 @@ from revlcg import (
     CouplingSpec,
     LcgParams,
     NotInvertibleError,
+    ParameterError,
     backward_step,
     carry_coupling,
     derive_inverse,
@@ -71,6 +72,14 @@ class TestCarryCoupling:
     def test_negative_slope_rejected(self):
         with pytest.raises(ValueError):
             CouplingSpec(-1)
+
+    def test_bool_slope_rejected(self):
+        with pytest.raises(ParameterError, match="bool"):
+            CouplingSpec(True)
+
+    def test_float_slope_rejected(self):
+        with pytest.raises(ParameterError, match="must be an integer"):
+            CouplingSpec(1536.0)
 
 
 class TestSteps:
@@ -156,6 +165,25 @@ class TestSteps:
         state = CoupledState(x, y)
         assert backward_step(forward_step(state, params, coupling), params, inverse, coupling) == state
         assert forward_step(backward_step(state, params, inverse, coupling), params, coupling) == state
+
+
+class TestIntegerStates:
+    # (1.5, 0) used to step to (1226.5, 257.0)
+    @pytest.mark.parametrize(
+        "state",
+        [CoupledState(1.5, 0), CoupledState(0, 2.0), CoupledState(True, 0), CoupledState(0, False)],
+        ids=["float x", "float y", "bool x", "bool y"],
+    )
+    def test_non_integer_words_rejected(self, state):
+        with pytest.raises(ParameterError, match="integer|bool"):
+            forward_step(state, RUND_PARAMS, RUND_COUPLING)
+        with pytest.raises(ParameterError, match="integer|bool"):
+            backward_step(state, RUND_PARAMS, RUND_INVERSE, RUND_COUPLING)
+
+    def test_numpy_integer_words_accepted(self):
+        np = pytest.importorskip("numpy")
+        state = CoupledState(np.int64(0), np.int64(0))
+        assert forward_step(state, RUND_PARAMS, RUND_COUPLING) == (1731, 0)
 
 
 class TestOutputs:

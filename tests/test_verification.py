@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import pytest
 
+from revlcg import verification
 from revlcg import (
     RUND,
     CoupledState,
@@ -21,6 +22,7 @@ from revlcg import (
     roundtrip_sample,
     roundtrip_sweep,
 )
+from revlcg import backward_step, forward_step
 
 RUND_PARAMS = LcgParams(RUND.a, RUND.b, RUND.m)
 RUND_COUPLING = CouplingSpec(RUND.s)
@@ -117,6 +119,27 @@ class TestRoundTripSweep:
         assert rep.mismatches == rep.states_checked == 64
         assert rep.first_mismatch == (0, 0)
         assert not rep.passed
+
+    @pytest.mark.parametrize("chunk", [1, 7, 16, 100])
+    def test_chunks_match_the_scalar_steps(self, monkeypatch, chunk):
+        # With the right d for a wrong c (c*a = 9 mod 16), the states with
+        # even x and even y map back and the rest do not. No corrupted
+        # inverse can put a first mismatch later than z = 1, so only
+        # one-state chunks put it past the first chunk; the other sizes
+        # cut the 256 states unevenly.
+        params, coupling = LcgParams(5, 3, 16), CouplingSpec(2)
+        c = 5  # 5*5 = 25 = 9 mod 16; the true inverse is 13
+        bad = InverseParams(c, (-c * params.b) % 16)
+        monkeypatch.setattr(verification, "_SWEEP_CHUNK", chunk)
+        rep = roundtrip_sweep(params, coupling, inverse=bad)
+        wrong = [
+            state
+            for state in (CoupledState(z % 16, z // 16) for z in range(256))
+            if backward_step(forward_step(state, params, coupling), params, bad, coupling) != state
+        ]
+        assert rep.states_checked == 256
+        assert rep.mismatches == len(wrong) == 192
+        assert rep.first_mismatch == wrong[0] == (1, 0)
 
     def test_oversized_modulus_refused(self):
         with pytest.raises(ValueError, match="roundtrip_sample"):
