@@ -23,7 +23,6 @@ from .congruence import (
     derive_inverse,
     ext_gcd,
     mod_inverse,
-    mod_nonneg,
 )
 from .generator import (
     CoupledGenerator,
@@ -42,12 +41,10 @@ from .generator import (
 from .rund import (
     RUND,
     RundConstants,
-    pack_words,
     packed_multiplier,
     packed_oracle_step,
     rund_backward_step,
     rund_forward_step,
-    unpack_word,
 )
 
 _VERIFICATION_NAMES = frozenset(
@@ -96,7 +93,6 @@ __all__ = [
     "derive_inverse",
     "ext_gcd",
     "mod_inverse",
-    "mod_nonneg",
     "CoupledGenerator",
     "CoupledState",
     "CouplingSpec",
@@ -111,12 +107,10 @@ __all__ = [
     "unpack_state",
     "RUND",
     "RundConstants",
-    "pack_words",
     "packed_multiplier",
     "packed_oracle_step",
     "rund_backward_step",
     "rund_forward_step",
-    "unpack_word",
     "EquidistributionReport",
     "HullDobellReport",
     "OrbitReport",

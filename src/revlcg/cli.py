@@ -5,11 +5,12 @@ triple, ``generate`` and ``reverse`` stream sequence records as plain
 text, ``verify`` runs one of the verification checks and reports via
 the exit code.
 
-``generate`` and ``reverse`` share one loop. It validates the seed and
-the coupling once, steps plain ints through the word-level step
-functions of :mod:`revlcg.generator` (``reverse`` still checks every
-step's non-negativity offset), and writes ``_BLOCK_LINES`` lines at a
-time with a single ``write``. Only ``verify`` imports
+``generate`` and ``reverse`` share one loop. It validates the seed
+once, steps plain ints through :func:`revlcg.generator._stepper`, the
+same step ``generate_sequence`` and ``reverse_sequence`` take (it
+checks the coupling once and every backward step's non-negativity
+offset), and writes ``_BLOCK_LINES`` lines at a time with a single
+``write``. Only ``verify`` imports
 :mod:`revlcg.verification`, so ``derive``, ``generate`` and
 ``reverse`` start without loading numpy.
 
@@ -26,10 +27,9 @@ import argparse
 import os
 import sys
 from decimal import Decimal
-from typing import Callable, Optional
+from typing import Optional
 
 from .congruence import (
-    InvariantError,
     InverseParams,
     LcgParams,
     NotInvertibleError,
@@ -40,10 +40,9 @@ from .generator import (
     REAL_CONTEXT,
     CoupledState,
     CouplingSpec,
-    _backward_words,
-    _forward_words,
     _require_coupling,
     _require_state,
+    _stepper,
 )
 from .rund import RUND, RundConstants
 
@@ -57,8 +56,6 @@ PAPER_MAX_M = RUND.m
 
 # generate/reverse write this many lines per write call.
 _BLOCK_LINES = 8192
-
-Step = Callable[[int, int], tuple[int, int]]
 
 
 def _add_params_args(p: argparse.ArgumentParser) -> None:
@@ -164,25 +161,6 @@ def cmd_derive(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _forward(params: LcgParams, coupling: CouplingSpec) -> Step:
-    a, b, m, s, carry = params.a, params.b, params.m, coupling.s, coupling.carry_enabled
-    return lambda x, y: _forward_words(x, y, a, b, m, s, carry)
-
-
-def _backward(params: LcgParams, coupling: CouplingSpec) -> Step:
-    inverse = derive_inverse(params)
-    a, b, m, s, carry = params.a, params.b, params.m, coupling.s, coupling.carry_enabled
-    c, d, m2 = inverse.c, inverse.d, m * m
-
-    def step(x: int, y: int) -> tuple[int, int]:
-        x, y, slack = _backward_words(x, y, a, b, m, c, d, s, carry, m2)
-        if slack < 0:
-            raise InvariantError("coupling value exceeded m**2")
-        return x, y
-
-    return step
-
-
 def _render(fmt: str, m: int, n0: int, states: list[tuple[int, int]]) -> str:
     """The lines of one block of records; ``n0`` is the 1-based index of the first."""
     if fmt == "state":
@@ -200,14 +178,14 @@ def _render(fmt: str, m: int, n0: int, states: list[tuple[int, int]]) -> str:
     )
 
 
-def _stream(args: argparse.Namespace, step: Callable[[LcgParams, CouplingSpec], Step]) -> int:
-    """Write the states after 1 .. n steps of ``step`` from the seed, in blocks."""
+def _stream(args: argparse.Namespace, backward: bool) -> int:
+    """Write the states after 1 .. n steps from the seed, in blocks."""
     params, coupling = _params(args), _coupling(args)
     if args.n < 0:
         raise ParameterError(f"--n must be non-negative, got {args.n}")
-    advance = step(params, coupling)
+    inverse = derive_inverse(params) if backward else None
     _require_state(_seed(args), params.m)
-    _require_coupling(params, coupling)
+    advance = _stepper(params, coupling, inverse)
     x, y = args.x0, args.y0
     for n0 in range(1, args.n + 1, _BLOCK_LINES):
         states = []
@@ -219,11 +197,11 @@ def _stream(args: argparse.Namespace, step: Callable[[LcgParams, CouplingSpec], 
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    return _stream(args, _forward)
+    return _stream(args, backward=False)
 
 
 def cmd_reverse(args: argparse.Namespace) -> int:
-    return _stream(args, _backward)
+    return _stream(args, backward=True)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -262,14 +240,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         if not coupling.carry_enabled:
             raise ParameterError("the reproduction run always couples the carry; drop --no-carry")
         _require_coupling(params, coupling)
-        derived = derive_inverse(params)
+        inverse = _inverse(args, params)
         constants = RundConstants(
             a=params.a,
             b=params.b,
             m=params.m,
             s=coupling.s,
-            c=derived.c if args.c is None else args.c,
-            d=derived.d if args.d is None else args.d,
+            c=inverse.c,
+            d=inverse.d,
             imax=params.m * params.m,
         )
         report = paper_reproduction(constants)

@@ -2,9 +2,9 @@
 derivation of the reversed-generator parameters.
 
 Every residue handled by this package lives in the canonical range
-[0, m); negative intermediates are reduced through :func:`mod_nonneg`
-so that no operation ever applies ``%`` to a value whose sign could
-make the result language-dependent.
+[0, m). The two negative intermediates, a Bezout coefficient and -c*b,
+are reduced with Python's ``%``, which returns that residue for an
+operand of either sign.
 """
 
 from __future__ import annotations
@@ -99,6 +99,10 @@ class InverseParams:
     c: int
     d: int
 
+    def __post_init__(self):
+        for name in ("c", "d"):
+            object.__setattr__(self, name, _require_int(getattr(self, name), name))
+
 
 def ext_gcd(u: int, v: int) -> ExtGcdResult:
     """Extended Euclid: returns (g, s, t) with s*u + t*v = g = gcd(u, v).
@@ -119,13 +123,6 @@ def ext_gcd(u: int, v: int) -> ExtGcdResult:
         s0, s1 = s1, s0 - q * s1
         t0, t1 = t1, t0 - q * t1
     return ExtGcdResult(r0, s0, t0)
-
-
-def mod_nonneg(v: int, m: int) -> int:
-    """Reduce v, of either sign, to the unique residue in [0, m)."""
-    if m < 2:
-        raise ParameterError(f"modulus must be >= 2, got {m}")
-    return v % m
 
 
 def mod_inverse(a: int, m: int) -> int:
@@ -155,7 +152,7 @@ def derive_inverse(params: LcgParams) -> InverseParams:
     """
     a, b, m = params.a, params.b, params.m
     c = mod_inverse(a, m)
-    d = mod_nonneg(-c * b, m)
+    d = -c * b % m
     if (a * c) % m != 1 or (c * b + d) % m != 0 or (a * d + b) % m != 0:
         raise InvariantError(f"derived (c, d) = ({c}, {d}) does not reverse a={a}, b={b} mod {m}")
     return InverseParams(c, d)

@@ -20,7 +20,7 @@ map can be retraced exactly:
 Adding m**2 before subtracting f(x) keeps the reduced value
 non-negative (f stays below m**2 for any slope s < m), so ``%`` is only
 ever applied to non-negative integers; remainders of negative operands
-are a portability trap this package avoids throughout.
+are a portability trap the step arithmetic avoids.
 
 The evaluation order in the backward step is load-bearing: f must be
 taken at the recovered x, not at the incoming word. The test suite
@@ -160,6 +160,7 @@ def pack_state(state: CoupledState, m: int) -> int:
 
 def unpack_state(z: int, m: int) -> CoupledState:
     """Inverse of :func:`pack_state`."""
+    z, m = _require_int(z, "packed value"), _require_int(m, "modulus")
     if not 0 <= z < m * m:
         raise ParameterError(f"packed value must lie in [0, {m * m}), got {z}")
     return CoupledState(z % m, z // m)
@@ -183,22 +184,49 @@ def real_decimal(state: CoupledState, m: int) -> str:
     return str(REAL_CONTEXT.divide(decimal.Decimal(pack_state(state, m)), decimal.Decimal(m * m)))
 
 
-def generate_sequence(
-    seed: CoupledState, n: int, params: LcgParams, coupling: CouplingSpec
-) -> list[CoupledState]:
-    """States after 1..n forward steps; the seed itself is not recorded."""
+def _stepper(params, coupling, inverse=None):
+    """The plain-int step (x, y) -> (x', y'), backward when ``inverse`` is given.
+
+    Checks the coupling once, so a walk built on it validates its input
+    once rather than per step. The backward step still checks every
+    step's non-negativity offset.
+    """
+    _require_coupling(params, coupling)
+    a, b, m, s, carry = params.a, params.b, params.m, coupling.s, coupling.carry_enabled
+    if inverse is None:
+        return lambda x, y: _forward_words(x, y, a, b, m, s, carry)
+    c, d, m2 = inverse.c, inverse.d, m * m
+
+    def backward(x: int, y: int) -> tuple[int, int]:
+        x, y, slack = _backward_words(x, y, a, b, m, c, d, s, carry, m2)
+        if slack < 0:
+            raise InvariantError("coupling value exceeded m**2")
+        return x, y
+
+    return backward
+
+
+def _walk(seed, n, params, coupling, inverse=None) -> list[CoupledState]:
+    """States after 1..n steps of :func:`_stepper` from the seed."""
+    n = _require_int(n, "step count")
     if n < 0:
         raise ParameterError(f"step count must be non-negative, got {n}")
     _require_state(seed, params.m)
-    _require_coupling(params, coupling)
-    a, b, m, s, carry = params.a, params.b, params.m, coupling.s, coupling.carry_enabled
+    step = _stepper(params, coupling, inverse)
     x, y = seed
     out: list[CoupledState] = []
     append = out.append
     for _ in range(n):
-        x, y = _forward_words(x, y, a, b, m, s, carry)
+        x, y = step(x, y)
         append(CoupledState(x, y))
     return out
+
+
+def generate_sequence(
+    seed: CoupledState, n: int, params: LcgParams, coupling: CouplingSpec
+) -> list[CoupledState]:
+    """States after 1..n forward steps; the seed itself is not recorded."""
+    return _walk(seed, n, params, coupling)
 
 
 def reverse_sequence(
@@ -209,23 +237,7 @@ def reverse_sequence(
     coupling: CouplingSpec,
 ) -> list[CoupledState]:
     """States after 1..n backward steps from the seed."""
-    if n < 0:
-        raise ParameterError(f"step count must be non-negative, got {n}")
-    _require_state(seed, params.m)
-    _require_coupling(params, coupling)
-    a, b, m = params.a, params.b, params.m
-    c, d = inverse.c, inverse.d
-    s, carry = coupling.s, coupling.carry_enabled
-    m2 = m * m
-    x, y = seed
-    out: list[CoupledState] = []
-    append = out.append
-    for _ in range(n):
-        x, y, slack = _backward_words(x, y, a, b, m, c, d, s, carry, m2)
-        if slack < 0:
-            raise InvariantError("coupling value exceeded m**2")
-        append(CoupledState(x, y))
-    return out
+    return _walk(seed, n, params, coupling, inverse)
 
 
 class CoupledGenerator:

@@ -27,17 +27,21 @@ anything relies on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+
+from .congruence import _require_int
 
 
 @dataclass(frozen=True)
 class RundConstants:
     """The fixed integers of the reference generator and its reversal.
 
-    imax is the full state-space size m**2. The reversal pair (c, d) is
-    checked against :func:`revlcg.congruence.derive_inverse` by the test
-    suite rather than by this constructor, so deliberately corrupted
-    instances can be built as negative controls.
+    imax is the full state-space size m**2. The constructor only checks
+    that every field is an integer, and stores it as a plain int. The
+    reversal pair (c, d) is checked against
+    :func:`revlcg.congruence.derive_inverse` by the test suite rather
+    than by this constructor, so deliberately corrupted instances can be
+    built as negative controls.
     """
 
     a: int = 1029
@@ -47,6 +51,10 @@ class RundConstants:
     c: int = 205
     d: int = 1497
     imax: int = 4_194_304
+
+    def __post_init__(self):
+        for field in fields(self):
+            object.__setattr__(self, field.name, _require_int(getattr(self, field.name), field.name))
 
 
 RUND = RundConstants()
@@ -93,12 +101,3 @@ def packed_oracle_step(z, k: RundConstants = RUND):
     """One step of the packed single-word LCG on z = x + m*y."""
     return (packed_multiplier(k) * z + k.b) % (k.m * k.m)
 
-
-def pack_words(x, y, k: RundConstants = RUND):
-    """z = x + m*y."""
-    return x + k.m * y
-
-
-def unpack_word(z, k: RundConstants = RUND):
-    """(x, y) from z = x + m*y."""
-    return z % k.m, z // k.m

@@ -50,7 +50,14 @@ from typing import Optional
 
 import numpy as np
 
-from .congruence import InverseParams, InvariantError, LcgParams, ParameterError, derive_inverse
+from .congruence import (
+    InverseParams,
+    InvariantError,
+    LcgParams,
+    ParameterError,
+    _require_int,
+    derive_inverse,
+)
 from .generator import (
     CoupledState,
     CouplingSpec,
@@ -58,8 +65,7 @@ from .generator import (
     _forward_words,
     _require_coupling,
     _require_state,
-    backward_step,
-    forward_step,
+    _require_word,
 )
 from .rund import RUND, RundConstants, rund_backward_step, rund_forward_step
 
@@ -72,8 +78,8 @@ SWEEP_MAX_M = 4096
 _LANES = 4096
 _BLOCK = 1 << 22
 
-# The round-trip sweep checks this many packed states at a time, so its
-# dozen int64 temporaries take about 24 MiB whatever m is.
+# The round-trip checks step this many states at a time, so their dozen
+# int64 temporaries take about 24 MiB whatever m or the sample count is.
 _SWEEP_CHUNK = 1 << 18
 
 
@@ -261,6 +267,12 @@ def _require_sweepable(m: int, what: str, hint: str = "") -> None:
         )
 
 
+def _require_inverse(inverse, m: int) -> None:
+    # c and d multiply int64 arrays; inside [0, m) every product is exact.
+    _require_word(inverse.c, m, "c")
+    _require_word(inverse.d, m, "d")
+
+
 def _compose(f, g, mod):
     """f after g, for maps (x, y) -> (p*x + u, q*x + p*y + v) mod ``mod``."""
     p1, q1, u1, v1 = f
@@ -378,8 +390,7 @@ def orbit_period(
     _require_state(seed, params.m)
     _require_coupling(params, coupling)
     m2 = params.m * params.m
-    if limit is None:
-        limit = m2 + 1
+    limit = m2 + 1 if limit is None else _require_int(limit, "limit")
     if limit < 1:
         raise ParameterError(f"limit must be positive, got {limit}")
     z0 = seed.x + params.m * seed.y
@@ -434,6 +445,36 @@ def equidistribution_check(
     )
 
 
+def _roundtrip(params, coupling, inverse, states, draw) -> RoundTripReport:
+    """Check backward(forward(state)) = state on ``states`` states.
+
+    ``draw(start, count)`` returns states start .. start + count - 1 as a
+    pair of int64 word arrays. They run through the step arithmetic
+    elementwise, ``_SWEEP_CHUNK`` at a time, and the first mismatch
+    reported is the first drawn. ``inverse`` defaults to the true one,
+    derived from the parameters.
+    """
+    if inverse is None:
+        inverse = derive_inverse(params)
+    _require_inverse(inverse, params.m)
+    a, b, m = params.a, params.b, params.m
+    s, carry = coupling.s, coupling.carry_enabled
+    mismatches, first = 0, None
+    for start in range(0, states, _SWEEP_CHUNK):
+        x, y = draw(start, min(_SWEEP_CHUNK, states - start))
+        x1, y1 = _forward_words(x, y, a, b, m, s, carry)
+        x0, y0, slack = _backward_words(x1, y1, a, b, m, inverse.c, inverse.d, s, carry, m * m)
+        if int(slack.min()) < 0:
+            raise InvariantError("backward offset went negative")
+        bad = (x0 != x) | (y0 != y)
+        count = int(np.count_nonzero(bad))
+        if count and first is None:
+            i = int(bad.argmax())
+            first = CoupledState(int(x[i]), int(y[i]))
+        mismatches += count
+    return RoundTripReport(states_checked=states, mismatches=mismatches, first_mismatch=first)
+
+
 def roundtrip_sweep(
     params: LcgParams,
     coupling: CouplingSpec,
@@ -451,25 +492,13 @@ def roundtrip_sweep(
     _require_sweepable(
         params.m, "roundtrip_sweep", "; use roundtrip_sample for spot checks at this size"
     )
-    if inverse is None:
-        inverse = derive_inverse(params)
-    a, b, m = params.a, params.b, params.m
-    s, carry = coupling.s, coupling.carry_enabled
-    m2 = m * m
-    mismatches, first = 0, None
-    for start in range(0, m2, _SWEEP_CHUNK):
-        y, x = np.divmod(np.arange(start, min(start + _SWEEP_CHUNK, m2), dtype=np.int64), m)
-        x1, y1 = _forward_words(x, y, a, b, m, s, carry)
-        x0, y0, slack = _backward_words(x1, y1, a, b, m, inverse.c, inverse.d, s, carry, m2)
-        if int(slack.min()) < 0:
-            raise InvariantError("backward offset went negative")
-        bad = (x0 != x) | (y0 != y)
-        count = int(np.count_nonzero(bad))
-        if count and first is None:
-            i = int(bad.argmax())
-            first = CoupledState(int(x[i]), int(y[i]))
-        mismatches += count
-    return RoundTripReport(states_checked=m2, mismatches=mismatches, first_mismatch=first)
+    m = params.m
+
+    def draw(start, count):
+        y, x = np.divmod(np.arange(start, start + count, dtype=np.int64), m)
+        return x, y
+
+    return _roundtrip(params, coupling, inverse, m * m, draw)
 
 
 def roundtrip_sample(
@@ -481,26 +510,22 @@ def roundtrip_sample(
 ) -> RoundTripReport:
     """Round-trip check on a reproducible random sample of states.
 
-    The sampled mode exists for moduli too large to enumerate; it drives
-    the public scalar step functions rather than the packed sweep.
+    The sampled mode exists for moduli too large to enumerate. Sample i
+    is (x, y), drawn in that order from ``random.Random(rng_seed)``, and
+    the samples go through the same array check as the sweep, so the
+    first mismatch reported is the first drawn.
     """
+    samples = _require_int(samples, "sample count")
     if samples < 1:
         raise ParameterError(f"sample count must be positive, got {samples}")
     _require_coupling(params, coupling)
-    if inverse is None:
-        inverse = derive_inverse(params)
-    rng = random.Random(rng_seed)
-    m = params.m
-    mismatches = 0
-    first = None
-    for _ in range(samples):
-        state = CoupledState(rng.randrange(m), rng.randrange(m))
-        back = backward_step(forward_step(state, params, coupling), params, inverse, coupling)
-        if back != state:
-            mismatches += 1
-            if first is None:
-                first = state
-    return RoundTripReport(states_checked=samples, mismatches=mismatches, first_mismatch=first)
+    randrange, m = random.Random(rng_seed).randrange, params.m
+
+    def draw(start, count):
+        words = np.fromiter((randrange(m) for _ in range(2 * count)), np.int64, 2 * count)
+        return words[0::2], words[1::2]
+
+    return _roundtrip(params, coupling, inverse, samples, draw)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -554,12 +579,12 @@ def paper_reproduction(
     together with ``backward_seed`` set to the forward endpoint.
     """
     k = constants
-    n = k.imax if imax is None else imax
+    n = k.imax if imax is None else _require_int(imax, "imax")
     if not 1 <= n <= k.m * k.m:
         raise ParameterError(f"imax must lie in [1, {k.m * k.m}], got {n}")
     bx, by = (0, 0) if backward_seed is None else backward_seed
-    if not (0 <= bx < k.m and 0 <= by < k.m):
-        raise ParameterError(f"backward seed words must lie in [0, {k.m}), got ({bx}, {by})")
+    _require_state(CoupledState(bx, by), k.m)
+    _require_inverse(k, k.m)
 
     m = k.m
     forw = _orbit_table(0, 0, n, lambda x, y: rund_forward_step(x, y, k), k.a, k.b, m, k.s, True)

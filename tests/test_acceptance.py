@@ -21,12 +21,12 @@ from revlcg import (
     equidistribution_check,
     hull_dobell_check,
     orbit_period,
-    pack_words,
+    pack_state,
     packed_oracle_step,
     paper_reproduction,
     roundtrip_sweep,
     rund_forward_step,
-    unpack_word,
+    unpack_state,
 )
 
 RUND_PARAMS = LcgParams(RUND.a, RUND.b, RUND.m)
@@ -77,7 +77,8 @@ def test_criterion_5_packed_oracle_equivalence():
     # validate the packed derivation on random states before trusting it
     rng = random.Random(54_321)
     spot_ok = all(
-        packed_oracle_step(z) == pack_words(*rund_forward_step(*unpack_word(z)))
+        packed_oracle_step(z)
+        == pack_state(CoupledState(*rund_forward_step(*unpack_state(z, RUND.m))), RUND.m)
         for z in (rng.randrange(STATE_SPACE) for _ in range(10_000))
     )
     z = np.arange(STATE_SPACE, dtype=np.int64)

@@ -11,13 +11,13 @@ from revlcg import (
     InvariantError,
     LcgParams,
     ParameterError,
+    backward_step,
     derive_inverse,
-    generate_sequence,
+    forward_step,
     pack_state,
     real_decimal,
-    reverse_sequence,
 )
-from revlcg import cli
+from revlcg import cli, generator
 
 GOLDEN = Path(__file__).parent / "golden" / "rund_first_64.txt"
 
@@ -140,6 +140,14 @@ class TestVerify:
                       "--b", "17", "--s", "55", "--samples", "200")
         assert res.returncode == 0
         assert res.stdout == "states_checked=200 mismatches=0\n"
+
+    @pytest.mark.parametrize("which", ["roundtrip", "paper"])
+    def test_out_of_range_inverse_is_a_usage_error(self, which):
+        # used to end in an OverflowError traceback and exit 1, "failed"
+        res = run_cli("verify", which, "--c", "99999999999999999999")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: c must lie in [0, 2048), got 99999999999999999999\n"
 
     def test_roundtrip_oversized_refused(self):
         res = run_cli("verify", "roundtrip", "--m", "8192")
@@ -267,8 +275,20 @@ def expected_lines(states, fmt, m):
     )
 
 
+def repeated(step, seed, n):
+    states = [seed]
+    for _ in range(n):
+        states.append(step(states[-1]))
+    return states[1:]
+
+
 class TestStreamBlocks:
-    """In-process ``cli.main`` against the library sequences, across block edges."""
+    """In-process ``cli.main`` against repeated public steps, across block edges.
+
+    The public ``forward_step`` / ``backward_step`` are the reference:
+    the sequence helpers share the CLI's stepper, so they could not
+    catch a fault in it.
+    """
 
     @pytest.mark.parametrize("fmt", ["state", "z", "real"])
     @pytest.mark.parametrize(
@@ -284,10 +304,10 @@ class TestStreamBlocks:
         inverse = derive_inverse(params)
         for n in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3):
             assert cli.main(["generate", "--n", str(n), *flags]) == 0
-            forward = generate_sequence(seed, n, params, coupling)
+            forward = repeated(lambda s: forward_step(s, params, coupling), seed, n)
             assert capsys.readouterr().out == expected_lines(forward, fmt, params.m)
             assert cli.main(["reverse", "--n", str(n), *flags]) == 0
-            backward = reverse_sequence(seed, n, params, inverse, coupling)
+            backward = repeated(lambda s: backward_step(s, params, inverse, coupling), seed, n)
             assert capsys.readouterr().out == expected_lines(backward, fmt, params.m)
 
     def test_reverse_keeps_the_slack_check(self, monkeypatch):
@@ -296,7 +316,7 @@ class TestStreamBlocks:
         def negative_slack(x, y, *rest):
             return x, y, -1
 
-        monkeypatch.setattr(cli, "_backward_words", negative_slack)
+        monkeypatch.setattr(generator, "_backward_words", negative_slack)
         with pytest.raises(InvariantError):
             cli.main(["reverse", "--n", "3"])
 

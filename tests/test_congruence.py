@@ -13,7 +13,6 @@ from revlcg import (
     derive_inverse,
     ext_gcd,
     mod_inverse,
-    mod_nonneg,
 )
 
 
@@ -95,32 +94,14 @@ class TestModInverse:
             assert (a * c) % m == 1
 
 
-class TestModNonneg:
-    def test_negative_product(self):
-        # -205 * 1731 = -354855 reduces to the inverse increment
-        assert mod_nonneg(-205 * 1731, 2048) == 1497
-        assert mod_nonneg(-551, 2048) == 1497
-
-    @pytest.mark.parametrize("m", [2, 7, 2048])
-    def test_trivial_residues(self, m):
-        assert mod_nonneg(0, m) == 0
-        assert mod_nonneg(m + 1, m) == 1
-
-    def test_modulus_too_small(self):
-        with pytest.raises(ValueError):
-            mod_nonneg(5, 1)
-
-    @given(v=st.integers(-(10**12), 10**12), m=st.integers(2, 10**6))
-    def test_canonical_residue(self, v, m):
-        r = mod_nonneg(v, m)
-        assert 0 <= r < m
-        assert (r - v) % m == 0
-
-
 class TestDeriveInverse:
     def test_reference_constants(self):
         inv = derive_inverse(LcgParams(1029, 1731, 2048))
         assert inv == InverseParams(c=205, d=1497)
+
+    def test_increment_reduces_the_negative_product(self):
+        # d = -c*b = -205 * 1731 = -354855, reduced to [0, 2048)
+        assert derive_inverse(LcgParams(1029, 1731, 2048)).d == (-205 * 1731) % 2048 == 1497
 
     @pytest.mark.parametrize("m", [2, 5, 16, 2048])
     def test_identity_map(self, m):
@@ -214,3 +195,20 @@ class TestIntegerParameters:
         params = LcgParams(np.int64(1029), np.int32(1731), np.int64(2048))
         assert params == LcgParams(1029, 1731, 2048)
         assert {type(v) for v in (params.a, params.b, params.m)} == {int}
+
+
+class TestIntegerInverse:
+    # InverseParams(13.0, 9) used to step to floats in backward_step
+    @pytest.mark.parametrize(
+        "c, d", [(13.0, 9), (13, 9.0), (True, 9), (13, False)],
+        ids=["float c", "float d", "bool c", "bool d"],
+    )
+    def test_non_integers_rejected(self, c, d):
+        with pytest.raises(ParameterError, match="integer|bool"):
+            InverseParams(c, d)
+
+    def test_numpy_integers_stored_as_int(self):
+        np = pytest.importorskip("numpy")
+        inverse = InverseParams(np.int64(205), np.int32(1497))
+        assert inverse == InverseParams(205, 1497)
+        assert {type(inverse.c), type(inverse.d)} == {int}

@@ -186,6 +186,36 @@ class TestIntegerStates:
         assert forward_step(state, RUND_PARAMS, RUND_COUPLING) == (1731, 0)
 
 
+@st.composite
+def small_steps(draw):
+    m = draw(st.integers(2, 300))
+    word = st.integers(0, m - 1)
+    params = LcgParams(draw(word), draw(word), m)
+    coupling = CouplingSpec(draw(word), carry_enabled=draw(st.booleans()))
+    return params, coupling, CoupledState(draw(word), draw(word))
+
+
+class TestStepClosedForms:
+    """The step against the affine maps it must equal, on small random maps."""
+
+    @given(step=small_steps())
+    @settings(max_examples=500)
+    def test_forward_is_the_affine_map_and_backward_undoes_it(self, step):
+        params, coupling, state = step
+        a, b, m, s = params.a, params.b, params.m, coupling.s
+        x, y = state
+        got = forward_step(state, params, coupling)
+        if coupling.carry_enabled:
+            # the packed single-word LCG on z = x + m*y
+            z = ((a + s * m) * (x + m * y) + b) % (m * m)
+            assert got == (z % m, z // m)
+        else:
+            # (x, y) -> [[a, 0], [s, a]]·(x, y) + (b, 0) mod m
+            assert got == ((a * x + b) % m, (s * x + a * y) % m)
+        if math.gcd(a, m) == 1:
+            assert backward_step(got, params, derive_inverse(params), coupling) == state
+
+
 class TestOutputs:
     def test_zero_state(self):
         assert output_real(CoupledState(0, 0), 2048) == 0
@@ -217,6 +247,14 @@ class TestOutputs:
         with pytest.raises(ValueError):
             unpack_state(2048 * 2048, 2048)
 
+    @pytest.mark.parametrize(
+        "z, m", [(17.5, 16), (17, 16.0), (True, 16)], ids=["float z", "float m", "bool z"]
+    )
+    def test_unpack_refuses_non_integers(self, z, m):
+        # unpack_state(17.5, 16) used to return CoupledState(x=1.5, y=1.0)
+        with pytest.raises(ParameterError, match="integer|bool"):
+            unpack_state(z, m)
+
 
 class TestSequences:
     def test_empty_forward(self):
@@ -236,6 +274,14 @@ class TestSequences:
     def test_negative_count_rejected(self):
         with pytest.raises(ValueError):
             generate_sequence(CoupledState(0, 0), -1, RUND_PARAMS, RUND_COUPLING)
+
+    def test_non_integer_count_rejected(self):
+        # used to fail with a bare TypeError from range
+        seed = CoupledState(0, 0)
+        with pytest.raises(ParameterError, match="step count must be an integer"):
+            generate_sequence(seed, 2.5, RUND_PARAMS, RUND_COUPLING)
+        with pytest.raises(ParameterError, match="step count must be an integer"):
+            reverse_sequence(seed, 2.5, RUND_PARAMS, RUND_INVERSE, RUND_COUPLING)
 
     def test_matches_repeated_forward_step(self):
         rng = random.Random(11)

@@ -6,16 +6,17 @@ import pytest
 
 from revlcg import (
     RUND,
-    CouplingSpec,
+    CoupledState,
     LcgParams,
+    ParameterError,
     RundConstants,
     derive_inverse,
-    pack_words,
+    pack_state,
     packed_multiplier,
     packed_oracle_step,
     rund_backward_step,
     rund_forward_step,
-    unpack_word,
+    unpack_state,
 )
 from revlcg.generator import _backward_words, _forward_words
 
@@ -64,22 +65,23 @@ class TestListingSteps:
 class TestPackedOracle:
     def test_origin(self):
         assert packed_oracle_step(0) == 1731
-        assert unpack_word(1731) == (1731, 0)
+        assert unpack_state(1731, RUND.m) == (1731, 0)
 
     def test_second_value(self):
         assert packed_oracle_step(1731) == 2_831_506
-        assert unpack_word(2_831_506) == (1170, 1382)
+        assert unpack_state(2_831_506, RUND.m) == (1170, 1382)
 
     def test_pack_unpack_roundtrip(self):
         for z in (0, 1, 2047, 2048, 4_194_303):
-            assert pack_words(*unpack_word(z)) == z
+            assert pack_state(unpack_state(z, RUND.m), RUND.m) == z
 
     def test_oracle_matches_listing_on_random_states(self):
         # validate the packed derivation before the exhaustive runs rely on it
         rng = random.Random(54_321)
         for _ in range(10_000):
             z = rng.randrange(RUND.m * RUND.m)
-            assert packed_oracle_step(z) == pack_words(*rund_forward_step(*unpack_word(z)))
+            step = CoupledState(*rund_forward_step(*unpack_state(z, RUND.m)))
+            assert packed_oracle_step(z) == pack_state(step, RUND.m)
 
 
 class TestExhaustiveEquivalence:
@@ -132,3 +134,20 @@ class TestParameterizedConstants:
         bad = replace(RUND, c=204)
         x, y = rund_forward_step(907, 1234)
         assert rund_backward_step(x, y, bad) != (907, 1234)
+
+
+class TestIntegerConstants:
+    @pytest.mark.parametrize("field", ["a", "b", "m", "s", "c", "d", "imax"])
+    def test_float_rejected(self, field):
+        # RundConstants(c=205.0) used to keep c=205.0
+        with pytest.raises(ParameterError, match="must be an integer"):
+            replace(RUND, **{field: float(getattr(RUND, field))})
+
+    def test_bool_rejected(self):
+        with pytest.raises(ParameterError, match="bool"):
+            RundConstants(s=True)
+
+    def test_numpy_integers_stored_as_int(self):
+        k = RundConstants(c=np.int64(205), imax=np.int32(4_194_304))
+        assert k == RUND
+        assert {type(getattr(k, f)) for f in ("a", "b", "m", "s", "c", "d", "imax")} == {int}

@@ -6,11 +6,14 @@ import pytest
 
 from revlcg import verification
 from revlcg import (
+    MAX_MODULUS,
     RUND,
     CoupledState,
     CouplingSpec,
     InverseParams,
     LcgParams,
+    ParameterError,
+    RoundTripReport,
     RundConstants,
     derive_inverse,
     equidistribution_check,
@@ -155,6 +158,90 @@ class TestRoundTripSweep:
         assert rep.mismatches == 500
 
 
+def scalar_roundtrip_sample(params, coupling, inverse, samples, rng_seed):
+    # The reference: the public scalar steps on (x, y) drawn in that order.
+    rng = random.Random(rng_seed)
+    mismatches, first = 0, None
+    for _ in range(samples):
+        state = CoupledState(rng.randrange(params.m), rng.randrange(params.m))
+        if backward_step(forward_step(state, params, coupling), params, inverse, coupling) != state:
+            mismatches += 1
+            if first is None:
+                first = state
+    return RoundTripReport(states_checked=samples, mismatches=mismatches, first_mismatch=first)
+
+
+# (a, b, m, s) up to MAX_MODULUS, where c*slack comes within m**2 of the
+# int64 limit, with the slope at its largest there.
+SAMPLE_PARAMS = [
+    (3, 5, 17, 16),
+    (RUND.a, RUND.b, RUND.m, RUND.s),
+    (999_983, 17, 1_000_003, 55),
+    (MAX_MODULUS - 1, 12_345, MAX_MODULUS, MAX_MODULUS - 1),
+]
+
+
+def sample_inverses(params):
+    true = derive_inverse(params)
+    c, d, m, b = true.c, true.d, params.m, params.b
+    return {
+        "true": true,
+        "bad d": InverseParams(c, (d + 1) % m),
+        "bad c": InverseParams((c + 1) % m, (-(c + 1) * b) % m),
+    }
+
+
+class TestRoundTripSampleAgainstScalarSteps:
+    @pytest.mark.parametrize("chunk", [7, verification._SWEEP_CHUNK])
+    @pytest.mark.parametrize("kind", ["true", "bad d", "bad c"])
+    @pytest.mark.parametrize("carry", [True, False], ids=["carry", "no-carry"])
+    @pytest.mark.parametrize("a, b, m, s", SAMPLE_PARAMS)
+    def test_matches_the_scalar_loop(self, monkeypatch, a, b, m, s, carry, kind, chunk):
+        params, coupling = LcgParams(a, b, m), CouplingSpec(s, carry_enabled=carry)
+        inverse = sample_inverses(params)[kind]
+        monkeypatch.setattr(verification, "_SWEEP_CHUNK", chunk)
+        got = roundtrip_sample(params, coupling, samples=300, inverse=inverse, rng_seed=m)
+        assert got == scalar_roundtrip_sample(params, coupling, inverse, 300, m)
+        assert got.passed == (kind == "true")
+
+
+BAD_INVERSES = [(2048, 1497), (-1, 1497), (10**20, 1497), (205, 2048), (205, -1), (205, 10**20)]
+
+
+class TestInverseRange:
+    """Inverse constants meet int64 arrays; outside [0, m) they are refused."""
+
+    @pytest.mark.parametrize("c, d", BAD_INVERSES)
+    def test_roundtrip_sweep(self, c, d):
+        with pytest.raises(ParameterError, match=r"must lie in \[0, 2048\)"):
+            roundtrip_sweep(RUND_PARAMS, RUND_COUPLING, inverse=InverseParams(c, d))
+
+    @pytest.mark.parametrize("c, d", BAD_INVERSES)
+    def test_roundtrip_sample(self, c, d):
+        with pytest.raises(ParameterError, match=r"must lie in \[0, 2048\)"):
+            roundtrip_sample(RUND_PARAMS, RUND_COUPLING, samples=10, inverse=InverseParams(c, d))
+
+    @pytest.mark.parametrize("c, d", BAD_INVERSES)
+    def test_paper_reproduction(self, c, d):
+        with pytest.raises(ParameterError, match=r"must lie in \[0, 2048\)"):
+            paper_reproduction(replace(RUND, c=c, d=d), imax=10)
+
+
+class TestIntegerCounts:
+    # each used to fail with a bare TypeError
+    def test_orbit_limit(self):
+        with pytest.raises(ParameterError, match="limit must be an integer"):
+            orbit_period(CoupledState(0, 0), RUND_PARAMS, RUND_COUPLING, limit=2.5)
+
+    def test_sample_count(self):
+        with pytest.raises(ParameterError, match="sample count must be an integer"):
+            roundtrip_sample(RUND_PARAMS, RUND_COUPLING, samples=2.5)
+
+    def test_reproduction_window(self):
+        with pytest.raises(ParameterError, match="imax must be an integer"):
+            paper_reproduction(imax=2.5)
+
+
 class TestHullDobell:
     def test_reference_parameters_satisfy_all(self):
         rep = hull_dobell_check(RUND_PARAMS)
@@ -253,6 +340,8 @@ class TestPaperReproduction:
     def test_invalid_backward_seed_rejected(self):
         with pytest.raises(ValueError):
             paper_reproduction(imax=10, backward_seed=(2048, 0))
+        with pytest.raises(ParameterError, match="must be an integer"):
+            paper_reproduction(imax=10, backward_seed=(0.5, 0))
 
     def test_toy_constants_full_run(self):
         params = LcgParams(5, 3, 16)
