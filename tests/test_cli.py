@@ -353,3 +353,129 @@ class TestStartWithoutNumpy:
     def test_verify_loads_numpy(self):
         # control: the probe does see numpy when a command needs it
         assert numpy_probe("verify", "hulldobell") == [0, True]
+
+
+TOY = ["--m", "16", "--a", "5", "--b", "3", "--s", "2"]
+LARGE = ["--m", "1000003", "--a", "999983", "--b", "17", "--s", "55"]
+IDENTITY_X = ["--m", "4", "--a", "1", "--b", "1", "--s", "0", "--no-carry"]
+NOT_BIJECTIVE = ["--m", "8", "--a", "2", "--b", "1", "--s", "0", "--no-carry"]
+UNDETERMINED = (
+    "(the seed never recurred; the map is not bijective or the limit is too small)\n"
+)
+
+# (verify arguments, exit code, kv stdout, text stdout): every branch of
+# every report, passing and failing.
+VERIFY_RENDERINGS = [
+    pytest.param(
+        ["period", *TOY], 0,
+        "period=256 full=true\n",
+        "orbit period: 256\nfull period (m**2): yes\nstates visited: 256\n",
+        id="period-full",
+    ),
+    pytest.param(
+        ["period", *IDENTITY_X], 1,
+        "period=4 full=false\n",
+        "orbit period: 4\nfull period (m**2): no\nstates visited: 4\n",
+        id="period-not-full",
+    ),
+    pytest.param(
+        ["period", *NOT_BIJECTIVE], 1,
+        "period=unknown full=false\n",
+        "orbit period: undetermined after 65 steps\n" + UNDETERMINED,
+        id="period-undetermined-not-bijective",
+    ),
+    pytest.param(
+        ["period", *LARGE, "--limit", "1000"], 1,
+        "period=unknown full=false\n",
+        "orbit period: undetermined after 1000 steps\n" + UNDETERMINED,
+        id="period-undetermined-limit",
+    ),
+    pytest.param(
+        ["equidist", *TOY], 0,
+        "covered=256 total=256 complete=true\n",
+        "packed values covered: 256 of 256\nequidistribution: exact\n",
+        id="equidist-complete",
+    ),
+    pytest.param(
+        ["equidist", *IDENTITY_X], 1,
+        "covered=4 total=16 complete=false first_missing=4\n",
+        "packed values covered: 4 of 16\nfirst missing packed value: 4\n"
+        "equidistribution: FAILED\n",
+        id="equidist-missing",
+    ),
+    pytest.param(
+        ["equidist", *NOT_BIJECTIVE], 1,
+        "covered=4 total=64 complete=false first_duplicate=7 first_missing=2\n",
+        "packed values covered: 4 of 64\nfirst duplicated packed value: 7\n"
+        "first missing packed value: 2\nequidistribution: FAILED\n",
+        id="equidist-duplicate-and-missing",
+    ),
+    pytest.param(
+        ["roundtrip", "--m", "8", "--a", "5", "--b", "3", "--s", "2"], 0,
+        "states_checked=64 mismatches=0\n",
+        "states checked: 64\nround-trip mismatches: 0\n",
+        id="roundtrip-clean",
+    ),
+    pytest.param(
+        ["roundtrip", *TOY, "--d", "0"], 1,
+        "states_checked=256 mismatches=256 first_mismatch_x=0 first_mismatch_y=0\n",
+        "states checked: 256\nround-trip mismatches: 256\nfirst mismatching state: (0, 0)\n",
+        id="roundtrip-corrupted-d",
+    ),
+    pytest.param(
+        ["roundtrip", *LARGE, "--samples", "200", "--c", "5"], 1,
+        "states_checked=200 mismatches=200 first_mismatch_x=885440 first_mismatch_y=403958\n",
+        "states checked: 200\nround-trip mismatches: 200\n"
+        "first mismatching state: (885440, 403958)\n",
+        id="roundtrip-sampled-corrupted-c",
+    ),
+    pytest.param(
+        ["hulldobell"], 0,
+        "b_coprime_m=true a1_prime_factors=true a1_mod_4=true all=true\n",
+        "gcd(b, m) = 1: satisfied\n"
+        "a - 1 divisible by every prime factor of m: satisfied\n"
+        "a - 1 divisible by 4 when 4 divides m: satisfied\n"
+        "all conditions: satisfied\n",
+        id="hulldobell-pass",
+    ),
+    pytest.param(
+        ["hulldobell", "--a", "2", "--b", "1", "--m", "8"], 1,
+        "b_coprime_m=true a1_prime_factors=false a1_mod_4=false all=false\n",
+        "gcd(b, m) = 1: satisfied\n"
+        "a - 1 divisible by every prime factor of m: VIOLATED\n"
+        "a - 1 divisible by 4 when 4 divides m: VIOLATED\n"
+        "all conditions: VIOLATED\n",
+        id="hulldobell-violated",
+    ),
+    pytest.param(
+        ["hulldobell", "--a", "3", "--b", "2", "--m", "8"], 1,
+        "b_coprime_m=false a1_prime_factors=true a1_mod_4=false all=false\n",
+        "gcd(b, m) = 1: VIOLATED\n"
+        "a - 1 divisible by every prime factor of m: satisfied\n"
+        "a - 1 divisible by 4 when 4 divides m: VIOLATED\n"
+        "all conditions: VIOLATED\n",
+        id="hulldobell-mixed",
+    ),
+    pytest.param(
+        ["paper", *TOY], 0,
+        "comparisons=255 mismatches=0 pass=true\n",
+        "comparisons: 255\nmismatches: 0\nreproduction: pass\n",
+        id="paper-toy",
+    ),
+    pytest.param(
+        ["paper", *TOY, "--c", "7"], 1,
+        "comparisons=255 mismatches=254 pass=false first_mismatch_n=1\n",
+        "comparisons: 255\nmismatches: 254\nfirst mismatch at n = 1\nreproduction: FAIL\n",
+        id="paper-toy-corrupted-c",
+    ),
+]
+
+
+class TestVerifyRendering:
+    """Exact ``verify`` output and exit code, in process, in both report styles."""
+
+    @pytest.mark.parametrize("report", ["kv", "text"])
+    @pytest.mark.parametrize("argv, code, kv, text", VERIFY_RENDERINGS)
+    def test_output_and_exit_code(self, capsys, argv, code, kv, text, report):
+        assert cli.main(["verify", *argv, "--report", report]) == code
+        assert capsys.readouterr() == (kv if report == "kv" else text, "")

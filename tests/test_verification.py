@@ -10,9 +10,13 @@ from revlcg import (
     RUND,
     CoupledState,
     CouplingSpec,
+    EquidistributionReport,
+    HullDobellReport,
     InverseParams,
     LcgParams,
+    OrbitReport,
     ParameterError,
+    ReproductionReport,
     RoundTripReport,
     RundConstants,
     derive_inverse,
@@ -357,3 +361,58 @@ class TestPaperReproduction:
         ))
         assert rep.kv_line() == "comparisons=49 mismatches=0 pass=true"
         assert "reproduction: pass" in rep.as_text()
+
+
+class TestReportDicts:
+    """``as_kv()`` keys, order and value types for every optional-field branch."""
+
+    @pytest.mark.parametrize(
+        "report, kv",
+        [
+            (OrbitReport(256, True, 256, CoupledState(0, 0)), {"period": 256, "full": True}),
+            (OrbitReport(None, False, 65, None), {"period": "unknown", "full": False}),
+            (
+                EquidistributionReport(256, 256, True, None, None),
+                {"covered": 256, "total": 256, "complete": True},
+            ),
+            (
+                EquidistributionReport(4, 16, False, None, 4),
+                {"covered": 4, "total": 16, "complete": False, "first_missing": 4},
+            ),
+            (
+                EquidistributionReport(4, 64, False, 7, 2),
+                {
+                    "covered": 4,
+                    "total": 64,
+                    "complete": False,
+                    "first_duplicate": 7,
+                    "first_missing": 2,
+                },
+            ),
+            (RoundTripReport(64, 0, None), {"states_checked": 64, "mismatches": 0}),
+            (
+                RoundTripReport(256, 255, CoupledState(3, 1)),
+                {
+                    "states_checked": 256,
+                    "mismatches": 255,
+                    "first_mismatch_x": 3,
+                    "first_mismatch_y": 1,
+                },
+            ),
+            (
+                HullDobellReport(False, True, False, False),
+                {"b_coprime_m": False, "a1_prime_factors": True, "a1_mod_4": False, "all": False},
+            ),
+            (
+                ReproductionReport(255, 0, None, True),
+                {"comparisons": 255, "mismatches": 0, "pass": True},
+            ),
+            (
+                ReproductionReport(255, 254, 1, False),
+                {"comparisons": 255, "mismatches": 254, "pass": False, "first_mismatch_n": 1},
+            ),
+        ],
+    )
+    def test_as_kv(self, report, kv):
+        # repr tells True from 1 and pins the key order
+        assert repr(report.as_kv()) == repr(kv)
