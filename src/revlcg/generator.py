@@ -154,6 +154,7 @@ def backward_step(
 
 def pack_state(state: CoupledState, m: int) -> int:
     """Pack (x, y) into z = x + m*y, a bijection onto [0, m**2)."""
+    m = _require_int(m, "modulus")
     _require_state(state, m)
     return state.x + m * state.y
 

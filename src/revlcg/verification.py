@@ -35,9 +35,13 @@ sequential backward walk; at the first mismatch the rest of the
 backward walk is retraced step by step, so the mismatch count is
 exactly that of the sequential run.
 
-Each report renders two ways: ``kv_line()`` gives a stable single-line
-``key=value`` form for scripts, ``as_text()`` a small human-readable
-block.
+Each report states every fact once, as a ``(key, value, line)`` row
+yielded in output order by its private ``_rows()``. Both renderings
+read those rows: ``kv_line()`` gives a stable single-line ``key=value``
+form for scripts (``as_kv()`` the same pairs as a dict, bools printed
+as true/false), and ``as_text()`` a small human-readable block of the
+lines. A row without a key appears only in the text, and one without a
+line only in the kv form, which lets the two orders differ.
 """
 
 from __future__ import annotations
@@ -83,23 +87,19 @@ _BLOCK = 1 << 22
 _SWEEP_CHUNK = 1 << 18
 
 
-def _format_kv(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if value is None:
-        return "none"
-    return str(value)
-
-
 class _Report:
+    """A verification result, rendered from the ``(key, value, line)`` rows of ``_rows()``."""
+
     def as_kv(self) -> dict:
-        raise NotImplementedError
+        return {key: value for key, value, _ in self._rows() if key is not None}
 
     def kv_line(self) -> str:
-        return " ".join(f"{k}={_format_kv(v)}" for k, v in self.as_kv().items())
+        return " ".join(
+            f"{k}={str(v).lower() if isinstance(v, bool) else v}" for k, v in self.as_kv().items()
+        )
 
     def as_text(self) -> str:
-        raise NotImplementedError
+        return "\n".join(line for _, _, line in self._rows() if line is not None)
 
 
 @dataclass(frozen=True)
@@ -115,24 +115,18 @@ class OrbitReport(_Report):
     def passed(self) -> bool:
         return self.reached_full_period
 
-    def as_kv(self) -> dict:
-        return {
-            "period": self.period if self.period is not None else "unknown",
-            "full": self.reached_full_period,
-        }
-
-    def as_text(self) -> str:
+    def _rows(self):
+        full = self.reached_full_period
         if self.period is None:
-            return (
+            yield "period", "unknown", (
                 f"orbit period: undetermined after {self.states_visited} steps\n"
                 "(the seed never recurred; the map is not bijective or the limit is too small)"
             )
-        full = "yes" if self.reached_full_period else "no"
-        return (
-            f"orbit period: {self.period}\n"
-            f"full period (m**2): {full}\n"
-            f"states visited: {self.states_visited}"
-        )
+            yield "full", full, None
+            return
+        yield "period", self.period, f"orbit period: {self.period}"
+        yield "full", full, f"full period (m**2): {'yes' if full else 'no'}"
+        yield None, None, f"states visited: {self.states_visited}"
 
 
 @dataclass(frozen=True)
@@ -149,22 +143,19 @@ class EquidistributionReport(_Report):
     def passed(self) -> bool:
         return self.complete
 
-    def as_kv(self) -> dict:
-        kv = {"covered": self.covered, "total": self.total, "complete": self.complete}
+    def _rows(self):
+        yield "covered", self.covered, f"packed values covered: {self.covered} of {self.total}"
+        yield "total", self.total, None
+        yield "complete", self.complete, None
         if self.first_duplicate is not None:
-            kv["first_duplicate"] = self.first_duplicate
+            yield "first_duplicate", self.first_duplicate, (
+                f"first duplicated packed value: {self.first_duplicate}"
+            )
         if self.first_missing is not None:
-            kv["first_missing"] = self.first_missing
-        return kv
-
-    def as_text(self) -> str:
-        lines = [f"packed values covered: {self.covered} of {self.total}"]
-        if self.first_duplicate is not None:
-            lines.append(f"first duplicated packed value: {self.first_duplicate}")
-        if self.first_missing is not None:
-            lines.append(f"first missing packed value: {self.first_missing}")
-        lines.append("equidistribution: " + ("exact" if self.complete else "FAILED"))
-        return "\n".join(lines)
+            yield "first_missing", self.first_missing, (
+                f"first missing packed value: {self.first_missing}"
+            )
+        yield None, None, "equidistribution: " + ("exact" if self.complete else "FAILED")
 
 
 @dataclass(frozen=True)
@@ -179,21 +170,13 @@ class RoundTripReport(_Report):
     def passed(self) -> bool:
         return self.mismatches == 0
 
-    def as_kv(self) -> dict:
-        kv = {"states_checked": self.states_checked, "mismatches": self.mismatches}
+    def _rows(self):
+        yield "states_checked", self.states_checked, f"states checked: {self.states_checked}"
+        yield "mismatches", self.mismatches, f"round-trip mismatches: {self.mismatches}"
         if self.first_mismatch is not None:
-            kv["first_mismatch_x"] = self.first_mismatch.x
-            kv["first_mismatch_y"] = self.first_mismatch.y
-        return kv
-
-    def as_text(self) -> str:
-        lines = [
-            f"states checked: {self.states_checked}",
-            f"round-trip mismatches: {self.mismatches}",
-        ]
-        if self.first_mismatch is not None:
-            lines.append(f"first mismatching state: {tuple(self.first_mismatch)}")
-        return "\n".join(lines)
+            x, y = self.first_mismatch
+            yield "first_mismatch_x", x, f"first mismatching state: {(x, y)}"
+            yield "first_mismatch_y", y, None
 
 
 @dataclass(frozen=True)
@@ -209,28 +192,22 @@ class HullDobellReport(_Report):
     def passed(self) -> bool:
         return self.all_satisfied
 
-    def as_kv(self) -> dict:
-        return {
-            "b_coprime_m": self.b_coprime_m,
-            "a1_prime_factors": self.a_minus_1_divisible_by_prime_factors,
-            "a1_mod_4": self.a_minus_1_divisible_by_4_when_m_is,
-            "all": self.all_satisfied,
-        }
-
-    def as_text(self) -> str:
-        def mark(flag: bool) -> str:
-            return "satisfied" if flag else "VIOLATED"
-
-        return "\n".join(
-            [
-                f"gcd(b, m) = 1: {mark(self.b_coprime_m)}",
-                f"a - 1 divisible by every prime factor of m: "
-                f"{mark(self.a_minus_1_divisible_by_prime_factors)}",
-                f"a - 1 divisible by 4 when 4 divides m: "
-                f"{mark(self.a_minus_1_divisible_by_4_when_m_is)}",
-                f"all conditions: {mark(self.all_satisfied)}",
-            ]
-        )
+    def _rows(self):
+        for key, flag, condition in (
+            ("b_coprime_m", self.b_coprime_m, "gcd(b, m) = 1"),
+            (
+                "a1_prime_factors",
+                self.a_minus_1_divisible_by_prime_factors,
+                "a - 1 divisible by every prime factor of m",
+            ),
+            (
+                "a1_mod_4",
+                self.a_minus_1_divisible_by_4_when_m_is,
+                "a - 1 divisible by 4 when 4 divides m",
+            ),
+            ("all", self.all_satisfied, "all conditions"),
+        ):
+            yield key, flag, f"{condition}: {'satisfied' if flag else 'VIOLATED'}"
 
 
 @dataclass(frozen=True)
@@ -242,21 +219,15 @@ class ReproductionReport(_Report):
     first_mismatch_n: Optional[int]
     passed: bool
 
-    def as_kv(self) -> dict:
-        kv = {"comparisons": self.comparisons, "mismatches": self.mismatches, "pass": self.passed}
+    def _rows(self):
+        yield "comparisons", self.comparisons, f"comparisons: {self.comparisons}"
+        yield "mismatches", self.mismatches, f"mismatches: {self.mismatches}"
+        yield "pass", self.passed, None
         if self.first_mismatch_n is not None:
-            kv["first_mismatch_n"] = self.first_mismatch_n
-        return kv
-
-    def as_text(self) -> str:
-        lines = [
-            f"comparisons: {self.comparisons}",
-            f"mismatches: {self.mismatches}",
-        ]
-        if self.first_mismatch_n is not None:
-            lines.append(f"first mismatch at n = {self.first_mismatch_n}")
-        lines.append("reproduction: " + ("pass" if self.passed else "FAIL"))
-        return "\n".join(lines)
+            yield "first_mismatch_n", self.first_mismatch_n, (
+                f"first mismatch at n = {self.first_mismatch_n}"
+            )
+        yield None, None, "reproduction: " + ("pass" if self.passed else "FAIL")
 
 
 def _require_sweepable(m: int, what: str, hint: str = "") -> None:
@@ -577,8 +548,13 @@ def paper_reproduction(
     (0, 0) orbit has full period m**2, making (0, 0) also the state
     after imax forward steps; for a truncated window pass ``imax``
     together with ``backward_seed`` set to the forward endpoint.
+
+    Every field of ``constants`` is checked as the CLI checks its flags:
+    (a, b, m) as :class:`LcgParams`, 0 <= s < m, and c, d in [0, m);
+    any other value raises :class:`ParameterError`.
     """
     k = constants
+    _require_coupling(LcgParams(k.a, k.b, k.m), CouplingSpec(k.s))
     n = k.imax if imax is None else _require_int(imax, "imax")
     if not 1 <= n <= k.m * k.m:
         raise ParameterError(f"imax must lie in [1, {k.m * k.m}], got {n}")

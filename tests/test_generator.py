@@ -255,6 +255,14 @@ class TestOutputs:
         with pytest.raises(ParameterError, match="integer|bool"):
             unpack_state(z, m)
 
+    @pytest.mark.parametrize("m", [16.0, True], ids=["float m", "bool m"])
+    @pytest.mark.parametrize("output", [pack_state, output_real, real_decimal])
+    def test_outputs_refuse_a_non_integer_modulus(self, output, m):
+        # pack_state(CoupledState(1, 1), 16.0) used to return 17.0, and a
+        # bool m to fail with "x must lie in [0, True)"
+        with pytest.raises(ParameterError, match="modulus must be an integer"):
+            output(CoupledState(1, 1), m)
+
 
 class TestSequences:
     def test_empty_forward(self):

@@ -347,6 +347,22 @@ class TestPaperReproduction:
         with pytest.raises(ParameterError, match="must be an integer"):
             paper_reproduction(imax=10, backward_seed=(0.5, 0))
 
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"a": 10**20, "c": 1, "d": 0},
+            {"s": -5},
+            {"s": 2048},
+            {"m": 1, "c": 0, "d": 0, "imax": 1},
+        ],
+        ids=["huge a", "negative s", "s = m", "m = 1"],
+    )
+    def test_every_constant_is_checked(self, fields):
+        # these used to overflow the int64 lanes, run with an invalid slope,
+        # or pass with 0 comparisons
+        with pytest.raises(ParameterError):
+            paper_reproduction(replace(RUND, **fields))
+
     def test_toy_constants_full_run(self):
         params = LcgParams(5, 3, 16)
         inv = derive_inverse(params)
