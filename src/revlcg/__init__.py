@@ -47,23 +47,6 @@ from .rund import (
     rund_forward_step,
 )
 
-_VERIFICATION_NAMES = frozenset(
-    {
-        "SWEEP_MAX_M",
-        "EquidistributionReport",
-        "HullDobellReport",
-        "OrbitReport",
-        "ReproductionReport",
-        "RoundTripReport",
-        "equidistribution_check",
-        "hull_dobell_check",
-        "orbit_period",
-        "paper_reproduction",
-        "roundtrip_sample",
-        "roundtrip_sweep",
-    }
-)
-
 
 def __getattr__(name: str):
     if name in _VERIFICATION_NAMES:
@@ -123,3 +106,6 @@ __all__ = [
     "roundtrip_sample",
     "roundtrip_sweep",
 ]
+
+# Every exported name not imported above lives in the verification module.
+_VERIFICATION_NAMES = frozenset(__all__).difference(globals())

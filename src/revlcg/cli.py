@@ -5,12 +5,12 @@ triple, ``generate`` and ``reverse`` stream sequence records as plain
 text, ``verify`` runs one of the verification checks and reports via
 the exit code.
 
-``generate`` and ``reverse`` share one loop. It validates the seed
-once, steps plain ints through :func:`revlcg.generator._stepper`, the
-same step ``generate_sequence`` and ``reverse_sequence`` take (it
-checks the coupling once and every backward step's non-negativity
-offset), and writes ``_BLOCK_LINES`` lines at a time with a single
-``write``. Only ``verify`` imports
+``generate`` and ``reverse`` share one loop. It validates the seed and
+builds the coupled map (``generator._CoupledMap``) once, steps plain
+ints through the map's forward step or its backward step (which checks
+every step's non-negativity offset), the steps ``generate_sequence``
+and ``reverse_sequence`` take, and writes ``_BLOCK_LINES`` lines at a
+time with a single ``write``. Only ``verify`` imports
 :mod:`revlcg.verification`, so ``derive``, ``generate`` and
 ``reverse`` start without loading numpy.
 
@@ -36,14 +36,7 @@ from .congruence import (
     ParameterError,
     derive_inverse,
 )
-from .generator import (
-    REAL_CONTEXT,
-    CoupledState,
-    CouplingSpec,
-    _require_coupling,
-    _require_state,
-    _stepper,
-)
+from .generator import REAL_CONTEXT, CoupledState, CouplingSpec, _CoupledMap, _require_state
 from .rund import RUND, RundConstants
 
 EXIT_OK = 0
@@ -184,9 +177,9 @@ def _stream(args: argparse.Namespace, backward: bool) -> int:
     if args.n < 0:
         raise ParameterError(f"--n must be non-negative, got {args.n}")
     inverse = derive_inverse(params) if backward else None
-    _require_state(_seed(args), params.m)
-    advance = _stepper(params, coupling, inverse)
-    x, y = args.x0, args.y0
+    x, y = _require_state(_seed(args), params.m)
+    cmap = _CoupledMap(params, coupling, inverse)
+    advance = cmap.retract if backward else cmap.forward
     for n0 in range(1, args.n + 1, _BLOCK_LINES):
         states = []
         for _ in range(min(_BLOCK_LINES, args.n + 1 - n0)):
@@ -239,18 +232,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
         if not coupling.carry_enabled:
             raise ParameterError("the reproduction run always couples the carry; drop --no-carry")
-        _require_coupling(params, coupling)
+        cmap = _CoupledMap(params, coupling)  # the slope is reported before the inverse
         inverse = _inverse(args, params)
-        constants = RundConstants(
-            a=params.a,
-            b=params.b,
-            m=params.m,
-            s=coupling.s,
-            c=inverse.c,
-            d=inverse.d,
-            imax=params.m * params.m,
-        )
-        report = paper_reproduction(constants)
+        k = (cmap.a, cmap.b, cmap.m, cmap.s, inverse.c, inverse.d, cmap.m * cmap.m)
+        report = paper_reproduction(RundConstants(*k))
     print(report.kv_line() if args.report == "kv" else report.as_text())
     return EXIT_OK if report.passed else EXIT_VERIFY_FAILED
 

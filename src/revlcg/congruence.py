@@ -43,6 +43,14 @@ def _require_int(value, name: str) -> int:
         ) from None
 
 
+def _require_modulus(m, name: str = "modulus") -> int:
+    """``m`` as a plain int; every modulus in the package is at least 2."""
+    m = _require_int(m, name)
+    if m < 2:
+        raise ParameterError(f"modulus must be >= 2, got {m}")
+    return m
+
+
 class NotInvertibleError(ParameterError):
     """The multiplier has no inverse mod m, so the recursion cannot be reversed."""
 
@@ -77,10 +85,9 @@ class LcgParams:
     def __post_init__(self):
         # Stored as plain ints, so no step or sweep inherits a float or a
         # fixed-width scalar from the caller.
-        for name in ("a", "b", "m"):
+        for name in ("a", "b"):
             object.__setattr__(self, name, _require_int(getattr(self, name), name))
-        if self.m < 2:
-            raise ParameterError(f"modulus must be >= 2, got {self.m}")
+        object.__setattr__(self, "m", _require_modulus(self.m, "m"))
         if self.m > MAX_MODULUS:
             raise ParameterError(
                 f"modulus {self.m} exceeds {MAX_MODULUS}; m**3 must fit in "
@@ -110,6 +117,7 @@ def ext_gcd(u: int, v: int) -> ExtGcdResult:
     The Bezout coefficients may be negative; only :func:`mod_inverse`
     normalizes them to a canonical residue.
     """
+    u, v = _require_int(u, "u"), _require_int(v, "v")
     if u < 0 or v < 0:
         raise ParameterError(f"ext_gcd expects non-negative inputs, got ({u}, {v})")
     if u == 0 and v == 0:
@@ -131,8 +139,7 @@ def mod_inverse(a: int, m: int) -> int:
     Raises :class:`NotInvertibleError` when gcd(a, m) != 1, which is the
     signal that the generator built on ``a`` cannot run backwards.
     """
-    if m < 2:
-        raise ParameterError(f"modulus must be >= 2, got {m}")
+    m, a = _require_modulus(m), _require_int(a, "a")
     g, s, _ = ext_gcd(a % m, m)
     if g != 1:
         raise NotInvertibleError(a, m, g)

@@ -27,9 +27,12 @@ taken at the recovered x, not at the incoming word. The test suite
 includes a deliberately wrong-order implementation to prove the
 distinction is observable.
 
-The private ``*_words`` helpers below operate on plain integers and on
-numpy arrays alike; the exhaustive sweeps in :mod:`revlcg.verification`
-run the very same arithmetic elementwise over the full state space.
+The map itself is one private value, ``_CoupledMap``, built from the
+parameters once per public call; its constructor checks s < m and, when
+a reversal is given, c, d in [0, m). Its step methods operate on plain
+integers and on numpy arrays alike; the exhaustive sweeps in
+:mod:`revlcg.verification` run the very same arithmetic elementwise
+over the full state space.
 """
 
 from __future__ import annotations
@@ -45,6 +48,7 @@ from .congruence import (
     LcgParams,
     ParameterError,
     _require_int,
+    _require_modulus,
     derive_inverse,
 )
 
@@ -69,61 +73,85 @@ class CouplingSpec:
         object.__setattr__(self, "s", _require_int(self.s, "coupling slope"))
         if self.s < 0:
             raise ParameterError(f"coupling slope must be non-negative, got {self.s}")
+        if type(self.carry_enabled) is not bool:
+            raise ParameterError(f"carry_enabled must be True or False, got {self.carry_enabled!r}")
 
 
-def _coupling_words(x, a, b, m, s, carry_enabled):
-    # Elementwise on numpy arrays as well as plain ints.
-    if carry_enabled:
-        return s * x + (a * x + b) // m
-    return s * x
-
-
-def _forward_words(x, y, a, b, m, s, carry_enabled):
-    x1 = (a * x + b) % m
-    return x1, (a * y + _coupling_words(x, a, b, m, s, carry_enabled)) % m
-
-
-def _backward_words(x, y, a, b, m, c, d, s, carry_enabled, m2):
-    # Returns (x0, y0, slack); slack = y + m**2 - f(x0) is the value the
-    # modulus is applied to, and must never be negative.
-    x0 = (c * x + d) % m
-    slack = y + m2 - _coupling_words(x0, a, b, m, s, carry_enabled)
-    return x0, (c * slack) % m, slack
-
-
-def _require_word(value: int, m: int, name: str) -> None:
-    if not 0 <= _require_int(value, name) < m:
+def _require_word(value: int, m: int, name: str) -> int:
+    value = _require_int(value, name)
+    if not 0 <= value < m:
         raise ParameterError(f"{name} must lie in [0, {m}), got {value}")
+    return value
 
 
-def _require_state(state: CoupledState, m: int) -> None:
-    _require_word(state.x, m, "x")
-    _require_word(state.y, m, "y")
+def _require_state(state: CoupledState, m: int) -> tuple[int, int]:
+    return _require_word(state.x, m, "x"), _require_word(state.y, m, "y")
 
 
-def _require_coupling(params: LcgParams, coupling: CouplingSpec) -> None:
-    if coupling.s >= params.m:
-        raise ParameterError(
-            f"coupling slope {coupling.s} must be below m={params.m} so that "
-            "f(x) stays below m**2"
-        )
+class _CoupledMap:
+    """The coupled map of (a, b, m) and (s, carry), with its reversal (c, d) when given.
+
+    The constructor is the one place the map's own rules are checked:
+    s < m, so that f(x) stays below m**2, and c, d in [0, m), so that
+    every product on the int64 arrays of the sweeps is exact. The
+    methods hold the one copy of the step arithmetic; they work on
+    plain ints and elementwise on numpy arrays alike.
+    """
+
+    __slots__ = ("a", "b", "m", "s", "carry", "c", "d", "m2")
+
+    def __init__(
+        self, params: LcgParams, coupling: CouplingSpec, inverse: InverseParams | None = None
+    ):
+        self.a, self.b, self.m = params.a, params.b, params.m
+        self.s, self.carry = coupling.s, coupling.carry_enabled
+        if self.s >= self.m:
+            raise ParameterError(
+                f"coupling slope {self.s} must be below m={self.m} so that "
+                "f(x) stays below m**2"
+            )
+        if inverse is not None:
+            # InverseParams holds plain ints, so one comparison passes the
+            # common case; _require_word names the word that fails.
+            self.c, self.d, self.m2 = inverse.c, inverse.d, self.m * self.m
+            if not (0 <= self.c < self.m and 0 <= self.d < self.m):
+                _require_word(self.c, self.m, "c")
+                _require_word(self.d, self.m, "d")
+
+    def f(self, x):
+        """The coupling at x: s*x, plus the carry out of a*x + b when enabled."""
+        if self.carry:
+            return self.s * x + (self.a * x + self.b) // self.m
+        return self.s * x
+
+    def forward(self, x, y):
+        return (self.a * x + self.b) % self.m, (self.a * y + self.f(x)) % self.m
+
+    def backward(self, x, y):
+        # Returns (x0, y0, slack); slack = y + m**2 - f(x0) is the value the
+        # modulus is applied to, and must never be negative.
+        x0 = (self.c * x + self.d) % self.m
+        slack = y + self.m2 - self.f(x0)
+        return x0, (self.c * slack) % self.m, slack
+
+    def retract(self, x: int, y: int) -> tuple[int, int]:
+        """The plain-int backward step, which refuses a negative slack."""
+        x0, y0, slack = self.backward(x, y)
+        if slack < 0:
+            raise InvariantError("coupling value exceeded m**2")
+        return x0, y0
 
 
 def carry_coupling(x: int, params: LcgParams, coupling: CouplingSpec) -> int:
     """Evaluate the coupling f at one x word; the result is below m**2."""
-    _require_word(x, params.m, "x")
-    _require_coupling(params, coupling)
-    return _coupling_words(x, params.a, params.b, params.m, coupling.s, coupling.carry_enabled)
+    x = _require_word(x, params.m, "x")
+    return _CoupledMap(params, coupling).f(x)
 
 
 def forward_step(state: CoupledState, params: LcgParams, coupling: CouplingSpec) -> CoupledState:
     """Advance one step. The coupling is evaluated at the pre-step x."""
-    _require_state(state, params.m)
-    _require_coupling(params, coupling)
-    x1, y1 = _forward_words(
-        state.x, state.y, params.a, params.b, params.m, coupling.s, coupling.carry_enabled
-    )
-    return CoupledState(x1, y1)
+    x, y = _require_state(state, params.m)
+    return CoupledState(*_CoupledMap(params, coupling).forward(x, y))
 
 
 def backward_step(
@@ -133,35 +161,20 @@ def backward_step(
     coupling: CouplingSpec,
 ) -> CoupledState:
     """Undo one step: recover x first, then remove the coupling at the recovered x."""
-    _require_state(state, params.m)
-    _require_coupling(params, coupling)
-    x0, y0, slack = _backward_words(
-        state.x,
-        state.y,
-        params.a,
-        params.b,
-        params.m,
-        inverse.c,
-        inverse.d,
-        coupling.s,
-        coupling.carry_enabled,
-        params.m * params.m,
-    )
-    if slack < 0:
-        raise InvariantError("coupling value exceeded m**2")
-    return CoupledState(x0, y0)
+    x, y = _require_state(state, params.m)
+    return CoupledState(*_CoupledMap(params, coupling, inverse).retract(x, y))
 
 
 def pack_state(state: CoupledState, m: int) -> int:
     """Pack (x, y) into z = x + m*y, a bijection onto [0, m**2)."""
-    m = _require_int(m, "modulus")
-    _require_state(state, m)
-    return state.x + m * state.y
+    m = _require_modulus(m)
+    x, y = _require_state(state, m)
+    return x + m * y
 
 
 def unpack_state(z: int, m: int) -> CoupledState:
     """Inverse of :func:`pack_state`."""
-    z, m = _require_int(z, "packed value"), _require_int(m, "modulus")
+    z, m = _require_int(z, "packed value"), _require_modulus(m)
     if not 0 <= z < m * m:
         raise ParameterError(f"packed value must lie in [0, {m * m}), got {z}")
     return CoupledState(z % m, z // m)
@@ -185,36 +198,18 @@ def real_decimal(state: CoupledState, m: int) -> str:
     return str(REAL_CONTEXT.divide(decimal.Decimal(pack_state(state, m)), decimal.Decimal(m * m)))
 
 
-def _stepper(params, coupling, inverse=None):
-    """The plain-int step (x, y) -> (x', y'), backward when ``inverse`` is given.
-
-    Checks the coupling once, so a walk built on it validates its input
-    once rather than per step. The backward step still checks every
-    step's non-negativity offset.
-    """
-    _require_coupling(params, coupling)
-    a, b, m, s, carry = params.a, params.b, params.m, coupling.s, coupling.carry_enabled
-    if inverse is None:
-        return lambda x, y: _forward_words(x, y, a, b, m, s, carry)
-    c, d, m2 = inverse.c, inverse.d, m * m
-
-    def backward(x: int, y: int) -> tuple[int, int]:
-        x, y, slack = _backward_words(x, y, a, b, m, c, d, s, carry, m2)
-        if slack < 0:
-            raise InvariantError("coupling value exceeded m**2")
-        return x, y
-
-    return backward
-
-
 def _walk(seed, n, params, coupling, inverse=None) -> list[CoupledState]:
-    """States after 1..n steps of :func:`_stepper` from the seed."""
+    """States after 1..n steps from the seed, backward when ``inverse`` is given.
+
+    The map is built, and the input checked, once per walk; the
+    backward walk still checks every step's non-negativity offset.
+    """
     n = _require_int(n, "step count")
     if n < 0:
         raise ParameterError(f"step count must be non-negative, got {n}")
-    _require_state(seed, params.m)
-    step = _stepper(params, coupling, inverse)
-    x, y = seed
+    x, y = _require_state(seed, params.m)
+    cmap = _CoupledMap(params, coupling, inverse)
+    step = cmap.forward if inverse is None else cmap.retract
     out: list[CoupledState] = []
     append = out.append
     for _ in range(n):
@@ -245,7 +240,9 @@ class CoupledGenerator:
     """Owns a (params, coupling, state) triple with the reversal derived up front.
 
     Construction fails fast when the multiplier is not invertible: a
-    generator that cannot be run backwards defeats the point here.
+    generator that cannot be run backwards defeats the point here. The
+    map is built once, from the parameters given here; the assignable
+    ``state`` is checked on every step.
     """
 
     def __init__(
@@ -254,21 +251,23 @@ class CoupledGenerator:
         coupling: CouplingSpec,
         seed: CoupledState = CoupledState(0, 0),
     ):
-        _require_coupling(params, coupling)
-        _require_state(seed, params.m)
         self.params = params
         self.coupling = coupling
         self.inverse = derive_inverse(params)
+        self._map = _CoupledMap(params, coupling, self.inverse)
+        _require_state(seed, params.m)
         self.state = seed
 
     def forward(self) -> CoupledState:
         """Advance the held state one step and return it."""
-        self.state = forward_step(self.state, self.params, self.coupling)
+        x, y = _require_state(self.state, self._map.m)
+        self.state = CoupledState(*self._map.forward(x, y))
         return self.state
 
     def backward(self) -> CoupledState:
         """Retract the held state one step and return it."""
-        self.state = backward_step(self.state, self.params, self.inverse, self.coupling)
+        x, y = _require_state(self.state, self._map.m)
+        self.state = CoupledState(*self._map.retract(x, y))
         return self.state
 
     def real(self) -> Fraction:

@@ -29,16 +29,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 
-from .congruence import _require_int
+from .congruence import ParameterError, _require_int
 
 
 @dataclass(frozen=True)
 class RundConstants:
     """The fixed integers of the reference generator and its reversal.
 
-    imax is the full state-space size m**2. The constructor only checks
-    that every field is an integer, and stores it as a plain int. The
-    reversal pair (c, d) is checked against
+    imax is the full state-space size m**2, the offset the backward step
+    adds before subtracting f(x0). The constructor checks that every
+    field is an integer, stores it as a plain int, and refuses any imax
+    other than m**2. The reversal pair (c, d) is checked against
     :func:`revlcg.congruence.derive_inverse` by the test suite rather
     than by this constructor, so deliberately corrupted instances can be
     built as negative controls.
@@ -55,6 +56,8 @@ class RundConstants:
     def __post_init__(self):
         for field in fields(self):
             object.__setattr__(self, field.name, _require_int(getattr(self, field.name), field.name))
+        if self.imax != self.m * self.m:
+            raise ParameterError(f"imax must equal m**2 = {self.m * self.m}, got {self.imax}")
 
 
 RUND = RundConstants()

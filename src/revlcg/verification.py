@@ -5,10 +5,12 @@ walked orbit itself, round-trip identity by sweeping the full state
 space, full-period preconditions by trial division, and the
 forward/backward/compare reproduction run of the reference program.
 
-The sweeps evaluate the same ``_forward_words`` / ``_backward_words``
-arithmetic as the scalar step functions, elementwise over packed numpy
-arrays, so enumerating all m**2 states stays a sub-second operation at
-the reference scale (m = 2048, 2**22 states).
+Each check builds the coupled map, ``generator._CoupledMap``, once from
+its parameters, and that constructor is where s < m and c, d in [0, m)
+are checked. The sweeps evaluate the map's step methods, the ones the
+scalar step functions use, elementwise over packed numpy arrays, so
+enumerating all m**2 states stays a sub-second operation at the
+reference scale (m = 2048, 2**22 states).
 
 The orbit walks run in lanes. An orbit of N states is cut into up to
 ``_LANES`` consecutive stretches of T steps; lane l starts T*l steps
@@ -62,15 +64,7 @@ from .congruence import (
     _require_int,
     derive_inverse,
 )
-from .generator import (
-    CoupledState,
-    CouplingSpec,
-    _backward_words,
-    _forward_words,
-    _require_coupling,
-    _require_state,
-    _require_word,
-)
+from .generator import CoupledState, CouplingSpec, _CoupledMap, _require_state
 from .rund import RUND, RundConstants, rund_backward_step, rund_forward_step
 
 # Exhaustive modes enumerate m**2 states; beyond this bound the table and
@@ -238,12 +232,6 @@ def _require_sweepable(m: int, what: str, hint: str = "") -> None:
         )
 
 
-def _require_inverse(inverse, m: int) -> None:
-    # c and d multiply int64 arrays; inside [0, m) every product is exact.
-    _require_word(inverse.c, m, "c")
-    _require_word(inverse.d, m, "d")
-
-
 def _compose(f, g, mod):
     """f after g, for maps (x, y) -> (p*x + u, q*x + p*y + v) mod ``mod``."""
     p1, q1, u1, v1 = f
@@ -256,14 +244,15 @@ def _compose(f, g, mod):
     )
 
 
-def _lane_jump(a, b, m, s, carry, n):
+def _lane_jump(cmap, n):
     """The coupled map applied n times, as a function of (x, y), in O(log n).
 
     With the carry on, the map is the packed LCG z -> (a + s*m)*z + b
     mod m**2 (the y terms of the composed map stay zero); with it off,
     it is (x, y) -> (a*x + b, s*x + a*y) mod m.
     """
-    f = (a + s * m, 0, b, 0) if carry else (a, s, b, 0)
+    m, carry = cmap.m, cmap.carry
+    f = (cmap.a + cmap.s * m, 0, cmap.b, 0) if carry else (cmap.a, cmap.s, cmap.b, 0)
     mod = m * m if carry else m
     acc = (1, 0, 0, 0)
     while n:
@@ -297,22 +286,23 @@ def _walk_lanes(xs, ys, span, step, m):
     return table.ravel(), xs, ys
 
 
-def _orbit_table(x, y, count, step, a, b, m, s, carry):
+def _orbit_table(cmap, x, y, count, step):
     """Packed states after 1 .. count steps from (x, y), walked in stitched lanes.
 
-    ``step`` advances the lanes; :func:`_lane_jump` of the same map
-    seeds lane l + 1 from lane l's start. The result does not rely on
-    the jump: each lane must end exactly where the next one started, or
-    :class:`InvariantError` is raised.
+    ``step`` advances the lanes, in the arithmetic of ``cmap`` or of the
+    reference loop; :func:`_lane_jump` of ``cmap`` seeds lane l + 1 from
+    lane l's start. The result does not rely on the jump: each lane must
+    end exactly where the next one started, or :class:`InvariantError`
+    is raised.
     """
     span = -(-count // _LANES)
     lanes = -(-count // span)
-    jump = _lane_jump(a, b, m, s, carry, span)
+    jump = _lane_jump(cmap, span)
     seeds = [(x, y)]
     for _ in range(lanes - 1):
         seeds.append(jump(*seeds[-1]))
     sx, sy = np.array(seeds, dtype=np.int64).T
-    table, ex, ey = _walk_lanes(sx, sy, span, step, m)
+    table, ex, ey = _walk_lanes(sx, sy, span, step, cmap.m)
     broken = np.flatnonzero((ex[:-1] != sx[1:]) | (ey[:-1] != sy[1:]))
     if broken.size:
         lane = int(broken[0])
@@ -323,23 +313,16 @@ def _orbit_table(x, y, count, step, a, b, m, s, carry):
     return table[:count]
 
 
-def _orbit_blocks(seed, params, coupling, limit):
-    """Yield (start, z) with z[i] the packed state start + i + 1 steps after the seed.
+def _orbit_blocks(cmap, x, y, limit):
+    """Yield (start, z) with z[i] the packed state start + i + 1 steps after (x, y).
 
     Covers steps 1 .. limit in blocks of at most ``_BLOCK`` states; each
     block continues from the last state of the one before.
     """
-    a, b, m = params.a, params.b, params.m
-    s, carry = coupling.s, coupling.carry_enabled
-
-    def step(x, y):
-        return _forward_words(x, y, a, b, m, s, carry)
-
-    x, y = seed
     for start in range(0, limit, _BLOCK):
-        z = _orbit_table(x, y, min(_BLOCK, limit - start), step, a, b, m, s, carry)
+        z = _orbit_table(cmap, x, y, min(_BLOCK, limit - start), cmap.forward)
         yield start, z
-        x, y = int(z[-1]) % m, int(z[-1]) // m
+        x, y = int(z[-1]) % cmap.m, int(z[-1]) // cmap.m
 
 
 def orbit_period(
@@ -358,14 +341,14 @@ def orbit_period(
     happen when the map is not bijective or the limit is below the
     true period.
     """
-    _require_state(seed, params.m)
-    _require_coupling(params, coupling)
+    x, y = _require_state(seed, params.m)
+    cmap = _CoupledMap(params, coupling)
     m2 = params.m * params.m
     limit = m2 + 1 if limit is None else _require_int(limit, "limit")
     if limit < 1:
         raise ParameterError(f"limit must be positive, got {limit}")
-    z0 = seed.x + params.m * seed.y
-    for start, z in _orbit_blocks(seed, params, coupling, limit):
+    z0 = x + params.m * y
+    for start, z in _orbit_blocks(cmap, x, y, limit):
         hits = np.flatnonzero(z == z0)
         if hits.size:
             period = start + int(hits[0]) + 1
@@ -390,15 +373,14 @@ def equidistribution_check(
     gaps; a non-bijective map revisits a marked state before closing,
     which is reported as a duplicate.
     """
-    _require_state(seed, params.m)
-    _require_coupling(params, coupling)
+    x, y = _require_state(seed, params.m)
+    cmap = _CoupledMap(params, coupling)
     _require_sweepable(params.m, "equidistribution_check")
-    m = params.m
-    total = m * m
-    z0 = seed.x + m * seed.y
+    total = params.m * params.m
+    z0 = x + params.m * y
     seen = np.zeros(total, dtype=bool)
     seen[z0] = True
-    for start, z in _orbit_blocks(seed, params, coupling, total):
+    for start, z in _orbit_blocks(cmap, x, y, total):
         seen[z] = True
         covered = int(np.count_nonzero(seen))
         if covered <= start + z.size:
@@ -416,25 +398,23 @@ def equidistribution_check(
     )
 
 
-def _roundtrip(params, coupling, inverse, states, draw) -> RoundTripReport:
-    """Check backward(forward(state)) = state on ``states`` states.
+def _reversible(params, coupling, inverse) -> _CoupledMap:
+    """The map with ``inverse``, by default the true one derived from the parameters."""
+    return _CoupledMap(params, coupling, derive_inverse(params) if inverse is None else inverse)
+
+
+def _roundtrip(cmap, states, draw) -> RoundTripReport:
+    """Check backward(forward(state)) = state on ``states`` states of ``cmap``.
 
     ``draw(start, count)`` returns states start .. start + count - 1 as a
     pair of int64 word arrays. They run through the step arithmetic
     elementwise, ``_SWEEP_CHUNK`` at a time, and the first mismatch
-    reported is the first drawn. ``inverse`` defaults to the true one,
-    derived from the parameters.
+    reported is the first drawn.
     """
-    if inverse is None:
-        inverse = derive_inverse(params)
-    _require_inverse(inverse, params.m)
-    a, b, m = params.a, params.b, params.m
-    s, carry = coupling.s, coupling.carry_enabled
     mismatches, first = 0, None
     for start in range(0, states, _SWEEP_CHUNK):
         x, y = draw(start, min(_SWEEP_CHUNK, states - start))
-        x1, y1 = _forward_words(x, y, a, b, m, s, carry)
-        x0, y0, slack = _backward_words(x1, y1, a, b, m, inverse.c, inverse.d, s, carry, m * m)
+        x0, y0, slack = cmap.backward(*cmap.forward(x, y))
         if int(slack.min()) < 0:
             raise InvariantError("backward offset went negative")
         bad = (x0 != x) | (y0 != y)
@@ -459,17 +439,17 @@ def roundtrip_sweep(
     Pass an explicit ``inverse`` to test corrupted reversal constants;
     by default the true inverse is derived from the parameters.
     """
-    _require_coupling(params, coupling)
-    _require_sweepable(
-        params.m, "roundtrip_sweep", "; use roundtrip_sample for spot checks at this size"
-    )
-    m = params.m
+    # Errors are reported in the order s < m, size, c and d: the first map
+    # checks only the slope, the second adds the inverse the sweep runs.
+    m = _CoupledMap(params, coupling).m
+    _require_sweepable(m, "roundtrip_sweep", "; use roundtrip_sample for spot checks at this size")
+    cmap = _reversible(params, coupling, inverse)
 
     def draw(start, count):
         y, x = np.divmod(np.arange(start, start + count, dtype=np.int64), m)
         return x, y
 
-    return _roundtrip(params, coupling, inverse, m * m, draw)
+    return _roundtrip(cmap, m * m, draw)
 
 
 def roundtrip_sample(
@@ -489,14 +469,14 @@ def roundtrip_sample(
     samples = _require_int(samples, "sample count")
     if samples < 1:
         raise ParameterError(f"sample count must be positive, got {samples}")
-    _require_coupling(params, coupling)
+    cmap = _reversible(params, coupling, inverse)
     randrange, m = random.Random(rng_seed).randrange, params.m
 
     def draw(start, count):
         words = np.fromiter((randrange(m) for _ in range(2 * count)), np.int64, 2 * count)
         return words[0::2], words[1::2]
 
-    return _roundtrip(params, coupling, inverse, samples, draw)
+    return _roundtrip(cmap, samples, draw)
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -549,21 +529,22 @@ def paper_reproduction(
     after imax forward steps; for a truncated window pass ``imax``
     together with ``backward_seed`` set to the forward endpoint.
 
-    Every field of ``constants`` is checked as the CLI checks its flags:
-    (a, b, m) as :class:`LcgParams`, 0 <= s < m, and c, d in [0, m);
-    any other value raises :class:`ParameterError`.
+    Every field of ``constants`` is checked as the CLI checks its flags,
+    by building the coupled map from them: (a, b, m) as
+    :class:`LcgParams`, 0 <= s < m, and c, d in [0, m); any other value
+    raises :class:`ParameterError`. :class:`RundConstants` itself
+    refuses an imax other than m**2.
     """
     k = constants
-    _require_coupling(LcgParams(k.a, k.b, k.m), CouplingSpec(k.s))
+    cmap = _CoupledMap(LcgParams(k.a, k.b, k.m), CouplingSpec(k.s), InverseParams(k.c, k.d))
     n = k.imax if imax is None else _require_int(imax, "imax")
-    if not 1 <= n <= k.m * k.m:
-        raise ParameterError(f"imax must lie in [1, {k.m * k.m}], got {n}")
+    if not 1 <= n <= k.imax:
+        raise ParameterError(f"imax must lie in [1, {k.imax}], got {n}")
     bx, by = (0, 0) if backward_seed is None else backward_seed
-    _require_state(CoupledState(bx, by), k.m)
-    _require_inverse(k, k.m)
+    bx, by = _require_state(CoupledState(bx, by), k.m)
 
     m = k.m
-    forw = _orbit_table(0, 0, n, lambda x, y: rund_forward_step(x, y, k), k.a, k.b, m, k.s, True)
+    forw = _orbit_table(cmap, 0, 0, n, lambda x, y: rund_forward_step(x, y, k))
     count = n - 1
     # expected[i] = forw(imax - (i + 1)), the state back(i + 1) must equal.
     expected = forw[:count][::-1]

@@ -12,7 +12,7 @@ from array import array
 import numpy as np
 
 from revlcg import EquidistributionReport, OrbitReport, ReproductionReport
-from revlcg.generator import _forward_words
+from revlcg.generator import _CoupledMap
 from revlcg.rund import rund_backward_step, rund_forward_step
 
 
@@ -20,13 +20,12 @@ def orbit_period_seq(seed, params, coupling, limit=None):
     m2 = params.m * params.m
     if limit is None:
         limit = m2 + 1
-    a, b, m = params.a, params.b, params.m
-    s, carry = coupling.s, coupling.carry_enabled
+    forward = _CoupledMap(params, coupling).forward
     sx, sy = seed
     x, y = sx, sy
     steps = 0
     while steps < limit:
-        x, y = _forward_words(x, y, a, b, m, s, carry)
+        x, y = forward(x, y)
         steps += 1
         if x == sx and y == sy:
             return OrbitReport(
@@ -41,8 +40,8 @@ def orbit_period_seq(seed, params, coupling, limit=None):
 
 
 def equidistribution_seq(params, coupling, seed):
-    a, b, m = params.a, params.b, params.m
-    s, carry = coupling.s, coupling.carry_enabled
+    forward = _CoupledMap(params, coupling).forward
+    m = params.m
     total = m * m
     seen = bytearray(total)
     z0 = seed.x + m * seed.y
@@ -51,7 +50,7 @@ def equidistribution_seq(params, coupling, seed):
     first_duplicate = None
     x, y = seed
     for _ in range(total):
-        x, y = _forward_words(x, y, a, b, m, s, carry)
+        x, y = forward(x, y)
         z = x + m * y
         if z == z0:
             break

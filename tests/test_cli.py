@@ -313,10 +313,10 @@ class TestStreamBlocks:
     def test_reverse_keeps_the_slack_check(self, monkeypatch):
         # A backward step whose offset goes negative is a defect and must
         # still stop the stream, not print a wrong state.
-        def negative_slack(x, y, *rest):
+        def negative_slack(cmap, x, y):
             return x, y, -1
 
-        monkeypatch.setattr(generator, "_backward_words", negative_slack)
+        monkeypatch.setattr(generator._CoupledMap, "backward", negative_slack)
         with pytest.raises(InvariantError):
             cli.main(["reverse", "--n", "3"])
 

@@ -197,6 +197,31 @@ class TestIntegerParameters:
         assert {type(v) for v in (params.a, params.b, params.m)} == {int}
 
 
+class TestIntegerArithmetic:
+    # mod_inverse(3.0, 8) used to return 3.0, and ext_gcd(2.5, 4) floats
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: mod_inverse(3.0, 8),
+            lambda: mod_inverse(3, 8.0),
+            lambda: mod_inverse(True, 8),
+            lambda: ext_gcd(2.5, 4),
+            lambda: ext_gcd(4, 2.5),
+            lambda: ext_gcd(4, False),
+        ],
+        ids=["inverse a", "inverse m", "inverse bool", "gcd u", "gcd v", "gcd bool"],
+    )
+    def test_non_integers_rejected(self, call):
+        with pytest.raises(ParameterError, match="integer|bool"):
+            call()
+
+    def test_numpy_integers_give_plain_ints(self):
+        np = pytest.importorskip("numpy")
+        assert mod_inverse(np.int64(1029), np.int32(2048)) == 205
+        assert type(mod_inverse(np.int64(1029), np.int32(2048))) is int
+        assert {type(v) for v in ext_gcd(np.int64(1029), np.int64(2048))} == {int}
+
+
 class TestIntegerInverse:
     # InverseParams(13.0, 9) used to step to floats in backward_step
     @pytest.mark.parametrize(

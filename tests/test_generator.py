@@ -11,6 +11,7 @@ from revlcg import (
     CoupledGenerator,
     CoupledState,
     CouplingSpec,
+    InverseParams,
     LcgParams,
     NotInvertibleError,
     ParameterError,
@@ -80,6 +81,12 @@ class TestCarryCoupling:
     def test_float_slope_rejected(self):
         with pytest.raises(ParameterError, match="must be an integer"):
             CouplingSpec(1536.0)
+
+    # CouplingSpec(1536, "no") used to mean carry on: (1, 0) stepped to (712, 1537)
+    @pytest.mark.parametrize("carry", ["no", "", None, 1, 0], ids=repr)
+    def test_carry_flag_must_be_a_bool(self, carry):
+        with pytest.raises(ParameterError, match="carry_enabled must be True or False"):
+            CouplingSpec(1536, carry)
 
 
 class TestSteps:
@@ -185,6 +192,38 @@ class TestIntegerStates:
         state = CoupledState(np.int64(0), np.int64(0))
         assert forward_step(state, RUND_PARAMS, RUND_COUPLING) == (1731, 0)
 
+    def test_numpy_integer_words_give_plain_ints(self):
+        # carry_coupling(np.int64(3), ...) used to return an np.int64
+        np = pytest.importorskip("numpy")
+        x, y = np.int64(1731), np.int64(0)
+        results = [
+            carry_coupling(x, RUND_PARAMS, RUND_COUPLING),
+            *forward_step(CoupledState(x, y), RUND_PARAMS, RUND_COUPLING),
+            *backward_step(CoupledState(x, y), RUND_PARAMS, RUND_INVERSE, RUND_COUPLING),
+        ]
+        assert results == [carry_coupling(1731, RUND_PARAMS, RUND_COUPLING), 1170, 1382, 0, 0]
+        assert {type(v) for v in results} == {int}
+
+
+class TestInverseRange:
+    # InverseParams(205 + 2048, 1497) used to be accepted by both
+    @pytest.mark.parametrize(
+        "inverse, word",
+        [
+            (InverseParams(205 + 2048, 1497), "c"),
+            (InverseParams(-1843, 1497), "c"),
+            (InverseParams(205, 1497 + 2048), "d"),
+            (InverseParams(205, -1), "d"),
+        ],
+        ids=["c above", "c negative", "d above", "d negative"],
+    )
+    def test_backward_walks_refuse_c_or_d_outside_the_words(self, inverse, word):
+        state = CoupledState(1731, 0)
+        with pytest.raises(ParameterError, match=rf"^{word} must lie in \[0, 2048\)"):
+            backward_step(state, RUND_PARAMS, inverse, RUND_COUPLING)
+        with pytest.raises(ParameterError, match=rf"^{word} must lie in \[0, 2048\)"):
+            reverse_sequence(state, 3, RUND_PARAMS, inverse, RUND_COUPLING)
+
 
 @st.composite
 def small_steps(draw):
@@ -246,6 +285,21 @@ class TestOutputs:
     def test_unpack_range_check(self):
         with pytest.raises(ValueError):
             unpack_state(2048 * 2048, 2048)
+
+    @pytest.mark.parametrize("m", [1, 0, -3])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda m: unpack_state(0, m),
+            lambda m: unpack_state(5, m),
+            lambda m: pack_state(CoupledState(0, 0), m),
+        ],
+        ids=["unpack 0", "unpack 5", "pack"],
+    )
+    def test_modulus_below_two_refused(self, call, m):
+        # unpack_state(5, -3) used to return CoupledState(x=-1, y=-2)
+        with pytest.raises(ParameterError, match=f"modulus must be >= 2, got {m}"):
+            call(m)
 
     @pytest.mark.parametrize(
         "z, m", [(17.5, 16), (17, 16.0), (True, 16)], ids=["float z", "float m", "bool z"]

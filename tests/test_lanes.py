@@ -128,8 +128,8 @@ def test_paper_reproduction_matches_sequential(run, reseed, shape):
 JUMP = verification._lane_jump
 
 
-def off_by_one_jump(a, b, m, s, carry, n):
-    return JUMP(a, b, m, s, carry, n + 1)
+def off_by_one_jump(cmap, n):
+    return JUMP(cmap, n + 1)
 
 
 def test_broken_jump_fails_the_stitch_check():
@@ -145,7 +145,7 @@ def test_broken_jump_fails_the_stitch_check():
 
 
 # f(x) far above m**2 drives the backward offset y + m**2 - f(x0) negative.
-HUGE_COUPLING = "revlcg.generator._coupling_words = lambda x, a, b, m, s, carry: 10 * m * m\n"
+HUGE_COUPLING = "revlcg.generator._CoupledMap.f = lambda cmap, x: 10 * cmap.m * cmap.m\n"
 
 # Each script breaks one invariant on purpose. Under -O an assert would
 # vanish and the call would return; the explicit raise must still fire.
@@ -153,7 +153,7 @@ BROKEN_UNDER_O = {
     "lane jump": (
         "v = revlcg.verification\n"
         "jump = v._lane_jump\n"
-        "v._lane_jump = lambda a, b, m, s, carry, n: jump(a, b, m, s, carry, n + 1)\n"
+        "v._lane_jump = lambda cmap, n: jump(cmap, n + 1)\n"
         "v.orbit_period(revlcg.CoupledState(0, 0), revlcg.LcgParams(5, 3, 16), C)\n",
         "lanes do not stitch",
     ),

@@ -7,6 +7,8 @@ import pytest
 from revlcg import (
     RUND,
     CoupledState,
+    CouplingSpec,
+    InverseParams,
     LcgParams,
     ParameterError,
     RundConstants,
@@ -18,7 +20,11 @@ from revlcg import (
     rund_forward_step,
     unpack_state,
 )
-from revlcg.generator import _backward_words, _forward_words
+from revlcg.generator import _CoupledMap
+
+RUND_MAP = _CoupledMap(
+    LcgParams(RUND.a, RUND.b, RUND.m), CouplingSpec(RUND.s), InverseParams(RUND.c, RUND.d)
+)
 
 
 def all_states():
@@ -90,7 +96,7 @@ class TestExhaustiveEquivalence:
         # agree on every one of the 2**22 states
         x, y, z = all_states()
         lx, ly = rund_forward_step(x, y)
-        gx, gy = _forward_words(x, y, RUND.a, RUND.b, RUND.m, RUND.s, True)
+        gx, gy = RUND_MAP.forward(x, y)
         oz = packed_oracle_step(z)
         assert np.array_equal(lx, gx) and np.array_equal(ly, gy)
         assert np.array_equal(oz, lx + RUND.m * ly)
@@ -98,9 +104,7 @@ class TestExhaustiveEquivalence:
     def test_backward_pair_agreement(self):
         x, y, _ = all_states()
         lx, ly = rund_backward_step(x, y)
-        gx, gy, slack = _backward_words(
-            x, y, RUND.a, RUND.b, RUND.m, RUND.c, RUND.d, RUND.s, True, RUND.m * RUND.m
-        )
+        gx, gy, slack = RUND_MAP.backward(x, y)
         assert int(slack.min()) >= 0
         assert np.array_equal(lx, gx) and np.array_equal(ly, gy)
 
@@ -146,6 +150,16 @@ class TestIntegerConstants:
     def test_bool_rejected(self):
         with pytest.raises(ParameterError, match="bool"):
             RundConstants(s=True)
+
+    @pytest.mark.parametrize(
+        "changes", [{"imax": 100}, {"imax": 4_194_303}, {"imax": 4_194_305}, {"m": 1024}]
+    )
+    def test_imax_other_than_m_squared_refused(self, changes):
+        # rund_backward_step adds imax as its m**2 offset: with imax=100,
+        # rund_backward_step(1731, 0) gave (0, 20), not (0, 0)
+        m = changes.get("m", RUND.m)
+        with pytest.raises(ParameterError, match=rf"imax must equal m\*\*2 = {m * m}, got"):
+            replace(RUND, **changes)
 
     def test_numpy_integers_stored_as_int(self):
         k = RundConstants(c=np.int64(205), imax=np.int32(4_194_304))
