@@ -40,6 +40,7 @@ from __future__ import annotations
 import decimal
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import NamedTuple
 
 from .congruence import (
@@ -85,7 +86,12 @@ def _require_word(value: int, m: int, name: str) -> int:
 
 
 def _require_state(state: CoupledState, m: int) -> tuple[int, int]:
-    return _require_word(state.x, m, "x"), _require_word(state.y, m, "y")
+    """The words of any 2-item state, a ``CoupledState`` or a plain pair, checked."""
+    try:
+        x, y = state
+    except (TypeError, ValueError):
+        raise ParameterError(f"state must be a pair of words (x, y), got {state!r}") from None
+    return _require_word(x, m, "x"), _require_word(y, m, "y")
 
 
 class _CoupledMap:
@@ -241,9 +247,14 @@ class CoupledGenerator:
 
     Construction fails fast when the multiplier is not invertible: a
     generator that cannot be run backwards defeats the point here. The
-    map is built once, from the parameters given here; the assignable
-    ``state`` is checked on every step.
+    map is built once, from the parameters given here, so ``params``,
+    ``coupling`` and ``inverse`` are read-only; the assignable ``state``
+    is checked on every step.
     """
+
+    params = property(attrgetter("_params"))
+    coupling = property(attrgetter("_coupling"))
+    inverse = property(attrgetter("_inverse"))
 
     def __init__(
         self,
@@ -251,12 +262,10 @@ class CoupledGenerator:
         coupling: CouplingSpec,
         seed: CoupledState = CoupledState(0, 0),
     ):
-        self.params = params
-        self.coupling = coupling
-        self.inverse = derive_inverse(params)
-        self._map = _CoupledMap(params, coupling, self.inverse)
-        _require_state(seed, params.m)
-        self.state = seed
+        self._params, self._coupling = params, coupling
+        self._inverse = derive_inverse(params)
+        self._map = _CoupledMap(params, coupling, self._inverse)
+        self.state = CoupledState(*_require_state(seed, params.m))
 
     def forward(self) -> CoupledState:
         """Advance the held state one step and return it."""
@@ -272,4 +281,4 @@ class CoupledGenerator:
 
     def real(self) -> Fraction:
         """Exact real output of the current state."""
-        return output_real(self.state, self.params.m)
+        return output_real(self.state, self._map.m)

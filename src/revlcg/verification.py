@@ -30,12 +30,15 @@ memory does not grow with the step limit, and stop at the first block
 that closes the orbit.
 
 The reproduction keeps its whole forward table, which the comparisons
-read, and seeds its backward lanes from it, at the states the backward
-walk must reach if it retraces the forward one. When every comparison
-passes, induction from the backward seed makes the lanes the
-sequential backward walk; at the first mismatch the rest of the
-backward walk is retraced step by step, so the mismatch count is
-exactly that of the sequential run.
+read, and walks no backward lanes. As long as back(i) = forw(imax - i),
+back(i + 1) is one backward step from a state already in that table,
+so the first mismatch is the first n at which one backward step from
+the backward seed (n = 1) or from forw(imax - n + 1) misses
+forw(imax - n); one elementwise backward step over the table,
+``_SWEEP_CHUNK`` states at a time, finds it. Past the first mismatch
+the backward walk has left the table, so the rest of it is retraced
+step by step, and the mismatch count is exactly that of the sequential
+run.
 
 Each report states every fact once, as a ``(key, value, line)`` row
 yielded in output order by its private ``_rows()``. Both renderings
@@ -271,21 +274,6 @@ def _lane_jump(cmap, n):
     return lambda x, y: ((p * x + u) % m, (q * x + p * y + v) % m)
 
 
-def _walk_lanes(xs, ys, span, step, m):
-    """Advance every lane ``span`` steps together.
-
-    Returns the packed states in orbit order (lane 0's states after 1 ..
-    span steps, then lane 1's, ...) and the lanes' final words.
-    """
-    # Row l is lane l, so the flattened table is in orbit order without a
-    # transposed copy.
-    table = np.empty((xs.size, span), dtype=np.int64)
-    for t in range(span):
-        xs, ys = step(xs, ys)
-        np.add(xs, m * ys, out=table[:, t])
-    return table.ravel(), xs, ys
-
-
 def _orbit_table(cmap, x, y, count, step):
     """Packed states after 1 .. count steps from (x, y), walked in stitched lanes.
 
@@ -302,7 +290,13 @@ def _orbit_table(cmap, x, y, count, step):
     for _ in range(lanes - 1):
         seeds.append(jump(*seeds[-1]))
     sx, sy = np.array(seeds, dtype=np.int64).T
-    table, ex, ey = _walk_lanes(sx, sy, span, step, cmap.m)
+    # Row l is lane l, so the flattened table is in orbit order without a
+    # transposed copy.
+    table = np.empty((lanes, span), dtype=np.int64)
+    ex, ey = sx, sy
+    for t in range(span):
+        ex, ey = step(ex, ey)
+        np.add(ex, cmap.m * ey, out=table[:, t])
     broken = np.flatnonzero((ex[:-1] != sx[1:]) | (ey[:-1] != sy[1:]))
     if broken.size:
         lane = int(broken[0])
@@ -310,7 +304,7 @@ def _orbit_table(cmap, x, y, count, step):
             f"orbit lanes do not stitch: lane {lane + 1} should start where lane {lane} "
             f"ends, expected ({ex[lane]}, {ey[lane]}), got ({sx[lane + 1]}, {sy[lane + 1]})"
         )
-    return table[:count]
+    return table.ravel()[:count]
 
 
 def _orbit_blocks(cmap, x, y, limit):
@@ -356,7 +350,7 @@ def orbit_period(
                 period=period,
                 reached_full_period=(period == m2),
                 states_visited=period,
-                first_repeat_state=seed,
+                first_repeat_state=CoupledState(x, y),
             )
     return OrbitReport(
         period=None, reached_full_period=False, states_visited=limit, first_repeat_state=None
@@ -540,28 +534,24 @@ def paper_reproduction(
     n = k.imax if imax is None else _require_int(imax, "imax")
     if not 1 <= n <= k.imax:
         raise ParameterError(f"imax must lie in [1, {k.imax}], got {n}")
-    bx, by = (0, 0) if backward_seed is None else backward_seed
-    bx, by = _require_state(CoupledState(bx, by), k.m)
-
-    m = k.m
+    bx, by = _require_state((0, 0) if backward_seed is None else backward_seed, k.m)
     forw = _orbit_table(cmap, 0, 0, n, lambda x, y: rund_forward_step(x, y, k))
-    count = n - 1
+    m, count, z0 = k.m, n - 1, bx + k.m * by
     # expected[i] = forw(imax - (i + 1)), the state back(i + 1) must equal.
+    # back(i + 1) is one backward step from back(i): from the seed for i = 0,
+    # and from expected[i - 1] as long as every comparison before it passed.
     expected = forw[:count][::-1]
     mismatches, first = 0, None
-    if count:
-        # Lane 0 starts at the backward seed, lane l at back(l*span) as the
-        # forward table predicts it; if every comparison passes, each lane's
-        # start was checked by the lane before it.
-        span = -(-count // _LANES)
-        starts = expected[span - 1 : count - 1 : span]
-        xs = np.concatenate(([bx], starts % m))
-        ys = np.concatenate(([by], starts // m))
-        back, _, _ = _walk_lanes(xs, ys, span, lambda x, y: rund_backward_step(x, y, k), m)
-        equal = back[:count] == expected
-        if not equal.all():
-            first = int(np.argmin(equal)) + 1
-            mismatches = _retrace_mismatches(k, back, first, (bx, by), expected)
+    for start in range(0, count, _SWEEP_CHUNK):
+        stop = min(start + _SWEEP_CHUNK, count)
+        prev = expected[start - 1 : stop - 1] if start else np.append(z0, expected[: stop - 1])
+        x, y = rund_backward_step(prev % m, prev // m, k)
+        bad = np.flatnonzero(x + m * y != expected[start:stop])
+        if bad.size:
+            first = start + int(bad[0]) + 1
+            z = z0 if first == 1 else int(expected[first - 2])
+            mismatches = _retrace_mismatches(k, z, expected[first - 1 :])
+            break
     return ReproductionReport(
         comparisons=count,
         mismatches=mismatches,
@@ -570,22 +560,17 @@ def paper_reproduction(
     )
 
 
-def _retrace_mismatches(k, back, first, backward_seed, expected):
-    """Mismatches of back(first) .. back(imax - 1), walked one step at a time.
+def _retrace_mismatches(k, z, expected):
+    """Mismatches of the backward walk from packed state z against ``expected``.
 
-    The lanes after the first mismatch started from forward states the
-    backward walk never reached, so only the walk up to back(first - 1)
-    is known; the rest is retraced sequentially from there.
+    Once the walk has missed the forward table, none of its later states
+    can be taken from the table, so they are walked one step at a time.
     """
     m = k.m
-    if first == 1:
-        x, y = backward_seed
-    else:
-        z = int(back[first - 2])
-        x, y = z % m, z // m
+    x, y = z % m, z // m
     tail = array("q")
     record = tail.append
-    for _ in range(expected.size - first + 1):
+    for _ in range(expected.size):
         x, y = rund_backward_step(x, y, k)
         record(x + m * y)
-    return int(np.count_nonzero(np.frombuffer(tail, dtype=np.int64) != expected[first - 1 :]))
+    return int(np.count_nonzero(np.frombuffer(tail, dtype=np.int64) != expected))

@@ -22,7 +22,8 @@ from revlcg import cli, generator
 GOLDEN = Path(__file__).parent / "golden" / "rund_first_64.txt"
 
 
-def run_cli(*args):
+def run_process(*args):
+    """``python -m revlcg ARGS`` in a child process."""
     return subprocess.run(
         [sys.executable, "-m", "revlcg", *args],
         capture_output=True,
@@ -30,70 +31,91 @@ def run_cli(*args):
     )
 
 
+@pytest.fixture
+def run_cli(capsys):
+    """``revlcg ARGS`` in process: ``cli.main``'s exit code and what it wrote.
+
+    The result has the ``returncode``, ``stdout`` and ``stderr`` of
+    :func:`run_process`, without the start-up cost of a child process.
+    """
+
+    def run(*args):
+        capsys.readouterr()
+        try:
+            code = cli.main(list(args))
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+        out, err = capsys.readouterr()
+        return subprocess.CompletedProcess(["revlcg", *args], code, out, err)
+
+    return run
+
+
 class TestDerive:
-    def test_reference_constants(self):
+    def test_reference_constants(self, run_cli):
         res = run_cli("derive", "--a", "1029", "--b", "1731", "--m", "2048")
         assert res.returncode == 0
         assert res.stdout == "c=205 d=1497\n"
 
-    def test_identity(self):
+    def test_identity(self, run_cli):
         res = run_cli("derive", "--a", "1", "--b", "0", "--m", "16")
         assert res.returncode == 0
         assert res.stdout == "c=1 d=0\n"
 
-    def test_not_invertible(self):
+    def test_not_invertible(self, run_cli):
         res = run_cli("derive", "--a", "4", "--b", "1", "--m", "8")
         assert res.returncode == 2
         assert "not invertible: gcd(a,m)=4" in res.stderr
 
 
 class TestGenerate:
-    def test_two_steps_default_params(self):
+    def test_two_steps_default_params(self, run_cli):
         res = run_cli("generate", "--n", "2")
         assert res.returncode == 0
         assert res.stdout == "1 1731 0\n2 1170 1382\n"
 
-    def test_zero_steps(self):
+    def test_zero_steps(self, run_cli):
         res = run_cli("generate", "--n", "0")
         assert res.returncode == 0
         assert res.stdout == ""
 
-    def test_packed_format(self):
+    def test_packed_format(self, run_cli):
         res = run_cli("generate", "--n", "2", "--format", "z")
         assert res.stdout == "1731\n2831506\n"
 
-    def test_real_format(self):
+    def test_real_format(self, run_cli):
         res = run_cli("generate", "--n", "1", "--format", "real")
         assert res.stdout == "1 1731/4194304 0.00041270256042480469\n"
 
-    def test_out_of_range_seed(self):
+    def test_out_of_range_seed(self, run_cli):
         res = run_cli("generate", "--n", "1", "--x0", "4096")
         assert res.returncode == 2
         assert res.stderr != ""
 
     def test_matches_golden_file(self):
-        res = run_cli("generate", "--n", "64")
+        # the one test of the `python -m revlcg` entry point itself
+        res = run_process("generate", "--n", "64")
         assert res.stdout == GOLDEN.read_text()
 
-    def test_deterministic_output(self):
+    def test_deterministic_output(self, run_cli):
         first = run_cli("generate", "--n", "32", "--format", "real")
         second = run_cli("generate", "--n", "32", "--format", "real")
         assert first.stdout == second.stdout
 
 
 class TestReverse:
-    def test_two_steps_back(self):
+    def test_two_steps_back(self, run_cli):
         res = run_cli("reverse", "--n", "2", "--x0", "1170", "--y0", "1382")
         assert res.returncode == 0
         assert res.stdout == "1 1731 0\n2 0 0\n"
 
-    def test_zero_steps(self):
+    def test_zero_steps(self, run_cli):
         res = run_cli("reverse", "--n", "0")
         assert res.returncode == 0
         assert res.stdout == ""
 
     @pytest.mark.parametrize("n", [3, 257, 10_000])
-    def test_pipe_roundtrip(self, n):
+    def test_pipe_roundtrip(self, run_cli, n):
         # feed the forward endpoint into reverse; the backward stream must be
         # the forward stream reversed, ending at the seed
         fwd = run_cli("generate", "--n", str(n), "--x0", "7", "--y0", "9").stdout.splitlines()
@@ -106,17 +128,17 @@ class TestReverse:
 
 
 class TestVerify:
-    def test_period_full_scale(self):
+    def test_period_full_scale(self, run_cli):
         res = run_cli("verify", "period")
         assert res.returncode == 0
         assert res.stdout == "period=4194304 full=true\n"
 
-    def test_paper_full_scale(self):
+    def test_paper_full_scale(self, run_cli):
         res = run_cli("verify", "paper")
         assert res.returncode == 0
         assert res.stdout == "comparisons=4194303 mismatches=0 pass=true\n"
 
-    def test_paper_toy_corrupted(self):
+    def test_paper_toy_corrupted(self, run_cli):
         good = run_cli("verify", "paper", "--m", "16", "--a", "5", "--b", "3", "--s", "2")
         assert good.returncode == 0
         bad = run_cli(
@@ -125,41 +147,41 @@ class TestVerify:
         assert bad.returncode == 1
         assert bad.stdout == "comparisons=255 mismatches=254 pass=false first_mismatch_n=1\n"
 
-    def test_roundtrip_toy(self):
+    def test_roundtrip_toy(self, run_cli):
         res = run_cli("verify", "roundtrip", "--m", "8", "--a", "5", "--b", "3", "--s", "2")
         assert res.returncode == 0
         assert res.stdout == "states_checked=64 mismatches=0\n"
 
-    def test_roundtrip_corrupted_increment(self):
+    def test_roundtrip_corrupted_increment(self, run_cli):
         res = run_cli("verify", "roundtrip", "--d", "1498")
         assert res.returncode == 1
         assert "mismatches=4194304" in res.stdout
 
-    def test_roundtrip_sampled(self):
+    def test_roundtrip_sampled(self, run_cli):
         res = run_cli("verify", "roundtrip", "--m", "1000003", "--a", "999983",
                       "--b", "17", "--s", "55", "--samples", "200")
         assert res.returncode == 0
         assert res.stdout == "states_checked=200 mismatches=0\n"
 
     @pytest.mark.parametrize("which", ["roundtrip", "paper"])
-    def test_out_of_range_inverse_is_a_usage_error(self, which):
+    def test_out_of_range_inverse_is_a_usage_error(self, run_cli, which):
         # used to end in an OverflowError traceback and exit 1, "failed"
         res = run_cli("verify", which, "--c", "99999999999999999999")
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr == "error: c must lie in [0, 2048), got 99999999999999999999\n"
 
-    def test_roundtrip_oversized_refused(self):
+    def test_roundtrip_oversized_refused(self, run_cli):
         res = run_cli("verify", "roundtrip", "--m", "8192")
         assert res.returncode == 2
         assert "roundtrip_sample" in res.stderr
 
-    def test_paper_rejects_no_carry(self):
+    def test_paper_rejects_no_carry(self, run_cli):
         res = run_cli("verify", "paper", "--no-carry")
         assert res.returncode == 2
         assert "carry" in res.stderr
 
-    def test_period_oversized_needs_limit(self):
+    def test_period_oversized_needs_limit(self, run_cli):
         res = run_cli("verify", "period", "--m", "1000003", "--a", "999983",
                       "--b", "17", "--s", "55")
         assert res.returncode == 2
@@ -169,29 +191,29 @@ class TestVerify:
         assert limited.returncode == 1
         assert limited.stdout == "period=unknown full=false\n"
 
-    def test_equidist_toy(self):
+    def test_equidist_toy(self, run_cli):
         res = run_cli(
             "verify", "equidist", "--m", "4", "--a", "1", "--b", "1", "--s", "0", "--no-carry"
         )
         assert res.returncode == 1
         assert res.stdout == "covered=4 total=16 complete=false first_missing=4\n"
 
-    def test_hulldobell_default(self):
+    def test_hulldobell_default(self, run_cli):
         res = run_cli("verify", "hulldobell")
         assert res.returncode == 0
         assert res.stdout == "b_coprime_m=true a1_prime_factors=true a1_mod_4=true all=true\n"
 
-    def test_hulldobell_failing(self):
+    def test_hulldobell_failing(self, run_cli):
         res = run_cli("verify", "hulldobell", "--a", "2", "--b", "1", "--m", "8")
         assert res.returncode == 1
         assert "all=false" in res.stdout
 
-    def test_text_report(self):
+    def test_text_report(self, run_cli):
         res = run_cli("verify", "hulldobell", "--report", "text")
         assert res.returncode == 0
         assert "all conditions: satisfied" in res.stdout
 
-    def test_period_toy_not_full(self):
+    def test_period_toy_not_full(self, run_cli):
         res = run_cli(
             "verify", "period", "--m", "4", "--a", "1", "--b", "1", "--s", "0", "--no-carry"
         )
@@ -220,19 +242,19 @@ class TestClosedStdout:
 
 
 class TestUsageErrors:
-    def test_unknown_command(self):
+    def test_unknown_command(self, run_cli):
         res = run_cli("frobnicate")
         assert res.returncode == 2
 
-    def test_missing_n(self):
+    def test_missing_n(self, run_cli):
         res = run_cli("generate")
         assert res.returncode == 2
 
-    def test_negative_n(self):
+    def test_negative_n(self, run_cli):
         res = run_cli("generate", "--n", "-3")
         assert res.returncode == 2
 
-    def test_bad_modulus(self):
+    def test_bad_modulus(self, run_cli):
         res = run_cli("derive", "--a", "1", "--b", "0", "--m", "1")
         assert res.returncode == 2
 

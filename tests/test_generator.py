@@ -205,6 +205,39 @@ class TestIntegerStates:
         assert {type(v) for v in results} == {int}
 
 
+class TestStateShapes:
+    # a plain pair used to end in AttributeError: 'tuple' object has no attribute 'x'
+    def test_plain_pairs_are_states(self):
+        P, C, I = RUND_PARAMS, RUND_COUPLING, RUND_INVERSE
+        assert forward_step((1, 0), P, C) == forward_step(CoupledState(1, 0), P, C)
+        assert backward_step((1731, 0), P, I, C) == (0, 0)
+        assert pack_state((0, 0), 16) == 0
+        assert pack_state([3, 2], 16) == 35
+        assert generate_sequence((0, 0), 2, P, C) == [(1731, 0), (1170, 1382)]
+        assert reverse_sequence((1170, 1382), 2, P, I, C) == [(1731, 0), (0, 0)]
+        gen = CoupledGenerator(P, C, seed=[0, 0])
+        assert type(gen.state) is CoupledState
+        assert gen.forward() == (1731, 0)
+
+    @pytest.mark.parametrize(
+        "state", [(1, 2, 3), (1,), (), 5, None], ids=["triple", "single", "empty", "int", "None"]
+    )
+    def test_other_shapes_refused(self, state):
+        P, C, I = RUND_PARAMS, RUND_COUPLING, RUND_INVERSE
+        calls = [
+            lambda: forward_step(state, P, C),
+            lambda: backward_step(state, P, I, C),
+            lambda: pack_state(state, 16),
+            lambda: output_real(state, 16),
+            lambda: generate_sequence(state, 2, P, C),
+            lambda: reverse_sequence(state, 2, P, I, C),
+            lambda: CoupledGenerator(P, C, seed=state),
+        ]
+        for call in calls:
+            with pytest.raises(ParameterError, match="pair of words"):
+                call()
+
+
 class TestInverseRange:
     # InverseParams(205 + 2048, 1497) used to be accepted by both
     @pytest.mark.parametrize(
@@ -408,3 +441,25 @@ class TestCoupledGenerator:
     def test_bad_seed_rejected(self):
         with pytest.raises(ValueError):
             CoupledGenerator(RUND_PARAMS, RUND_COUPLING, seed=CoupledState(0, 4096))
+
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("params", LcgParams(5, 3, 4096)),
+            ("coupling", CouplingSpec(0)),
+            ("inverse", InverseParams(1, 0)),
+        ],
+        ids=["params", "coupling", "inverse"],
+    )
+    def test_map_attributes_are_read_only(self, name, value):
+        # Reassigning one used to be accepted and then ignored by the steps;
+        # after params = LcgParams(5, 3, 4096), real() read the new m and
+        # gave 1731/16777216.
+        gen = CoupledGenerator(RUND_PARAMS, RUND_COUPLING)
+        gen.forward()
+        with pytest.raises(AttributeError):
+            setattr(gen, name, value)
+        built = {"params": RUND_PARAMS, "coupling": RUND_COUPLING, "inverse": RUND_INVERSE}
+        assert getattr(gen, name) == built[name]
+        assert gen.real() == Fraction(1731, 4_194_304)
+        assert gen.forward() == (1170, 1382)

@@ -3,8 +3,9 @@
 Every report must equal the sequential one field for field, over small
 random coupled maps, including maps that are not bijections, step
 limits below the period, the identity map and corrupted reversal
-constants. The engine's lane count and block size are patched down so
-that small orbits still cross lane and block boundaries.
+constants. The engine's lane count, block size and reproduction chunk
+are patched down so that small orbits still cross lane, block and
+chunk boundaries.
 """
 
 import subprocess
@@ -32,9 +33,11 @@ from revlcg import (
 )
 from sequential_walks import equidistribution_seq, orbit_period_seq, paper_reproduction_seq
 
-# (lanes, block): the shipped shape, one lane, and shapes whose lanes and
-# blocks end inside small orbits.
-SHAPES = st.sampled_from([(4096, 1 << 22), (1, 1 << 22), (3, 7), (5, 64), (64, 1000)])
+# (lanes, block, chunk): the shipped shape, one lane, and shapes whose
+# lanes, blocks and chunks end inside small orbits.
+SHAPES = st.sampled_from(
+    [(4096, 1 << 22, 1 << 18), (1, 1 << 22, 7), (3, 7, 1), (5, 64, 7), (64, 1000, 1 << 18)]
+)
 
 IDENTITY = (LcgParams(1, 0, 8), CouplingSpec(0, carry_enabled=False), CoupledState(3, 5))
 NOT_INVERTIBLE = (LcgParams(2, 1, 8), CouplingSpec(3), CoupledState(0, 0))
@@ -43,8 +46,12 @@ FULL_TOY = (LcgParams(5, 3, 16), CouplingSpec(2), CoupledState(0, 0))
 
 @contextmanager
 def engine_shape(shape):
-    lanes, block = shape
-    with patch.object(verification, "_LANES", lanes), patch.object(verification, "_BLOCK", block):
+    lanes, block, chunk = shape
+    with (
+        patch.object(verification, "_LANES", lanes),
+        patch.object(verification, "_BLOCK", block),
+        patch.object(verification, "_SWEEP_CHUNK", chunk),
+    ):
         yield
 
 
@@ -59,10 +66,10 @@ def coupled_maps(draw, max_m=24):
 
 @settings(max_examples=300, deadline=None)
 @given(maps=coupled_maps(), limit=st.none() | st.integers(1, 700), shape=SHAPES)
-@example(maps=IDENTITY, limit=None, shape=(3, 7))
-@example(maps=NOT_INVERTIBLE, limit=None, shape=(5, 64))
-@example(maps=FULL_TOY, limit=100, shape=(3, 7))
-@example(maps=NOT_INVERTIBLE, limit=70, shape=(3, 7))
+@example(maps=IDENTITY, limit=None, shape=(3, 7, 1))
+@example(maps=NOT_INVERTIBLE, limit=None, shape=(5, 64, 7))
+@example(maps=FULL_TOY, limit=100, shape=(3, 7, 1))
+@example(maps=NOT_INVERTIBLE, limit=70, shape=(3, 7, 1))
 def test_orbit_period_matches_sequential(maps, limit, shape):
     params, coupling, seed = maps
     with engine_shape(shape):
@@ -72,9 +79,9 @@ def test_orbit_period_matches_sequential(maps, limit, shape):
 
 @settings(max_examples=300, deadline=None)
 @given(maps=coupled_maps(), shape=SHAPES)
-@example(maps=IDENTITY, shape=(3, 7))
-@example(maps=NOT_INVERTIBLE, shape=(5, 64))
-@example(maps=FULL_TOY, shape=(3, 7))
+@example(maps=IDENTITY, shape=(3, 7, 1))
+@example(maps=NOT_INVERTIBLE, shape=(5, 64, 7))
+@example(maps=FULL_TOY, shape=(3, 7, 1))
 def test_equidistribution_matches_sequential(maps, shape):
     params, coupling, seed = maps
     with engine_shape(shape):
@@ -108,14 +115,17 @@ def endpoint(k, n):
 
 # Examples: a corrupted d; the `verify paper --m 16 --a 5 --b 3 --s 2 --c 7`
 # control; a truncated window; a seed whose first mismatch is at n = 2 (the
-# retrace starts from a lane state); the identity map.
+# retrace starts from a table state, in the second chunk of one); a
+# corrupted c whose first mismatch is at n = 9, in the second chunk of 7;
+# the identity map.
 @settings(max_examples=300, deadline=None)
 @given(run=reproduction_runs(), reseed=st.booleans(), shape=SHAPES)
-@example(run=(RundConstants(5, 3, 16, 2, 13, 1, 256), 256, None), reseed=False, shape=(3, 7))
-@example(run=(RundConstants(5, 3, 16, 2, 7, 9, 256), 256, None), reseed=False, shape=(5, 64))
-@example(run=(RundConstants(5, 3, 16, 2, 13, 2, 256), 100, None), reseed=True, shape=(3, 7))
-@example(run=(RundConstants(5, 3, 16, 2, 7, 0, 256), 256, (15, 13)), reseed=False, shape=(3, 7))
-@example(run=(RundConstants(1, 0, 8, 0, 1, 0, 64), 64, (3, 5)), reseed=False, shape=(3, 7))
+@example(run=(RundConstants(5, 3, 16, 2, 13, 1, 256), 256, None), reseed=False, shape=(3, 7, 1))
+@example(run=(RundConstants(5, 3, 16, 2, 7, 9, 256), 256, None), reseed=False, shape=(5, 64, 7))
+@example(run=(RundConstants(5, 3, 16, 2, 13, 2, 256), 100, None), reseed=True, shape=(3, 7, 1))
+@example(run=(RundConstants(5, 3, 16, 2, 7, 0, 256), 256, (15, 13)), reseed=False, shape=(3, 7, 1))
+@example(run=(RundConstants(17, 14, 32, 1, 1, 18, 1024), 1024, None), reseed=False, shape=(3, 7, 7))
+@example(run=(RundConstants(1, 0, 8, 0, 1, 0, 64), 64, (3, 5)), reseed=False, shape=(3, 7, 1))
 def test_paper_reproduction_matches_sequential(run, reseed, shape):
     k, n, seed = run
     if reseed:
@@ -138,7 +148,7 @@ def test_broken_jump_fails_the_stitch_check():
     # broken jump seeds lane 1 one step further on
     walk = generate_sequence(seed, 66, params, coupling)
     expected, got = tuple(walk[64]), tuple(walk[65])
-    with engine_shape((4, 1 << 22)), patch.object(verification, "_lane_jump", off_by_one_jump):
+    with engine_shape((4, 1 << 22, 1 << 18)), patch.object(verification, "_lane_jump", off_by_one_jump):
         with pytest.raises(InvariantError, match="lane 1 should start where lane 0 ends") as err:
             orbit_period(seed, params, coupling)
     assert f"expected {expected}, got {got}" in str(err.value)

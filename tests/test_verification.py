@@ -60,6 +60,15 @@ class TestOrbitPeriod:
         assert not rep.reached_full_period
         assert rep.first_repeat_state == (3, 5)
 
+    def test_plain_pair_seed(self):
+        # used to end in AttributeError: 'tuple' object has no attribute 'x'
+        rep = orbit_period([3, 5], IDENTITY_PARAMS, NO_COUPLING)
+        assert rep.period == 1
+        assert type(rep.first_repeat_state) is CoupledState
+        rep = orbit_period((0, 0), RUND_PARAMS, RUND_COUPLING, limit=3)
+        assert (rep.period, rep.states_visited) == (None, 3)
+        assert equidistribution_check(IDENTITY_PARAMS, NO_COUPLING, (3, 5)).covered == 1
+
     def test_toy_x_cycle(self):
         rep = orbit_period(CoupledState(0, 0), TOY_PARAMS, NO_COUPLING)
         assert rep.period == 4
@@ -346,6 +355,12 @@ class TestPaperReproduction:
             paper_reproduction(imax=10, backward_seed=(2048, 0))
         with pytest.raises(ParameterError, match="must be an integer"):
             paper_reproduction(imax=10, backward_seed=(0.5, 0))
+
+    @pytest.mark.parametrize("seed", [(1, 2, 3), 5], ids=["triple", "int"])
+    def test_backward_seed_must_be_a_pair(self, seed):
+        # used to raise a bare ValueError and a TypeError
+        with pytest.raises(ParameterError, match="pair of words"):
+            paper_reproduction(imax=10, backward_seed=seed)
 
     @pytest.mark.parametrize(
         "fields",
