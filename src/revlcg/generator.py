@@ -86,11 +86,17 @@ def _require_word(value: int, m: int, name: str) -> int:
 
 
 def _require_state(state: CoupledState, m: int) -> tuple[int, int]:
-    """The words of any 2-item state, a ``CoupledState`` or a plain pair, checked."""
-    try:
-        x, y = state
-    except (TypeError, ValueError):
-        raise ParameterError(f"state must be a pair of words (x, y), got {state!r}") from None
+    """The words of a 2-item tuple or list, such as a ``CoupledState``, checked.
+
+    Only ordered pairs are taken: a set, a dict or an iterator would give
+    its words in an order that is not the caller's (x, y). A
+    ``CoupledState``, the common case, passes on its type alone.
+    """
+    if type(state) is not CoupledState and (
+        not isinstance(state, (tuple, list)) or len(state) != 2
+    ):
+        raise ParameterError(f"state must be a pair of words (x, y), got {state!r}")
+    x, y = state
     return _require_word(x, m, "x"), _require_word(y, m, "y")
 
 

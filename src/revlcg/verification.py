@@ -24,7 +24,10 @@ computers"), seeded by the arbitrary-stride jump of Brown (1994,
 "Random number generation with arbitrary strides"). The jump is never
 trusted: lane l must end exactly where lane l + 1 started (the stitch
 check, an explicit raise), and by induction from the seed the stitched
-table is the sequential walk. The period and equidistribution walks
+table is the sequential walk. The lanes' states of ``_FLUSH``
+consecutive steps are gathered in one small contiguous buffer and
+written to the table together, so that a step does not scatter one
+store per lane across the table. The period and equidistribution walks
 build their orbit tables in blocks of at most ``_BLOCK`` states, so
 memory does not grow with the step limit, and stop at the first block
 that closes the orbit.
@@ -75,13 +78,17 @@ from .rund import RUND, RundConstants, rund_backward_step, rund_forward_step
 SWEEP_MAX_M = 4096
 
 # Orbit walks step this many lanes at once, and hold at most _BLOCK
-# packed states (32 MiB of int64) of one orbit at a time.
+# packed states (32 MiB of int64) of one orbit at a time. The lanes'
+# states of _FLUSH consecutive steps are gathered in one contiguous
+# buffer (2 MiB at 4096 lanes) before they are written to the table.
 _LANES = 4096
 _BLOCK = 1 << 22
+_FLUSH = 64
 
-# The round-trip checks step this many states at a time, so their dozen
-# int64 temporaries take about 24 MiB whatever m or the sample count is.
-_SWEEP_CHUNK = 1 << 18
+# The round-trip checks and the reproduction's backward check step this
+# many states at a time, so their dozen int64 temporaries take about
+# 3 MiB, which fits in a 4 MiB L2 cache, whatever m or the sample count is.
+_SWEEP_CHUNK = 1 << 15
 
 
 class _Report:
@@ -279,9 +286,10 @@ def _orbit_table(cmap, x, y, count, step):
 
     ``step`` advances the lanes, in the arithmetic of ``cmap`` or of the
     reference loop; :func:`_lane_jump` of ``cmap`` seeds lane l + 1 from
-    lane l's start. The result does not rely on the jump: each lane must
-    end exactly where the next one started, or :class:`InvariantError`
-    is raised.
+    lane l's start. The lanes' states reach the table ``_FLUSH`` steps at
+    a time, through a buffer of one row per step. The result does not
+    rely on the jump: each lane must end exactly where the next one
+    started, or :class:`InvariantError` is raised.
     """
     span = -(-count // _LANES)
     lanes = -(-count // span)
@@ -290,13 +298,19 @@ def _orbit_table(cmap, x, y, count, step):
     for _ in range(lanes - 1):
         seeds.append(jump(*seeds[-1]))
     sx, sy = np.array(seeds, dtype=np.int64).T
-    # Row l is lane l, so the flattened table is in orbit order without a
-    # transposed copy.
+    # Row l is lane l, so the flattened table is in orbit order. A step
+    # writes one packed state per lane, each a row apart in the table; it
+    # goes into a contiguous row of `buf` instead, and every _FLUSH steps
+    # the block is copied into the table as columns t0 .. t0 + n - 1.
     table = np.empty((lanes, span), dtype=np.int64)
+    buf = np.empty((min(_FLUSH, span), lanes), dtype=np.int64)
     ex, ey = sx, sy
-    for t in range(span):
-        ex, ey = step(ex, ey)
-        np.add(ex, cmap.m * ey, out=table[:, t])
+    for t0 in range(0, span, _FLUSH):
+        n = min(_FLUSH, span - t0)
+        for row in buf[:n]:
+            ex, ey = step(ex, ey)
+            np.add(ex, cmap.m * ey, out=row)
+        table[:, t0 : t0 + n] = buf[:n].T
     broken = np.flatnonzero((ex[:-1] != sx[1:]) | (ey[:-1] != sy[1:]))
     if broken.size:
         lane = int(broken[0])

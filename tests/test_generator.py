@@ -219,8 +219,12 @@ class TestStateShapes:
         assert type(gen.state) is CoupledState
         assert gen.forward() == (1731, 0)
 
+    # A set, a dict or an iterator used to be unpacked in its own order:
+    # pack_state({5, 3}, 16) gave 83, the packing of (3, 5), not 53.
     @pytest.mark.parametrize(
-        "state", [(1, 2, 3), (1,), (), 5, None], ids=["triple", "single", "empty", "int", "None"]
+        "state",
+        [(1, 2, 3), (1,), (), 5, None, {5, 3}, frozenset({5, 3}), {5: 0, 3: 0}, iter((5, 3))],
+        ids=["triple", "single", "empty", "int", "None", "set", "frozenset", "dict", "iterator"],
     )
     def test_other_shapes_refused(self, state):
         P, C, I = RUND_PARAMS, RUND_COUPLING, RUND_INVERSE

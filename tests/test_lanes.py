@@ -3,9 +3,9 @@
 Every report must equal the sequential one field for field, over small
 random coupled maps, including maps that are not bijections, step
 limits below the period, the identity map and corrupted reversal
-constants. The engine's lane count, block size and reproduction chunk
-are patched down so that small orbits still cross lane, block and
-chunk boundaries.
+constants. The engine's lane count, block size, reproduction chunk and
+table flush are patched down so that small orbits still cross lane,
+block, chunk and flush boundaries.
 """
 
 import subprocess
@@ -33,10 +33,11 @@ from revlcg import (
 )
 from sequential_walks import equidistribution_seq, orbit_period_seq, paper_reproduction_seq
 
-# (lanes, block, chunk): the shipped shape, one lane, and shapes whose
-# lanes, blocks and chunks end inside small orbits.
+# (lanes, block, chunk, flush): the shipped shape, one lane, and shapes
+# whose lanes, blocks, chunks and flush blocks end inside small orbits.
+SHIPPED = (verification._LANES, verification._BLOCK, verification._SWEEP_CHUNK, verification._FLUSH)
 SHAPES = st.sampled_from(
-    [(4096, 1 << 22, 1 << 18), (1, 1 << 22, 7), (3, 7, 1), (5, 64, 7), (64, 1000, 1 << 18)]
+    [SHIPPED, (1, 1 << 22, 7, 3), (3, 7, 1, 2), (5, 64, 7, 1), (64, 1000, 1 << 15, 3)]
 )
 
 IDENTITY = (LcgParams(1, 0, 8), CouplingSpec(0, carry_enabled=False), CoupledState(3, 5))
@@ -46,11 +47,12 @@ FULL_TOY = (LcgParams(5, 3, 16), CouplingSpec(2), CoupledState(0, 0))
 
 @contextmanager
 def engine_shape(shape):
-    lanes, block, chunk = shape
+    lanes, block, chunk, flush = shape
     with (
         patch.object(verification, "_LANES", lanes),
         patch.object(verification, "_BLOCK", block),
         patch.object(verification, "_SWEEP_CHUNK", chunk),
+        patch.object(verification, "_FLUSH", flush),
     ):
         yield
 
@@ -66,10 +68,11 @@ def coupled_maps(draw, max_m=24):
 
 @settings(max_examples=300, deadline=None)
 @given(maps=coupled_maps(), limit=st.none() | st.integers(1, 700), shape=SHAPES)
-@example(maps=IDENTITY, limit=None, shape=(3, 7, 1))
-@example(maps=NOT_INVERTIBLE, limit=None, shape=(5, 64, 7))
-@example(maps=FULL_TOY, limit=100, shape=(3, 7, 1))
-@example(maps=NOT_INVERTIBLE, limit=70, shape=(3, 7, 1))
+@example(maps=IDENTITY, limit=None, shape=(3, 7, 1, 2))
+@example(maps=NOT_INVERTIBLE, limit=None, shape=(5, 64, 7, 1))
+@example(maps=FULL_TOY, limit=100, shape=(3, 7, 1, 2))
+@example(maps=NOT_INVERTIBLE, limit=70, shape=(3, 7, 1, 2))
+@example(maps=FULL_TOY, limit=None, shape=(3, 1000, 1, 4))  # lanes of 86 steps: 21 flushes and 2 steps
 def test_orbit_period_matches_sequential(maps, limit, shape):
     params, coupling, seed = maps
     with engine_shape(shape):
@@ -79,9 +82,10 @@ def test_orbit_period_matches_sequential(maps, limit, shape):
 
 @settings(max_examples=300, deadline=None)
 @given(maps=coupled_maps(), shape=SHAPES)
-@example(maps=IDENTITY, shape=(3, 7, 1))
-@example(maps=NOT_INVERTIBLE, shape=(5, 64, 7))
-@example(maps=FULL_TOY, shape=(3, 7, 1))
+@example(maps=IDENTITY, shape=(3, 7, 1, 2))
+@example(maps=NOT_INVERTIBLE, shape=(5, 64, 7, 1))
+@example(maps=FULL_TOY, shape=(3, 7, 1, 2))
+@example(maps=FULL_TOY, shape=(3, 1000, 1, 4))  # lanes of 86 steps: 21 flushes and 2 steps
 def test_equidistribution_matches_sequential(maps, shape):
     params, coupling, seed = maps
     with engine_shape(shape):
@@ -117,15 +121,17 @@ def endpoint(k, n):
 # control; a truncated window; a seed whose first mismatch is at n = 2 (the
 # retrace starts from a table state, in the second chunk of one); a
 # corrupted c whose first mismatch is at n = 9, in the second chunk of 7;
-# the identity map.
+# the identity map; the reference toy in lanes of 86 steps, 21 flushes of
+# 4 and a partial one of 2.
 @settings(max_examples=300, deadline=None)
 @given(run=reproduction_runs(), reseed=st.booleans(), shape=SHAPES)
-@example(run=(RundConstants(5, 3, 16, 2, 13, 1, 256), 256, None), reseed=False, shape=(3, 7, 1))
-@example(run=(RundConstants(5, 3, 16, 2, 7, 9, 256), 256, None), reseed=False, shape=(5, 64, 7))
-@example(run=(RundConstants(5, 3, 16, 2, 13, 2, 256), 100, None), reseed=True, shape=(3, 7, 1))
-@example(run=(RundConstants(5, 3, 16, 2, 7, 0, 256), 256, (15, 13)), reseed=False, shape=(3, 7, 1))
-@example(run=(RundConstants(17, 14, 32, 1, 1, 18, 1024), 1024, None), reseed=False, shape=(3, 7, 7))
-@example(run=(RundConstants(1, 0, 8, 0, 1, 0, 64), 64, (3, 5)), reseed=False, shape=(3, 7, 1))
+@example(run=(RundConstants(5, 3, 16, 2, 13, 1, 256), 256, None), reseed=False, shape=(3, 7, 1, 2))
+@example(run=(RundConstants(5, 3, 16, 2, 7, 9, 256), 256, None), reseed=False, shape=(5, 64, 7, 1))
+@example(run=(RundConstants(5, 3, 16, 2, 13, 2, 256), 100, None), reseed=True, shape=(3, 7, 1, 2))
+@example(run=(RundConstants(5, 3, 16, 2, 7, 0, 256), 256, (15, 13)), reseed=False, shape=(3, 7, 1, 2))
+@example(run=(RundConstants(17, 14, 32, 1, 1, 18, 1024), 1024, None), reseed=False, shape=(3, 7, 7, 3))
+@example(run=(RundConstants(1, 0, 8, 0, 1, 0, 64), 64, (3, 5)), reseed=False, shape=(3, 7, 1, 2))
+@example(run=(RundConstants(5, 3, 16, 2, 13, 1, 256), 256, None), reseed=False, shape=(3, 7, 1, 4))
 def test_paper_reproduction_matches_sequential(run, reseed, shape):
     k, n, seed = run
     if reseed:
@@ -133,6 +139,18 @@ def test_paper_reproduction_matches_sequential(run, reseed, shape):
     with engine_shape(shape):
         lanes = paper_reproduction(k, imax=n, backward_seed=seed)
     assert lanes == paper_reproduction_seq(k, n, (0, 0) if seed is None else seed)
+
+
+def test_orbit_table_at_the_shipped_shape():
+    # 65 * 4096 + 1 states: 4034 lanes of 66 steps, one full flush block of
+    # 64 and a partial one of 2
+    params, coupling = LcgParams(1029, 1731, 2048), CouplingSpec(1536)
+    count = verification._LANES * 65 + 1
+    assert verification._FLUSH == 64 and -(-count // verification._LANES) == 66
+    cmap = verification._CoupledMap(params, coupling)
+    table = verification._orbit_table(cmap, 0, 0, count, cmap.forward)
+    walk = generate_sequence(CoupledState(0, 0), count, params, coupling)
+    assert table.tolist() == [x + 2048 * y for x, y in walk]
 
 
 JUMP = verification._lane_jump
@@ -148,7 +166,7 @@ def test_broken_jump_fails_the_stitch_check():
     # broken jump seeds lane 1 one step further on
     walk = generate_sequence(seed, 66, params, coupling)
     expected, got = tuple(walk[64]), tuple(walk[65])
-    with engine_shape((4, 1 << 22, 1 << 18)), patch.object(verification, "_lane_jump", off_by_one_jump):
+    with engine_shape((4, 1 << 22, 1 << 15, 64)), patch.object(verification, "_lane_jump", off_by_one_jump):
         with pytest.raises(InvariantError, match="lane 1 should start where lane 0 ends") as err:
             orbit_period(seed, params, coupling)
     assert f"expected {expected}, got {got}" in str(err.value)

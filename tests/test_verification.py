@@ -69,6 +69,16 @@ class TestOrbitPeriod:
         assert (rep.period, rep.states_visited) == (None, 3)
         assert equidistribution_check(IDENTITY_PARAMS, NO_COUPLING, (3, 5)).covered == 1
 
+    @pytest.mark.parametrize(
+        "seed", [{3, 5}, {3: 0, 5: 0}, iter((3, 5))], ids=["set", "dict", "iterator"]
+    )
+    def test_unordered_seed_refused(self, seed):
+        # used to walk from the seed's words in hash or iteration order
+        with pytest.raises(ParameterError, match="pair of words"):
+            orbit_period(seed, IDENTITY_PARAMS, NO_COUPLING)
+        with pytest.raises(ParameterError, match="pair of words"):
+            equidistribution_check(IDENTITY_PARAMS, NO_COUPLING, seed)
+
     def test_toy_x_cycle(self):
         rep = orbit_period(CoupledState(0, 0), TOY_PARAMS, NO_COUPLING)
         assert rep.period == 4
@@ -356,9 +366,12 @@ class TestPaperReproduction:
         with pytest.raises(ParameterError, match="must be an integer"):
             paper_reproduction(imax=10, backward_seed=(0.5, 0))
 
-    @pytest.mark.parametrize("seed", [(1, 2, 3), 5], ids=["triple", "int"])
+    @pytest.mark.parametrize(
+        "seed", [(1, 2, 3), 5, {1, 2}, iter((1, 2))], ids=["triple", "int", "set", "iterator"]
+    )
     def test_backward_seed_must_be_a_pair(self, seed):
-        # used to raise a bare ValueError and a TypeError
+        # used to raise a bare ValueError and a TypeError, and to take a set
+        # or an iterator in its own order
         with pytest.raises(ParameterError, match="pair of words"):
             paper_reproduction(imax=10, backward_seed=seed)
 
