@@ -68,8 +68,8 @@ def _add_coupling_args(p: argparse.ArgumentParser) -> None:
 
 
 def _add_seed_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--x0", type=int, default=0, help="seed x word (default %(default)s)")
-    p.add_argument("--y0", type=int, default=0, help="seed y word (default %(default)s)")
+    p.add_argument("--x0", type=int, default=0, help="seed x word (default 0)")
+    p.add_argument("--y0", type=int, default=0, help="seed y word (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -111,6 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_params_args(p_ver)
     _add_coupling_args(p_ver)
     _add_seed_args(p_ver)
+    p_ver.set_defaults(x0=None, y0=None)  # None: not given, see cmd_verify
     p_ver.add_argument("--c", type=int, default=None, help="override the derived inverse multiplier")
     p_ver.add_argument("--d", type=int, default=None, help="override the derived inverse increment")
     p_ver.add_argument("--limit", type=int, default=None, help="step limit for the period walk")
@@ -138,7 +139,8 @@ def _coupling(args: argparse.Namespace) -> CouplingSpec:
 
 
 def _seed(args: argparse.Namespace) -> CoupledState:
-    return CoupledState(args.x0, args.y0)
+    # verify leaves a seed word it was not given as None
+    return CoupledState(args.x0 or 0, args.y0 or 0)
 
 
 def _inverse(args: argparse.Namespace, params: LcgParams) -> InverseParams:
@@ -208,6 +210,21 @@ def cmd_verify(args: argparse.Namespace) -> int:
         roundtrip_sweep,
     )
 
+    # Of the check-specific flags, each check reads only these; any other given is refused.
+    reads = {
+        "roundtrip": ("c", "d", "samples"),
+        "period": ("limit", "x0", "y0"),
+        "equidist": ("x0", "y0"),
+        "hulldobell": (),
+        "paper": ("c", "d"),
+    }[args.which]
+    unread = [
+        f"--{flag}"
+        for flag in ("c", "d", "limit", "samples", "x0", "y0")
+        if getattr(args, flag) is not None and flag not in reads
+    ]
+    if unread:
+        raise ParameterError(f"verify {args.which} does not read {', '.join(unread)}")
     params, coupling = _params(args), _coupling(args)
     if args.which == "roundtrip":
         inverse = _inverse(args, params)

@@ -35,13 +35,12 @@ that closes the orbit.
 The reproduction keeps its whole forward table, which the comparisons
 read, and walks no backward lanes. As long as back(i) = forw(imax - i),
 back(i + 1) is one backward step from a state already in that table,
-so the first mismatch is the first n at which one backward step from
-the backward seed (n = 1) or from forw(imax - n + 1) misses
-forw(imax - n); one elementwise backward step over the table,
-``_SWEEP_CHUNK`` states at a time, finds it. Past the first mismatch
-the backward walk has left the table, so the rest of it is retraced
-step by step, and the mismatch count is exactly that of the sequential
-run.
+so one elementwise backward step over the table, ``_SWEEP_CHUNK``
+states at a time, tells whether any comparison fails. A failing walk
+leaves the table, and a corrupted backward map has no affine jump, so
+:func:`_table_walk` walks it by doubling over the step's own table,
+with the reference step and integer gathers only; its counts are
+exactly those of the sequential run.
 
 Each report states every fact once, as a ``(key, value, line)`` row
 yielded in output order by its private ``_rows()``. Both renderings
@@ -56,7 +55,6 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
 from dataclasses import dataclass
 from typing import Optional
 
@@ -411,6 +409,12 @@ def _reversible(params, coupling, inverse) -> _CoupledMap:
     return _CoupledMap(params, coupling, derive_inverse(params) if inverse is None else inverse)
 
 
+def _states(m, start, count):
+    """Packed states start .. start + count - 1, as a pair of int64 word arrays (x, y)."""
+    y, x = np.divmod(np.arange(start, start + count, dtype=np.int64), m)
+    return x, y
+
+
 def _roundtrip(cmap, states, draw) -> RoundTripReport:
     """Check backward(forward(state)) = state on ``states`` states of ``cmap``.
 
@@ -452,12 +456,7 @@ def roundtrip_sweep(
     m = _CoupledMap(params, coupling).m
     _require_sweepable(m, "roundtrip_sweep", "; use roundtrip_sample for spot checks at this size")
     cmap = _reversible(params, coupling, inverse)
-
-    def draw(start, count):
-        y, x = np.divmod(np.arange(start, start + count, dtype=np.int64), m)
-        return x, y
-
-    return _roundtrip(cmap, m * m, draw)
+    return _roundtrip(cmap, m * m, lambda start, count: _states(m, start, count))
 
 
 def roundtrip_sample(
@@ -560,11 +559,9 @@ def paper_reproduction(
         stop = min(start + _SWEEP_CHUNK, count)
         prev = expected[start - 1 : stop - 1] if start else np.append(z0, expected[: stop - 1])
         x, y = rund_backward_step(prev % m, prev // m, k)
-        bad = np.flatnonzero(x + m * y != expected[start:stop])
-        if bad.size:
-            first = start + int(bad[0]) + 1
-            z = z0 if first == 1 else int(expected[first - 2])
-            mismatches = _retrace_mismatches(k, z, expected[first - 1 :])
+        if np.any(x + m * y != expected[start:stop]):
+            bad = _table_walk(lambda x, y: rund_backward_step(x, y, k), m, z0, count) != expected
+            mismatches, first = int(np.count_nonzero(bad)), int(bad.argmax()) + 1
             break
     return ReproductionReport(
         comparisons=count,
@@ -574,17 +571,20 @@ def paper_reproduction(
     )
 
 
-def _retrace_mismatches(k, z, expected):
-    """Mismatches of the backward walk from packed state z against ``expected``.
+def _table_walk(step, m, z, count):
+    """Packed states after 1 .. count steps of ``step`` from the packed state z.
 
-    Once the walk has missed the forward table, none of its later states
-    can be taken from the table, so they are walked one step at a time.
+    ``step`` fills a table t over all packed states, ``_SWEEP_CHUNK`` at a
+    time. While ``walk`` holds steps 1 .. k and t is the step applied k
+    times, t[walk[:k]] gives steps k + 1 .. 2k, and t[t] the step 2k times.
     """
-    m = k.m
-    x, y = z % m, z // m
-    tail = array("q")
-    record = tail.append
-    for _ in range(expected.size):
-        x, y = rund_backward_step(x, y, k)
-        record(x + m * y)
-    return int(np.count_nonzero(np.frombuffer(tail, dtype=np.int64) != expected))
+    chunks = (_states(m, i, min(_SWEEP_CHUNK, m * m - i)) for i in range(0, m * m, _SWEEP_CHUNK))
+    t = np.concatenate([x + m * y for x, y in (step(*words) for words in chunks)])
+    walk, k = np.empty(count, dtype=np.int64), 1
+    walk[0] = t[z]
+    while k < count:
+        walk[k : 2 * k] = t[walk[: min(k, count - k)]]
+        k *= 2
+        if k < count:  # the last squaring would go unused
+            t = t[t]
+    return walk

@@ -3,8 +3,9 @@
 These are the orbit walks ``revlcg.verification`` ran before its lane
 engine. The differential tests require the lane-parallel
 ``orbit_period``, ``equidistribution_check`` and ``paper_reproduction``
-to return reports equal to these field for field. Inputs are assumed
-valid: the library functions do the validation.
+to return reports equal to these field for field, and the doubling
+table walk of a failing reproduction to equal ``walk_seq``. Inputs are
+assumed valid: the library functions do the validation.
 """
 
 from array import array
@@ -14,6 +15,16 @@ import numpy as np
 from revlcg import EquidistributionReport, OrbitReport, ReproductionReport
 from revlcg.generator import _CoupledMap
 from revlcg.rund import rund_backward_step, rund_forward_step
+
+
+def walk_seq(step, m, z, count):
+    """Packed states after 1 .. count steps of ``step`` from the packed state z."""
+    x, y = z % m, z // m
+    walk = []
+    for _ in range(count):
+        x, y = step(x, y)
+        walk.append(x + m * y)
+    return walk
 
 
 def orbit_period_seq(seed, params, coupling, limit=None):

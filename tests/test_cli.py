@@ -1,4 +1,5 @@
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,7 @@ from revlcg import (
 from revlcg import cli, generator
 
 GOLDEN = Path(__file__).parent / "golden" / "rund_first_64.txt"
+README = Path(__file__).parents[1] / "README.md"
 
 
 def run_process(*args):
@@ -257,6 +259,77 @@ class TestUsageErrors:
     def test_bad_modulus(self, run_cli):
         res = run_cli("derive", "--a", "1", "--b", "0", "--m", "1")
         assert res.returncode == 2
+
+
+TOY_FLAGS = ["--m", "16", "--a", "5", "--b", "3", "--s", "2"]
+
+
+class TestUnreadFlags:
+    """A ``verify`` check refuses the check-specific flags it does not read."""
+
+    @pytest.mark.parametrize(
+        "argv, unread",
+        [
+            (["paper", "--x0", "5", "--y0", "7"], "paper does not read --x0, --y0"),
+            (["roundtrip", "--limit", "0"], "roundtrip does not read --limit"),
+            (["period", "--samples", "-3"], "period does not read --samples"),
+            (
+                ["hulldobell", "--c", "3", "--limit", "5", "--samples", "4"],
+                "hulldobell does not read --c, --limit, --samples",
+            ),
+            (["equidist", "--c", "3"], "equidist does not read --c"),
+            (["paper", *TOY_FLAGS, "--x0", "0"], "paper does not read --x0"),
+            (["--d", "1", "period", *TOY_FLAGS], "period does not read --d"),
+        ],
+        ids=["paper-seed", "roundtrip-limit", "period-samples", "hulldobell-three",
+             "equidist-c", "paper-x0-zero", "flag-before-check"],
+    )
+    def test_unread_flag_is_a_usage_error(self, run_cli, argv, unread):
+        res = run_cli("verify", *argv)
+        assert (res.returncode, res.stdout, res.stderr) == (2, "", f"error: verify {unread}\n")
+
+    @pytest.mark.parametrize(
+        "argv, stdout",
+        [
+            (["period", *TOY_FLAGS, "--x0", "3", "--y0", "4", "--limit", "300"],
+             "period=256 full=true\n"),
+            (["equidist", *TOY_FLAGS, "--x0", "0", "--y0", "15"],
+             "covered=256 total=256 complete=true\n"),
+            (["roundtrip", *TOY_FLAGS, "--c", "13", "--d", "9", "--samples", "9"],
+             "states_checked=9 mismatches=0\n"),
+            (["paper", *TOY_FLAGS, "--c", "13", "--d", "9"],
+             "comparisons=255 mismatches=0 pass=true\n"),
+        ],
+        ids=["period", "equidist", "roundtrip", "paper"],
+    )
+    def test_read_flags_are_taken(self, run_cli, argv, stdout):
+        res = run_cli("verify", *argv)
+        assert (res.returncode, res.stdout, res.stderr) == (0, stdout, "")
+
+
+def readme_examples():
+    """(argv, stdout) of each ``$ revlcg ...`` example in the README's CLI section."""
+    section = README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    examples, current = [], None
+    for line in section.splitlines():
+        if line.startswith("$ revlcg "):
+            current = [line.removeprefix("$ revlcg "), ""]
+            examples.append(current)
+        elif current and line and not line.startswith("```"):
+            current[1] += line + "\n"
+        else:
+            current = None
+    return [pytest.param(shlex.split(cmd, comments=True), out, id=cmd) for cmd, out in examples]
+
+
+class TestReadmeExamples:
+    def test_section_has_examples(self):
+        assert len(readme_examples()) >= 7
+
+    @pytest.mark.parametrize("argv, stdout", readme_examples())
+    def test_example_output(self, run_cli, argv, stdout):
+        res = run_cli(*argv)
+        assert (res.stdout, res.stderr) == (stdout, "")
 
 
 class TestErrorMapping:

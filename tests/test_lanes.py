@@ -5,7 +5,8 @@ random coupled maps, including maps that are not bijections, step
 limits below the period, the identity map and corrupted reversal
 constants. The engine's lane count, block size, reproduction chunk and
 table flush are patched down so that small orbits still cross lane,
-block, chunk and flush boundaries.
+block, chunk and flush boundaries. The doubling table walk that a
+failing reproduction runs must equal the plain step-by-step walk.
 """
 
 import subprocess
@@ -28,10 +29,16 @@ from revlcg import (
     generate_sequence,
     orbit_period,
     paper_reproduction,
+    rund_backward_step,
     rund_forward_step,
     verification,
 )
-from sequential_walks import equidistribution_seq, orbit_period_seq, paper_reproduction_seq
+from sequential_walks import (
+    equidistribution_seq,
+    orbit_period_seq,
+    paper_reproduction_seq,
+    walk_seq,
+)
 
 # (lanes, block, chunk, flush): the shipped shape, one lane, and shapes
 # whose lanes, blocks, chunks and flush blocks end inside small orbits.
@@ -118,11 +125,10 @@ def endpoint(k, n):
 
 
 # Examples: a corrupted d; the `verify paper --m 16 --a 5 --b 3 --s 2 --c 7`
-# control; a truncated window; a seed whose first mismatch is at n = 2 (the
-# retrace starts from a table state, in the second chunk of one); a
-# corrupted c whose first mismatch is at n = 9, in the second chunk of 7;
-# the identity map; the reference toy in lanes of 86 steps, 21 flushes of
-# 4 and a partial one of 2.
+# control; a truncated window; a seed whose first mismatch is at n = 2, in
+# the second chunk of one; a corrupted c whose first mismatch is at n = 9,
+# in the second chunk of 7; the identity map; the reference toy in lanes
+# of 86 steps, 21 flushes of 4 and a partial one of 2.
 @settings(max_examples=300, deadline=None)
 @given(run=reproduction_runs(), reseed=st.booleans(), shape=SHAPES)
 @example(run=(RundConstants(5, 3, 16, 2, 13, 1, 256), 256, None), reseed=False, shape=(3, 7, 1, 2))
@@ -139,6 +145,47 @@ def test_paper_reproduction_matches_sequential(run, reseed, shape):
     with engine_shape(shape):
         lanes = paper_reproduction(k, imax=n, backward_seed=seed)
     assert lanes == paper_reproduction_seq(k, n, (0, 0) if seed is None else seed)
+
+
+def backward(k):
+    return lambda x, y: rund_backward_step(x, y, k)
+
+
+@st.composite
+def table_walks(draw):
+    """(step, m, z, count): a coupled map's forward step, with the carry on
+    or off and bijective or not, or the reference backward step with true
+    or corrupted (c, d); counts run past m**2, so the walk wraps its cycle."""
+    params, coupling, seed = draw(coupled_maps())
+    m = params.m
+    if draw(st.booleans()):
+        step = verification._CoupledMap(params, coupling).forward
+    else:
+        word = st.integers(0, m - 1)
+        k = RundConstants(params.a, params.b, m, coupling.s, draw(word), draw(word), m * m)
+        step = backward(k)
+    return step, m, seed.x + m * seed.y, draw(st.integers(1, 2 * m * m + 3))
+
+
+TOY_K = RundConstants(5, 3, 16, 2, 13, 9, 256)  # the true toy inverse
+
+
+# Examples: the `verify paper --m 16 --a 5 --b 3 --s 2 --c 7` control over
+# its whole window; the true toy inverse past its period; a map that is not
+# a bijection, whose walk runs into a cycle that misses the start; the
+# identity map without the carry; a single step.
+@settings(max_examples=300, deadline=None)
+@given(walk=table_walks(), chunk=st.sampled_from([1, 7, verification._SWEEP_CHUNK]))
+@example(walk=(backward(RundConstants(5, 3, 16, 2, 7, 9, 256)), 16, 0, 255), chunk=7)
+@example(walk=(backward(TOY_K), 16, 0, 300), chunk=1)
+@example(walk=(verification._CoupledMap(*NOT_INVERTIBLE[:2]).forward, 8, 0, 131), chunk=7)
+@example(walk=(verification._CoupledMap(*IDENTITY[:2]).forward, 8, 43, 129), chunk=1)
+@example(walk=(backward(TOY_K), 16, 37, 1), chunk=verification._SWEEP_CHUNK)
+def test_table_walk_matches_sequential(walk, chunk):
+    step, m, z, count = walk
+    with patch.object(verification, "_SWEEP_CHUNK", chunk):
+        doubled = verification._table_walk(step, m, z, count)
+    assert doubled.tolist() == walk_seq(step, m, z, count)
 
 
 def test_orbit_table_at_the_shipped_shape():
