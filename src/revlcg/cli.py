@@ -67,9 +67,10 @@ def _add_coupling_args(p: argparse.ArgumentParser) -> None:
     )
 
 
-def _add_seed_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--x0", type=int, default=0, help="seed x word (default 0)")
-    p.add_argument("--y0", type=int, default=0, help="seed y word (default 0)")
+def _add_seed_args(p: argparse.ArgumentParser, default: Optional[int] = 0) -> None:
+    # verify passes None, to tell a seed it was given from one it was not; 0 either way
+    p.add_argument("--x0", type=int, default=default, help="seed x word (default 0)")
+    p.add_argument("--y0", type=int, default=default, help="seed y word (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -110,8 +111,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     _add_params_args(p_ver)
     _add_coupling_args(p_ver)
-    _add_seed_args(p_ver)
-    p_ver.set_defaults(x0=None, y0=None)  # None: not given, see cmd_verify
+    _add_seed_args(p_ver, default=None)
     p_ver.add_argument("--c", type=int, default=None, help="override the derived inverse multiplier")
     p_ver.add_argument("--d", type=int, default=None, help="override the derived inverse increment")
     p_ver.add_argument("--limit", type=int, default=None, help="step limit for the period walk")
@@ -139,8 +139,7 @@ def _coupling(args: argparse.Namespace) -> CouplingSpec:
 
 
 def _seed(args: argparse.Namespace) -> CoupledState:
-    # verify leaves a seed word it was not given as None
-    return CoupledState(args.x0 or 0, args.y0 or 0)
+    return CoupledState(args.x0, args.y0)
 
 
 def _inverse(args: argparse.Namespace, params: LcgParams) -> InverseParams:
@@ -226,6 +225,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if unread:
         raise ParameterError(f"verify {args.which} does not read {', '.join(unread)}")
     params, coupling = _params(args), _coupling(args)
+    seed = CoupledState(args.x0 or 0, args.y0 or 0)
     if args.which == "roundtrip":
         inverse = _inverse(args, params)
         if args.samples is not None:
@@ -237,9 +237,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise ParameterError(
                 f"verify period walks up to m**2 steps; pass --limit or keep m <= {SWEEP_MAX_M}"
             )
-        report = orbit_period(_seed(args), params, coupling, limit=args.limit)
+        report = orbit_period(seed, params, coupling, limit=args.limit)
     elif args.which == "equidist":
-        report = equidistribution_check(params, coupling, _seed(args))
+        report = equidistribution_check(params, coupling, seed)
     elif args.which == "hulldobell":
         report = hull_dobell_check(params)
     else:  # paper

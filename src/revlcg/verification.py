@@ -37,10 +37,10 @@ read, and walks no backward lanes. As long as back(i) = forw(imax - i),
 back(i + 1) is one backward step from a state already in that table,
 so one elementwise backward step over the table, ``_SWEEP_CHUNK``
 states at a time, tells whether any comparison fails. A failing walk
-leaves the table, and a corrupted backward map has no affine jump, so
-:func:`_table_walk` walks it by doubling over the step's own table,
-with the reference step and integer gathers only; its counts are
-exactly those of the sequential run.
+leaves the table and a corrupted backward map has no affine jump: a
+walk of m**2 / 4 steps or more doubles over the step's own table
+(:func:`_table_walk`), a shorter one steps in turn and builds no m**2
+table. Its counts are exactly those of the sequential run.
 
 Each report states every fact once, as a ``(key, value, line)`` row
 yielded in output order by its private ``_rows()``. Both renderings
@@ -560,7 +560,11 @@ def paper_reproduction(
         prev = expected[start - 1 : stop - 1] if start else np.append(z0, expected[: stop - 1])
         x, y = rund_backward_step(prev % m, prev // m, k)
         if np.any(x + m * y != expected[start:stop]):
-            bad = _table_walk(lambda x, y: rund_backward_step(x, y, k), m, z0, count) != expected
+            # The table costs a step on each of m**2 states and a gather over them
+            # per doubling, about what m**2 / 4 scalar steps cost at m = 2048; a
+            # shorter walk takes those steps and holds no table.
+            walk = _table_walk if 4 * count >= m * m else _step_walk
+            bad = walk(lambda x, y: rund_backward_step(x, y, k), m, z0, count) != expected
             mismatches, first = int(np.count_nonzero(bad)), int(bad.argmax()) + 1
             break
     return ReproductionReport(
@@ -569,6 +573,17 @@ def paper_reproduction(
         first_mismatch_n=first,
         passed=(mismatches == 0),
     )
+
+
+def _step_walk(step, m, z, count):
+    """Packed states after 1 .. count steps of ``step`` from the packed state z, in turn."""
+
+    def states(x, y):
+        for _ in range(count):
+            x, y = step(x, y)
+            yield x + m * y
+
+    return np.fromiter(states(z % m, z // m), np.int64, count)
 
 
 def _table_walk(step, m, z, count):

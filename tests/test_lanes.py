@@ -128,7 +128,8 @@ def endpoint(k, n):
 # control; a truncated window; a seed whose first mismatch is at n = 2, in
 # the second chunk of one; a corrupted c whose first mismatch is at n = 9,
 # in the second chunk of 7; the identity map; the reference toy in lanes
-# of 86 steps, 21 flushes of 4 and a partial one of 2.
+# of 86 steps, 21 flushes of 4 and a partial one of 2; a failing window of
+# 10, short enough to be stepped in turn rather than doubled over a table.
 @settings(max_examples=300, deadline=None)
 @given(run=reproduction_runs(), reseed=st.booleans(), shape=SHAPES)
 @example(run=(RundConstants(5, 3, 16, 2, 13, 1, 256), 256, None), reseed=False, shape=(3, 7, 1, 2))
@@ -138,6 +139,7 @@ def endpoint(k, n):
 @example(run=(RundConstants(17, 14, 32, 1, 1, 18, 1024), 1024, None), reseed=False, shape=(3, 7, 7, 3))
 @example(run=(RundConstants(1, 0, 8, 0, 1, 0, 64), 64, (3, 5)), reseed=False, shape=(3, 7, 1, 2))
 @example(run=(RundConstants(5, 3, 16, 2, 13, 1, 256), 256, None), reseed=False, shape=(3, 7, 1, 4))
+@example(run=(RundConstants(5, 3, 16, 2, 7, 9, 256), 10, None), reseed=True, shape=(3, 7, 1, 2))
 def test_paper_reproduction_matches_sequential(run, reseed, shape):
     k, n, seed = run
     if reseed:
@@ -186,6 +188,18 @@ def test_table_walk_matches_sequential(walk, chunk):
     with patch.object(verification, "_SWEEP_CHUNK", chunk):
         doubled = verification._table_walk(step, m, z, count)
     assert doubled.tolist() == walk_seq(step, m, z, count)
+
+
+def test_short_failing_window_at_large_m_builds_no_table():
+    # A table over m**2 = 10**10 states would not fit in memory; a window of
+    # 100 states is stepped in turn, so doubling must not be reached.
+    m = 100_003
+    k = RundConstants(a=5, b=3, m=m, s=2, c=7, d=9, imax=m * m)
+    seed = endpoint(k, 100)
+    with patch.object(verification, "_table_walk", side_effect=AssertionError("m**2 table")):
+        report = paper_reproduction(k, imax=100, backward_seed=seed)
+    assert not report.passed
+    assert report == paper_reproduction_seq(k, 100, seed)
 
 
 def test_orbit_table_at_the_shipped_shape():
