@@ -6,13 +6,16 @@ text, ``verify`` runs one of the verification checks and reports via
 the exit code.
 
 ``generate`` and ``reverse`` share one loop. It validates the seed and
-builds the coupled map (``generator._CoupledMap``) once, steps plain
-ints through the map's forward step or its backward step (which checks
-every step's non-negativity offset), the steps ``generate_sequence``
-and ``reverse_sequence`` take, and writes ``_BLOCK_LINES`` lines at a
-time with a single ``write``. Only ``verify`` imports
+builds the coupled map (``generator._CoupledMap``) once, takes
+``_BLOCK_LINES`` packed states at a time from the map's ``walk``, the
+kernel ``generate_sequence`` and ``reverse_sequence`` also wrap, and
+renders each block from those ints with a single ``write``. The walk
+steps the packed single-word LCG when the carry is on and going
+forward, and the map's own steps otherwise, so a backward stream still
+checks every step's non-negativity offset. Only ``verify`` imports
 :mod:`revlcg.verification`, so ``derive``, ``generate`` and
-``reverse`` start without loading numpy.
+``reverse`` start without loading numpy, and the parameter records are
+not dataclasses, so they start without ``dataclasses`` and ``inspect``.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 usage or parameter error, 141 stdout closed by its reader (as in
@@ -57,12 +60,19 @@ def _add_params_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, default=RUND.m, help="modulus (default %(default)s)")
 
 
-def _add_coupling_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--s", type=int, default=RUND.s, help="coupling slope (default %(default)s)")
+def _add_coupling_args(p: argparse.ArgumentParser, defaults: bool = True) -> None:
+    # verify passes defaults=False, to tell a flag it was given from one it
+    # was not, and applies the same defaults itself
+    p.add_argument(
+        "--s",
+        type=int,
+        default=RUND.s if defaults else None,
+        help=f"coupling slope (default {RUND.s})",
+    )
     p.add_argument(
         "--carry",
         action=argparse.BooleanOptionalAction,
-        default=True,
+        default=True if defaults else None,
         help="feed the x-update carry into the y channel",
     )
 
@@ -110,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="which check to run",
     )
     _add_params_args(p_ver)
-    _add_coupling_args(p_ver)
+    _add_coupling_args(p_ver, defaults=False)
     _add_seed_args(p_ver, default=None)
     p_ver.add_argument("--c", type=int, default=None, help="override the derived inverse multiplier")
     p_ver.add_argument("--d", type=int, default=None, help="override the derived inverse increment")
@@ -155,21 +165,16 @@ def cmd_derive(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def _render(fmt: str, m: int, n0: int, states: list[tuple[int, int]]) -> str:
-    """The lines of one block of records; ``n0`` is the 1-based index of the first."""
+def _render(fmt: str, m: int, n0: int, zs: list[int]) -> str:
+    """The lines of one block of packed states; ``n0`` is the 1-based index of the first."""
     if fmt == "state":
-        return "".join([f"{n} {x} {y}\n" for n, (x, y) in enumerate(states, n0)])
+        return "".join([f"{n} {z % m} {z // m}\n" for n, z in enumerate(zs, n0)])
     if fmt == "z":
-        return "".join([f"{x + m * y}\n" for x, y in states])
+        return "".join([f"{z}\n" for z in zs])
     # Same context, hence the same digits, as generator.real_decimal.
     m2 = m * m
     den, divide = Decimal(m2), REAL_CONTEXT.divide
-    return "".join(
-        [
-            f"{n} {z}/{m2} {divide(Decimal(z), den)}\n"
-            for n, z in enumerate([x + m * y for x, y in states], n0)
-        ]
-    )
+    return "".join([f"{n} {z}/{m2} {divide(Decimal(z), den)}\n" for n, z in enumerate(zs, n0)])
 
 
 def _stream(args: argparse.Namespace, backward: bool) -> int:
@@ -179,14 +184,11 @@ def _stream(args: argparse.Namespace, backward: bool) -> int:
         raise ParameterError(f"--n must be non-negative, got {args.n}")
     inverse = derive_inverse(params) if backward else None
     x, y = _require_state(_seed(args), params.m)
-    cmap = _CoupledMap(params, coupling, inverse)
-    advance = cmap.retract if backward else cmap.forward
+    cmap, m = _CoupledMap(params, coupling, inverse), params.m
     for n0 in range(1, args.n + 1, _BLOCK_LINES):
-        states = []
-        for _ in range(min(_BLOCK_LINES, args.n + 1 - n0)):
-            x, y = advance(x, y)
-            states.append((x, y))
-        sys.stdout.write(_render(args.format, params.m, n0, states))
+        zs = cmap.walk(x, y, min(_BLOCK_LINES, args.n + 1 - n0), backward)
+        x, y = zs[-1] % m, zs[-1] // m
+        sys.stdout.write(_render(args.format, m, n0, zs))
     return EXIT_OK
 
 
@@ -211,20 +213,23 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
     # Of the check-specific flags, each check reads only these; any other given is refused.
     reads = {
-        "roundtrip": ("c", "d", "samples"),
-        "period": ("limit", "x0", "y0"),
-        "equidist": ("x0", "y0"),
+        "roundtrip": ("s", "carry", "c", "d", "samples"),
+        "period": ("s", "carry", "limit", "x0", "y0"),
+        "equidist": ("s", "carry", "x0", "y0"),
         "hulldobell": (),
-        "paper": ("c", "d"),
+        "paper": ("s", "carry", "c", "d"),
     }[args.which]
     unread = [
-        f"--{flag}"
-        for flag in ("c", "d", "limit", "samples", "x0", "y0")
-        if getattr(args, flag) is not None and flag not in reads
+        "--no-carry" if value is False else f"--{flag}"
+        for flag in ("s", "carry", "c", "d", "limit", "samples", "x0", "y0")
+        if (value := getattr(args, flag)) is not None and flag not in reads
     ]
     if unread:
         raise ParameterError(f"verify {args.which} does not read {', '.join(unread)}")
-    params, coupling = _params(args), _coupling(args)
+    params = _params(args)
+    coupling = CouplingSpec(
+        RUND.s if args.s is None else args.s, True if args.carry is None else args.carry
+    )
     seed = CoupledState(args.x0 or 0, args.y0 or 0)
     if args.which == "roundtrip":
         inverse = _inverse(args, params)

@@ -10,7 +10,6 @@ operand of either sign.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from typing import NamedTuple
 
 # Largest modulus for which m**3 still fits a signed 64-bit word. The
@@ -74,41 +73,79 @@ class ExtGcdResult(NamedTuple):
     t: int
 
 
-@dataclass(frozen=True)
-class LcgParams:
+class _Record:
+    """A read-only record of the fields named in ``_fields``, kept in ``__slots__``.
+
+    It has the behaviour of a frozen dataclass: the ``repr`` names every
+    field, ``==`` holds only between records of the same type, the hash
+    is that of the field tuple, and assigning or deleting a field raises
+    ``AttributeError``. ``copy`` and ``pickle`` rebuild a record through
+    its constructor, so a copy is checked like the original. It is not
+    a dataclass because importing ``dataclasses`` loads ``inspect`` and
+    its dependencies into every process, the streaming CLI included.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init__(self, *values):
+        # Subclass constructors pass their checked values in field order.
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
+class LcgParams(_Record):
     """Parameters of the single-word recursion x -> (a*x + b) mod m."""
 
-    a: int
-    b: int
-    m: int
+    __slots__ = _fields = ("a", "b", "m")
 
-    def __post_init__(self):
+    def __init__(self, a: int, b: int, m: int):
         # Stored as plain ints, so no step or sweep inherits a float or a
         # fixed-width scalar from the caller.
-        for name in ("a", "b"):
-            object.__setattr__(self, name, _require_int(getattr(self, name), name))
-        object.__setattr__(self, "m", _require_modulus(self.m, "m"))
-        if self.m > MAX_MODULUS:
+        a, b, m = _require_int(a, "a"), _require_int(b, "b"), _require_modulus(m, "m")
+        if m > MAX_MODULUS:
             raise ParameterError(
-                f"modulus {self.m} exceeds {MAX_MODULUS}; m**3 must fit in "
+                f"modulus {m} exceeds {MAX_MODULUS}; m**3 must fit in "
                 "64-bit arithmetic so every step and sweep stays exact"
             )
-        if not 0 <= self.a < self.m:
-            raise ParameterError(f"multiplier must lie in [0, m), got a={self.a}, m={self.m}")
-        if not 0 <= self.b < self.m:
-            raise ParameterError(f"increment must lie in [0, m), got b={self.b}, m={self.m}")
+        if not 0 <= a < m:
+            raise ParameterError(f"multiplier must lie in [0, m), got a={a}, m={m}")
+        if not 0 <= b < m:
+            raise ParameterError(f"increment must lie in [0, m), got b={b}, m={m}")
+        super().__init__(a, b, m)
 
 
-@dataclass(frozen=True)
-class InverseParams:
+class InverseParams(_Record):
     """Parameters of the reversed recursion x_prev = (c*x + d) mod m."""
 
-    c: int
-    d: int
+    __slots__ = _fields = ("c", "d")
 
-    def __post_init__(self):
-        for name in ("c", "d"):
-            object.__setattr__(self, name, _require_int(getattr(self, name), name))
+    def __init__(self, c: int, d: int):
+        super().__init__(_require_int(c, "c"), _require_int(d, "d"))
 
 
 def ext_gcd(u: int, v: int) -> ExtGcdResult:

@@ -32,13 +32,13 @@ parameters once per public call; its constructor checks s < m and, when
 a reversal is given, c, d in [0, m). Its step methods operate on plain
 integers and on numpy arrays alike; the exhaustive sweeps in
 :mod:`revlcg.verification` run the very same arithmetic elementwise
-over the full state space.
+over the full state space. Its ``walk`` is the one sequential loop,
+which the sequences and the CLI's streams both take.
 """
 
 from __future__ import annotations
 
 import decimal
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 from typing import NamedTuple
@@ -48,6 +48,7 @@ from .congruence import (
     InvariantError,
     LcgParams,
     ParameterError,
+    _Record,
     _require_int,
     _require_modulus,
     derive_inverse,
@@ -59,23 +60,22 @@ class CoupledState(NamedTuple):
     y: int
 
 
-@dataclass(frozen=True)
-class CouplingSpec:
+class CouplingSpec(_Record):
     """Coupling f(x) = s*x + (carry out of the x update, when enabled).
 
     For any slope s < m the value of f stays below m**2, which is what
     the backward step's non-negativity offset relies on.
     """
 
-    s: int
-    carry_enabled: bool = True
+    __slots__ = _fields = ("s", "carry_enabled")
 
-    def __post_init__(self):
-        object.__setattr__(self, "s", _require_int(self.s, "coupling slope"))
-        if self.s < 0:
-            raise ParameterError(f"coupling slope must be non-negative, got {self.s}")
-        if type(self.carry_enabled) is not bool:
-            raise ParameterError(f"carry_enabled must be True or False, got {self.carry_enabled!r}")
+    def __init__(self, s: int, carry_enabled: bool = True):
+        s = _require_int(s, "coupling slope")
+        if s < 0:
+            raise ParameterError(f"coupling slope must be non-negative, got {s}")
+        if type(carry_enabled) is not bool:
+            raise ParameterError(f"carry_enabled must be True or False, got {carry_enabled!r}")
+        super().__init__(s, carry_enabled)
 
 
 def _require_word(value: int, m: int, name: str) -> int:
@@ -153,6 +153,31 @@ class _CoupledMap:
             raise InvariantError("coupling value exceeded m**2")
         return x0, y0
 
+    def walk(self, x: int, y: int, count: int, backward: bool = False) -> list[int]:
+        """The packed states x + m*y after steps 1 .. count from (x, y), on plain ints.
+
+        With the carry on, the forward map is the single-word LCG
+        z' = ((a + s*m)*z + b) mod m**2 on the packed state (see
+        :mod:`revlcg.rund`), so the forward walk steps that. Its product
+        reaches m**4, past int64, which is why the array sweeps keep to
+        the two-word steps. The walk
+        without the carry, and every backward walk, go through
+        ``forward`` / ``retract``, so the two-word arithmetic and the
+        backward step's slack check each stay in one place.
+        """
+        m = self.m
+        if self.carry and not backward:
+            mult, b, m2 = self.a + self.s * m, self.b, m * m
+            z = x + m * y
+            return [z := (mult * z + b) % m2 for _ in range(count)]
+        step = self.retract if backward else self.forward
+        out: list[int] = []
+        append = out.append
+        for _ in range(count):
+            x, y = step(x, y)
+            append(x + m * y)
+        return out
+
 
 def carry_coupling(x: int, params: LcgParams, coupling: CouplingSpec) -> int:
     """Evaluate the coupling f at one x word; the result is below m**2."""
@@ -213,21 +238,20 @@ def real_decimal(state: CoupledState, m: int) -> str:
 def _walk(seed, n, params, coupling, inverse=None) -> list[CoupledState]:
     """States after 1..n steps from the seed, backward when ``inverse`` is given.
 
-    The map is built, and the input checked, once per walk; the
-    backward walk still checks every step's non-negativity offset.
+    The map is built, and the input checked, once per walk; the states
+    come from ``_CoupledMap.walk``, the kernel the CLI streams from.
     """
     n = _require_int(n, "step count")
     if n < 0:
         raise ParameterError(f"step count must be non-negative, got {n}")
     x, y = _require_state(seed, params.m)
-    cmap = _CoupledMap(params, coupling, inverse)
-    step = cmap.forward if inverse is None else cmap.retract
-    out: list[CoupledState] = []
-    append = out.append
-    for _ in range(n):
-        x, y = step(x, y)
-        append(CoupledState(x, y))
-    return out
+    m = params.m
+    states = _CoupledMap(params, coupling, inverse).walk(x, y, n, inverse is not None)
+    # Unpacked in place: each packed int is freed as its state is made, so a
+    # long walk never holds both lists.
+    for i, z in enumerate(states):
+        states[i] = CoupledState(z % m, z // m)
+    return states
 
 
 def generate_sequence(

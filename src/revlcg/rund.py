@@ -27,13 +27,10 @@ anything relies on it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
-
-from .congruence import ParameterError, _require_int
+from .congruence import ParameterError, _Record, _require_int
 
 
-@dataclass(frozen=True)
-class RundConstants:
+class RundConstants(_Record):
     """The fixed integers of the reference generator and its reversal.
 
     imax is the full state-space size m**2, the offset the backward step
@@ -45,17 +42,20 @@ class RundConstants:
     built as negative controls.
     """
 
-    a: int = 1029
-    b: int = 1731
-    m: int = 2048
-    s: int = 1536
-    c: int = 205
-    d: int = 1497
-    imax: int = 4_194_304
+    __slots__ = _fields = ("a", "b", "m", "s", "c", "d", "imax")
 
-    def __post_init__(self):
-        for field in fields(self):
-            object.__setattr__(self, field.name, _require_int(getattr(self, field.name), field.name))
+    def __init__(
+        self,
+        a: int = 1029,
+        b: int = 1731,
+        m: int = 2048,
+        s: int = 1536,
+        c: int = 205,
+        d: int = 1497,
+        imax: int = 4_194_304,
+    ):
+        values = (a, b, m, s, c, d, imax)
+        super().__init__(*[_require_int(v, name) for name, v in zip(self._fields, values)])
         if self.imax != self.m * self.m:
             raise ParameterError(f"imax must equal m**2 = {self.m * self.m}, got {self.imax}")
 

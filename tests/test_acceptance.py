@@ -6,7 +6,6 @@ on success) and then asserts. All checks are exact; no tolerances.
 
 import math
 import random
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +16,7 @@ from revlcg import (
     CouplingSpec,
     InverseParams,
     LcgParams,
+    RundConstants,
     derive_inverse,
     equidistribution_check,
     hull_dobell_check,
@@ -140,7 +140,7 @@ def test_criterion_8_negative_controls():
     sweep = roundtrip_sweep(RUND_PARAMS, RUND_COUPLING, inverse=corrupted_d)
     d_detected = sweep.mismatches == sweep.states_checked == STATE_SPACE
 
-    rep = paper_reproduction(replace(RUND, c=204))
+    rep = paper_reproduction(RundConstants(c=204))
     # the counts of the sequential forward/backward/compare run
     c_detected = (not rep.passed) and (rep.mismatches, rep.first_mismatch_n) == (STATE_SPACE - 2, 1)
     ok = d_detected and c_detected

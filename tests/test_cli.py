@@ -280,9 +280,14 @@ class TestUnreadFlags:
             (["equidist", "--c", "3"], "equidist does not read --c"),
             (["paper", *TOY_FLAGS, "--x0", "0"], "paper does not read --x0"),
             (["--d", "1", "period", *TOY_FLAGS], "period does not read --d"),
+            (["hulldobell", "--s", "99999", "--no-carry"],
+             "hulldobell does not read --s, --no-carry"),
+            (["hulldobell", "--carry"], "hulldobell does not read --carry"),
+            (["hulldobell", "--s", "1536", "--c", "3"], "hulldobell does not read --s, --c"),
         ],
         ids=["paper-seed", "roundtrip-limit", "period-samples", "hulldobell-three",
-             "equidist-c", "paper-x0-zero", "flag-before-check"],
+             "equidist-c", "paper-x0-zero", "flag-before-check", "hulldobell-coupling",
+             "hulldobell-carry", "hulldobell-default-slope"],
     )
     def test_unread_flag_is_a_usage_error(self, run_cli, argv, unread):
         res = run_cli("verify", *argv)
@@ -299,12 +304,21 @@ class TestUnreadFlags:
              "states_checked=9 mismatches=0\n"),
             (["paper", *TOY_FLAGS, "--c", "13", "--d", "9"],
              "comparisons=255 mismatches=0 pass=true\n"),
+            (["roundtrip", *TOY_FLAGS, "--no-carry"], "states_checked=256 mismatches=0\n"),
+            (["period", *TOY_FLAGS, "--carry"], "period=256 full=true\n"),
         ],
-        ids=["period", "equidist", "roundtrip", "paper"],
+        ids=["period", "equidist", "roundtrip", "paper", "roundtrip-no-carry", "period-carry"],
     )
     def test_read_flags_are_taken(self, run_cli, argv, stdout):
         res = run_cli("verify", *argv)
         assert (res.returncode, res.stdout, res.stderr) == (0, stdout, "")
+
+    def test_help_names_the_default_slope(self, run_cli):
+        # verify leaves --s unset, to see whether it was given, and its help
+        # still names the default that generate's does
+        for cmd in ("generate", "verify"):
+            lines = run_cli(cmd, "--help").stdout.splitlines()
+            assert "  --s S                 coupling slope (default 1536)" in lines
 
 
 def readme_examples():
@@ -417,7 +431,7 @@ class TestStreamBlocks:
 
 
 # Runs `python -m revlcg ARGS` in this interpreter and reports, on stderr,
-# the exit status and whether numpy was imported along the way.
+# the exit status and which of the heavy modules were imported along the way.
 NUMPY_PROBE = """
 import json, runpy, sys
 sys.argv = ["revlcg", *sys.argv[1:]]
@@ -425,7 +439,8 @@ try:
     runpy.run_module("revlcg", run_name="__main__", alter_sys=True)
 except SystemExit as exc:
     status = exc.code
-print(json.dumps([status, "numpy" in sys.modules]), file=sys.stderr)
+heavy = [name for name in ("dataclasses", "inspect", "numpy") if name in sys.modules]
+print(json.dumps([status, heavy]), file=sys.stderr)
 """
 
 
@@ -443,11 +458,13 @@ class TestStartWithoutNumpy:
         ids=["generate", "reverse", "derive"],
     )
     def test_streaming_commands_leave_numpy_out(self, args):
-        assert numpy_probe(*args) == [0, False]
+        # nor dataclasses and inspect, which took about half of `import revlcg`
+        assert numpy_probe(*args) == [0, []]
 
     def test_verify_loads_numpy(self):
         # control: the probe does see numpy when a command needs it
-        assert numpy_probe("verify", "hulldobell") == [0, True]
+        status, heavy = numpy_probe("verify", "hulldobell")
+        assert status == 0 and "numpy" in heavy
 
 
 TOY = ["--m", "16", "--a", "5", "--b", "3", "--s", "2"]

@@ -1,4 +1,6 @@
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -6,10 +8,12 @@ from hypothesis import strategies as st
 
 from revlcg import (
     MAX_MODULUS,
+    CouplingSpec,
     InverseParams,
     LcgParams,
     NotInvertibleError,
     ParameterError,
+    RundConstants,
     derive_inverse,
     ext_gcd,
     mod_inverse,
@@ -237,3 +241,84 @@ class TestIntegerInverse:
         inverse = InverseParams(np.int64(205), np.int32(1497))
         assert inverse == InverseParams(205, 1497)
         assert {type(inverse.c), type(inverse.d)} == {int}
+
+
+# (record, its repr, its fields in order, a constructor call with one bad field)
+RECORDS = [
+    (
+        LcgParams(1029, 1731, 2048),
+        "LcgParams(a=1029, b=1731, m=2048)",
+        {"a": 1029, "b": 1731, "m": 2048},
+        lambda: LcgParams(1029, 2048, 2048),
+    ),
+    (
+        InverseParams(205, 1497),
+        "InverseParams(c=205, d=1497)",
+        {"c": 205, "d": 1497},
+        lambda: InverseParams(205, 1.5),
+    ),
+    (
+        CouplingSpec(1536),
+        "CouplingSpec(s=1536, carry_enabled=True)",
+        {"s": 1536, "carry_enabled": True},
+        lambda: CouplingSpec(-1),
+    ),
+    (
+        RundConstants(c=204),
+        "RundConstants(a=1029, b=1731, m=2048, s=1536, c=204, d=1497, imax=4194304)",
+        {"a": 1029, "b": 1731, "m": 2048, "s": 1536, "c": 204, "d": 1497, "imax": 4_194_304},
+        lambda: RundConstants(m=1024),
+    ),
+]
+
+
+class TestRecords:
+    """The parameter records are read-only values, with the behaviour of frozen dataclasses."""
+
+    @pytest.fixture(params=RECORDS, ids=["LcgParams", "InverseParams", "CouplingSpec", "RundConstants"])
+    def case(self, request):
+        return request.param
+
+    def test_repr(self, case):
+        record, text, _, _ = case
+        assert repr(record) == text
+
+    def test_equality_only_within_the_type(self, case):
+        record, _, fields, _ = case
+        kind = type(record)
+        assert record == kind(**fields) == kind(*fields.values())
+        assert not record != kind(**fields)
+        assert record != tuple(fields.values())
+        subclass = type("Sub", (kind,), {"__slots__": ()})
+        assert record != subclass(**fields)
+        assert all(record != other for other, *_ in RECORDS if type(other) is not kind)
+
+    def test_hash_is_the_field_tuple_hash(self, case):
+        record, _, fields, _ = case
+        assert hash(record) == hash(tuple(fields.values()))
+        assert len({record, type(record)(**fields)}) == 1
+
+    def test_fields_are_read_only(self, case):
+        record, text, fields, _ = case
+        name, value = next(iter(fields.items()))
+        with pytest.raises(AttributeError):
+            setattr(record, name, value)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+        assert repr(record) == text
+
+    @pytest.mark.parametrize(
+        "duplicate",
+        [copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
+        ids=["copy", "deepcopy", "pickle"],
+    )
+    def test_copies_are_equal(self, case, duplicate):
+        record = case[0]
+        twin = duplicate(record)
+        assert type(twin) is type(record) and twin == record
+
+    def test_bad_field_is_refused(self, case):
+        with pytest.raises(ParameterError):
+            case[3]()

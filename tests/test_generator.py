@@ -3,10 +3,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revlcg import (
+    MAX_MODULUS,
     RUND,
     CoupledGenerator,
     CoupledState,
@@ -26,6 +27,7 @@ from revlcg import (
     reverse_sequence,
     unpack_state,
 )
+from revlcg.generator import _CoupledMap
 
 RUND_PARAMS = LcgParams(RUND.a, RUND.b, RUND.m)
 RUND_COUPLING = CouplingSpec(RUND.s)
@@ -290,6 +292,43 @@ class TestStepClosedForms:
             assert got == ((a * x + b) % m, (s * x + a * y) % m)
         if math.gcd(a, m) == 1:
             assert backward_step(got, params, derive_inverse(params), coupling) == state
+
+
+@st.composite
+def invertible_maps(draw):
+    m = draw(st.integers(2, MAX_MODULUS))
+    word = st.integers(0, m - 1)
+    params = LcgParams(draw(word.filter(lambda a: math.gcd(a, m) == 1)), draw(word), m)
+    coupling = CouplingSpec(draw(word), carry_enabled=draw(st.booleans()))
+    return params, coupling, CoupledState(draw(word), draw(word))
+
+
+TOP = MAX_MODULUS - 1
+
+
+class TestWalkKernel:
+    """``_CoupledMap.walk``, which the CLI and the sequences stream from, against the public steps."""
+
+    @given(walk=invertible_maps(), count=st.integers(0, 40))
+    @example(walk=(RUND_PARAMS, RUND_COUPLING, CoupledState(7, 9)), count=40)
+    # the largest packed product, (a + s*m)*z near m**4, past any fixed-width word
+    @example(
+        walk=(LcgParams(TOP, TOP, MAX_MODULUS), CouplingSpec(TOP), CoupledState(TOP, TOP)),
+        count=40,
+    )
+    @settings(max_examples=300)
+    def test_walk_matches_repeated_public_steps(self, walk, count):
+        params, coupling, seed = walk
+        inverse = derive_inverse(params)
+        cmap = _CoupledMap(params, coupling, inverse)
+        forward, backward, state, back = [], [], seed, seed
+        for _ in range(count):
+            state = forward_step(state, params, coupling)
+            forward.append(pack_state(state, params.m))
+            back = backward_step(back, params, inverse, coupling)
+            backward.append(pack_state(back, params.m))
+        assert cmap.walk(*seed, count) == forward
+        assert cmap.walk(*seed, count, backward=True) == backward
 
 
 class TestOutputs:

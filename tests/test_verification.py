@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -247,7 +246,7 @@ class TestInverseRange:
     @pytest.mark.parametrize("c, d", BAD_INVERSES)
     def test_paper_reproduction(self, c, d):
         with pytest.raises(ParameterError, match=r"must lie in \[0, 2048\)"):
-            paper_reproduction(replace(RUND, c=c, d=d), imax=10)
+            paper_reproduction(RundConstants(c=c, d=d), imax=10)
 
 
 class TestIntegerCounts:
@@ -336,7 +335,7 @@ class TestPaperReproduction:
         n = 1_000
         forward = generate_sequence(CoupledState(0, 0), n, RUND_PARAMS, RUND_COUPLING)
         rep = paper_reproduction(
-            replace(RUND, c=204), imax=n, backward_seed=tuple(forward[-1])
+            RundConstants(c=204), imax=n, backward_seed=tuple(forward[-1])
         )
         assert not rep.passed
         assert rep.first_mismatch_n == 1
@@ -389,7 +388,7 @@ class TestPaperReproduction:
         # these used to overflow the int64 lanes, run with an invalid slope,
         # or pass with 0 comparisons
         with pytest.raises(ParameterError):
-            paper_reproduction(replace(RUND, **fields))
+            paper_reproduction(RundConstants(**fields))
 
     def test_toy_constants_full_run(self):
         params = LcgParams(5, 3, 16)
