@@ -84,8 +84,10 @@ _BLOCK = 1 << 22
 _FLUSH = 64
 
 # The round-trip checks and the reproduction's backward check step this
-# many states at a time, so their dozen int64 temporaries take about
-# 3 MiB, which fits in a 4 MiB L2 cache, whatever m or the sample count is.
+# many states at a time, whatever m or the sample count is. Their dozen
+# int64 temporaries take about 3 MiB: more than the 2 MiB L2 cache of one
+# core of the 2-vCPU Xeon VM this was timed on (lscpu: 4 MiB over 2
+# instances), yet chunks of 2**14 and 2**16 states were no faster there.
 _SWEEP_CHUNK = 1 << 15
 
 
@@ -411,8 +413,9 @@ def _reversible(params, coupling, inverse) -> _CoupledMap:
 
 def _states(m, start, count):
     """Packed states start .. start + count - 1, as a pair of int64 word arrays (x, y)."""
-    y, x = np.divmod(np.arange(start, start + count, dtype=np.int64), m)
-    return x, y
+    z = np.arange(start, start + count, dtype=np.int64)
+    y = z // m
+    return z - y * m, y
 
 
 def _roundtrip(cmap, states, draw) -> RoundTripReport:
@@ -558,7 +561,8 @@ def paper_reproduction(
     for start in range(0, count, _SWEEP_CHUNK):
         stop = min(start + _SWEEP_CHUNK, count)
         prev = expected[start - 1 : stop - 1] if start else np.append(z0, expected[: stop - 1])
-        x, y = rund_backward_step(prev % m, prev // m, k)
+        py = prev // m
+        x, y = rund_backward_step(prev - py * m, py, k)
         if np.any(x + m * y != expected[start:stop]):
             # The table costs a step on each of m**2 states and a gather over them
             # per doubling, about what m**2 / 4 scalar steps cost at m = 2048; a

@@ -178,6 +178,12 @@ class TestVerify:
         assert res.returncode == 2
         assert "roundtrip_sample" in res.stderr
 
+    def test_paper_oversized_refused(self, run_cli):
+        res = run_cli("verify", "paper", "--m", "4096")
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr == "error: verify paper walks m**2 steps twice; refusing m > 2048\n"
+
     def test_paper_rejects_no_carry(self, run_cli):
         res = run_cli("verify", "paper", "--no-carry")
         assert res.returncode == 2

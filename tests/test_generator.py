@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 from fractions import Fraction
@@ -458,6 +459,52 @@ class TestSequences:
         seq = generate_sequence(CoupledState(0, 0), n, RUND_PARAMS, RUND_COUPLING)
         assert seq[-1] == (0, 0)
         assert seq[0] == (1731, 0)
+
+
+class TestCollectorPause:
+    """``_walk`` pauses the cyclic collector and hands it back as the caller left it."""
+
+    @pytest.fixture(autouse=True)
+    def keep_collector(self):
+        collecting = gc.isenabled()
+        yield
+        (gc.enable if collecting else gc.disable)()
+
+    def walk_seeing_the_collector(self, monkeypatch, fail=False):
+        seen, walk = [], _CoupledMap.walk
+
+        def spy(self, *args):
+            seen.append(gc.isenabled())
+            if fail:
+                raise ParameterError("walk failed")
+            return walk(self, *args)
+
+        monkeypatch.setattr(_CoupledMap, "walk", spy)
+        return seen
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+    def test_setting_is_restored(self, monkeypatch, collecting):
+        (gc.enable if collecting else gc.disable)()
+        seen = self.walk_seeing_the_collector(monkeypatch)
+        forward = generate_sequence(CoupledState(0, 0), 3, RUND_PARAMS, RUND_COUPLING)
+        assert gc.isenabled() is collecting
+        back = reverse_sequence(forward[-1], 3, RUND_PARAMS, RUND_INVERSE, RUND_COUPLING)
+        assert gc.isenabled() is collecting
+        assert seen == [False, False]
+        assert back == [forward[1], forward[0], (0, 0)]
+
+    @pytest.mark.parametrize("collecting", [True, False], ids=["on", "off"])
+    def test_setting_is_restored_after_an_error(self, monkeypatch, collecting):
+        (gc.enable if collecting else gc.disable)()
+        seen = self.walk_seeing_the_collector(monkeypatch, fail=True)
+        with pytest.raises(ParameterError, match="^walk failed$"):
+            generate_sequence(CoupledState(0, 0), 3, RUND_PARAMS, RUND_COUPLING)
+        assert seen == [False]
+        assert gc.isenabled() is collecting
+        # the map's own refusal, raised after the pause began
+        with pytest.raises(ParameterError, match="^coupling slope 16 must be below m=16"):
+            generate_sequence(CoupledState(0, 0), 3, LcgParams(5, 3, 16), CouplingSpec(16))
+        assert gc.isenabled() is collecting
 
 
 class TestCoupledGenerator:

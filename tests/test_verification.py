@@ -263,6 +263,14 @@ class TestIntegerCounts:
         with pytest.raises(ParameterError, match="imax must be an integer"):
             paper_reproduction(imax=2.5)
 
+    def test_orbit_limit_must_be_positive(self):
+        with pytest.raises(ParameterError, match=r"^limit must be positive, got 0$"):
+            orbit_period(CoupledState(0, 0), RUND_PARAMS, RUND_COUPLING, limit=0)
+
+    def test_sample_count_must_be_positive(self):
+        with pytest.raises(ParameterError, match=r"^sample count must be positive, got 0$"):
+            roundtrip_sample(RUND_PARAMS, RUND_COUPLING, samples=0)
+
 
 class TestHullDobell:
     def test_reference_parameters_satisfy_all(self):
