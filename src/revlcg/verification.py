@@ -15,16 +15,20 @@ reference scale (m = 2048, 2**22 states).
 The orbit walks run in lanes. An orbit of N states is cut into up to
 ``_LANES`` consecutive stretches of T steps; lane l starts T*l steps
 along the orbit, and all lanes advance together through the unchanged
-step arithmetic, elementwise on int64 arrays. The lane starts come
-from an O(log T) jump: with the carry on the coupled map is the packed
-LCG z -> ((a + s*m)*z + b) mod m**2, with it off the affine map
-(x, y) -> [[a, 0], [s, a]]·(x, y) + (b, 0) mod m. This is the
+step arithmetic, elementwise on int64 arrays. Every walk here, forward
+or backward with any (c, d), has a skew form: x -> p*x + u and
+y -> p*y + g(x) mod m. So lane l + 1 starts at the O(log T) affine
+power of (p, u) applied to x_l, and at p**T*y_l plus the y word T steps
+after (x_l, 0). The forward walks have that word in closed form (with
+the carry on the packed LCG z -> ((a + s*m)*z + b) mod m**2, with it
+off (x, y) -> [[a, 0], [s, a]]·(x, y) + (b, 0) mod m); the backward
+walk takes it from one pass of all lanes from y = 0. This is the
 blocking split of L'Ecuyer et al. (2017, "Random numbers for parallel
 computers"), seeded by the arbitrary-stride jump of Brown (1994,
-"Random number generation with arbitrary strides"). The jump is never
-trusted: lane l must end exactly where lane l + 1 started (the stitch
-check, an explicit raise), and by induction from the seed the stitched
-table is the sequential walk. The lanes' states of ``_FLUSH``
+"Random number generation with arbitrary strides"). The seeding is
+never trusted: lane l must end exactly where lane l + 1 started (the
+stitch check, an explicit raise), and by induction from the seed the
+stitched table is the sequential walk. The lanes' states of ``_FLUSH``
 consecutive steps are gathered in one small contiguous buffer and
 written to the table together, so that a step does not scatter one
 store per lane across the table. The period and equidistribution walks
@@ -33,14 +37,11 @@ memory does not grow with the step limit, and stop at the first block
 that closes the orbit.
 
 The reproduction keeps its whole forward table, which the comparisons
-read, and walks no backward lanes. As long as back(i) = forw(imax - i),
-back(i + 1) is one backward step from a state already in that table,
-so one elementwise backward step over the table, ``_SWEEP_CHUNK``
-states at a time, tells whether any comparison fails. A failing walk
-leaves the table and a corrupted backward map has no affine jump: a
-walk of m**2 / 4 steps or more doubles over the step's own table
-(:func:`_table_walk`), a shorter one steps in turn and builds no m**2
-table. Its counts are exactly those of the sequential run.
+read. As long as back(i) = forw(imax - i), back(i + 1) is one backward
+step from a state already in that table, so one elementwise backward
+step over the table, ``_SWEEP_CHUNK`` states at a time, tells whether
+any comparison fails. Only a failing run walks its backward orbit, in
+stitched lanes like the forward one.
 
 Each report states every fact once, as a ``(key, value, line)`` row
 yielded in output order by its private ``_rows()``. Both renderings
@@ -56,6 +57,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -254,50 +256,57 @@ def _compose(f, g, mod):
     )
 
 
-def _lane_jump(cmap, n):
-    """The coupled map applied n times, as a function of (x, y), in O(log n).
-
-    With the carry on, the map is the packed LCG z -> (a + s*m)*z + b
-    mod m**2 (the y terms of the composed map stay zero); with it off,
-    it is (x, y) -> (a*x + b, s*x + a*y) mod m.
-    """
-    m, carry = cmap.m, cmap.carry
-    f = (cmap.a + cmap.s * m, 0, cmap.b, 0) if carry else (cmap.a, cmap.s, cmap.b, 0)
-    mod = m * m if carry else m
+def _power(f, n, mod):
+    """f applied n times, for maps in the form of :func:`_compose`, in O(log n)."""
     acc = (1, 0, 0, 0)
     while n:
         if n & 1:
             acc = _compose(f, acc, mod)
         f = _compose(f, f, mod)
         n >>= 1
-    p, q, u, v = acc
-    if carry:
-
-        def jump(x, y):
-            z = (p * (x + m * y) + u) % mod
-            return z % m, z // m
-
-        return jump
-    return lambda x, y: ((p * x + u) % m, (q * x + p * y + v) % m)
+    return acc
 
 
-def _orbit_table(cmap, x, y, count, step):
-    """Packed states after 1 .. count steps from (x, y), walked in stitched lanes.
+def _lane_tail(cmap, xs, n):
+    """The y words n steps of ``cmap`` after (x, 0) for x in xs, in closed form.
 
-    ``step`` advances the lanes, in the arithmetic of ``cmap`` or of the
-    reference loop; :func:`_lane_jump` of ``cmap`` seeds lane l + 1 from
-    lane l's start. The lanes' states reach the table ``_FLUSH`` steps at
-    a time, through a buffer of one row per step. The result does not
-    rely on the jump: each lane must end exactly where the next one
-    started, or :class:`InvariantError` is raised.
+    With the carry on, the map is the packed LCG z -> (a + s*m)*z + b
+    mod m**2; with it off, it is (x, y) -> (a*x + b, s*x + a*y) mod m.
+    """
+    m = cmap.m
+    if cmap.carry:
+        p, _, u, _ = _power((cmap.a + cmap.s * m, 0, cmap.b, 0), n, m * m)
+        return [(p * x + u) % (m * m) // m for x in xs]
+    _, q, _, v = _power((cmap.a, cmap.s, cmap.b, 0), n, m)
+    return [(q * x + v) % m for x in xs]
+
+
+def _tail_walk(step, xs, n):
+    """The y words n steps of ``step`` after (x, 0) for x in xs, walked in lanes."""
+    x, y = np.array(xs, dtype=np.int64), np.zeros(len(xs), dtype=np.int64)
+    for _ in range(n):
+        x, y = step(x, y)
+    return y.tolist()
+
+
+def _orbit_table(m, x, y, count, step, p, u, tail=None):
+    """Packed states after 1 .. count steps of ``step`` from (x, y), walked in stitched lanes.
+
+    ``step`` has the skew form x -> p*x + u, y -> p*y + g(x) mod m.
+    ``tail(xs, T)`` gives the y words T steps after (x, 0) for x in xs;
+    without it, :func:`_tail_walk` walks them. Each lane must end exactly
+    where the next one started, or :class:`InvariantError` is raised.
     """
     span = -(-count // _LANES)
     lanes = -(-count // span)
-    jump = _lane_jump(cmap, span)
-    seeds = [(x, y)]
+    pt, _, ut, _ = _power((p, 0, u, 0), span, m)
+    xs, ys = [x], [y]
     for _ in range(lanes - 1):
-        seeds.append(jump(*seeds[-1]))
-    sx, sy = np.array(seeds, dtype=np.int64).T
+        xs.append((pt * xs[-1] + ut) % m)
+    tails = tail(xs[:-1], span) if tail else _tail_walk(step, xs[:-1], span)
+    for e in tails:
+        ys.append((pt * ys[-1] + e) % m)
+    sx, sy = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
     # Row l is lane l, so the flattened table is in orbit order. A step
     # writes one packed state per lane, each a row apart in the table; it
     # goes into a contiguous row of `buf` instead, and every _FLUSH steps
@@ -309,7 +318,7 @@ def _orbit_table(cmap, x, y, count, step):
         n = min(_FLUSH, span - t0)
         for row in buf[:n]:
             ex, ey = step(ex, ey)
-            np.add(ex, cmap.m * ey, out=row)
+            np.add(ex, m * ey, out=row)
         table[:, t0 : t0 + n] = buf[:n].T
     broken = np.flatnonzero((ex[:-1] != sx[1:]) | (ey[:-1] != sy[1:]))
     if broken.size:
@@ -327,8 +336,10 @@ def _orbit_blocks(cmap, x, y, limit):
     Covers steps 1 .. limit in blocks of at most ``_BLOCK`` states; each
     block continues from the last state of the one before.
     """
+    tail = partial(_lane_tail, cmap)
     for start in range(0, limit, _BLOCK):
-        z = _orbit_table(cmap, x, y, min(_BLOCK, limit - start), cmap.forward)
+        count = min(_BLOCK, limit - start)
+        z = _orbit_table(cmap.m, x, y, count, cmap.forward, cmap.a, cmap.b, tail)
         yield start, z
         x, y = int(z[-1]) % cmap.m, int(z[-1]) // cmap.m
 
@@ -551,8 +562,9 @@ def paper_reproduction(
     if not 1 <= n <= k.imax:
         raise ParameterError(f"imax must lie in [1, {k.imax}], got {n}")
     bx, by = _require_state((0, 0) if backward_seed is None else backward_seed, k.m)
-    forw = _orbit_table(cmap, 0, 0, n, lambda x, y: rund_forward_step(x, y, k))
     m, count, z0 = k.m, n - 1, bx + k.m * by
+    forward = partial(rund_forward_step, k=k)
+    forw = _orbit_table(m, 0, 0, n, forward, k.a, k.b, partial(_lane_tail, cmap))
     # expected[i] = forw(imax - (i + 1)), the state back(i + 1) must equal.
     # back(i + 1) is one backward step from back(i): from the seed for i = 0,
     # and from expected[i - 1] as long as every comparison before it passed.
@@ -564,11 +576,8 @@ def paper_reproduction(
         py = prev // m
         x, y = rund_backward_step(prev - py * m, py, k)
         if np.any(x + m * y != expected[start:stop]):
-            # The table costs a step on each of m**2 states and a gather over them
-            # per doubling, about what m**2 / 4 scalar steps cost at m = 2048; a
-            # shorter walk takes those steps and holds no table.
-            walk = _table_walk if 4 * count >= m * m else _step_walk
-            bad = walk(lambda x, y: rund_backward_step(x, y, k), m, z0, count) != expected
+            back = partial(rund_backward_step, k=k)
+            bad = _orbit_table(m, bx, by, count, back, k.c, k.d) != expected
             mismatches, first = int(np.count_nonzero(bad)), int(bad.argmax()) + 1
             break
     return ReproductionReport(
@@ -577,33 +586,3 @@ def paper_reproduction(
         first_mismatch_n=first,
         passed=(mismatches == 0),
     )
-
-
-def _step_walk(step, m, z, count):
-    """Packed states after 1 .. count steps of ``step`` from the packed state z, in turn."""
-
-    def states(x, y):
-        for _ in range(count):
-            x, y = step(x, y)
-            yield x + m * y
-
-    return np.fromiter(states(z % m, z // m), np.int64, count)
-
-
-def _table_walk(step, m, z, count):
-    """Packed states after 1 .. count steps of ``step`` from the packed state z.
-
-    ``step`` fills a table t over all packed states, ``_SWEEP_CHUNK`` at a
-    time. While ``walk`` holds steps 1 .. k and t is the step applied k
-    times, t[walk[:k]] gives steps k + 1 .. 2k, and t[t] the step 2k times.
-    """
-    chunks = (_states(m, i, min(_SWEEP_CHUNK, m * m - i)) for i in range(0, m * m, _SWEEP_CHUNK))
-    t = np.concatenate([x + m * y for x, y in (step(*words) for words in chunks)])
-    walk, k = np.empty(count, dtype=np.int64), 1
-    walk[0] = t[z]
-    while k < count:
-        walk[k : 2 * k] = t[walk[: min(k, count - k)]]
-        k *= 2
-        if k < count:  # the last squaring would go unused
-            t = t[t]
-    return walk

@@ -3,9 +3,10 @@
 These are the orbit walks ``revlcg.verification`` ran before its lane
 engine. The differential tests require the lane-parallel
 ``orbit_period``, ``equidistribution_check`` and ``paper_reproduction``
-to return reports equal to these field for field, and the doubling
-table walk of a failing reproduction to equal ``walk_seq``. Inputs are
-assumed valid: the library functions do the validation.
+to return reports equal to these field for field, and the lane walk
+seeded without a closed form, which a failing reproduction runs
+backward, to equal ``walk_seq``. Inputs are assumed valid: the library
+functions do the validation.
 """
 
 from array import array

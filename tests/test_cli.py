@@ -586,6 +586,18 @@ VERIFY_RENDERINGS = [
         "comparisons: 255\nmismatches: 254\nfirst mismatch at n = 1\nreproduction: FAIL\n",
         id="paper-toy-corrupted-c",
     ),
+    pytest.param(
+        ["paper", "--c", "204"], 1,
+        "comparisons=4194303 mismatches=4194302 pass=false first_mismatch_n=1\n",
+        "comparisons: 4194303\nmismatches: 4194302\nfirst mismatch at n = 1\nreproduction: FAIL\n",
+        id="paper-corrupted-c",
+    ),
+    pytest.param(
+        ["paper", "--d", "1498"], 1,
+        "comparisons=4194303 mismatches=4194303 pass=false first_mismatch_n=1\n",
+        "comparisons: 4194303\nmismatches: 4194303\nfirst mismatch at n = 1\nreproduction: FAIL\n",
+        id="paper-corrupted-d",
+    ),
 ]
 
 

@@ -5,13 +5,17 @@ random coupled maps, including maps that are not bijections, step
 limits below the period, the identity map and corrupted reversal
 constants. The engine's lane count, block size, reproduction chunk and
 table flush are patched down so that small orbits still cross lane,
-block, chunk and flush boundaries. The doubling table walk that a
-failing reproduction runs must equal the plain step-by-step walk.
+block, chunk and flush boundaries. The lane walk seeded without a
+closed form, which a failing reproduction runs backward, must equal the
+plain step-by-step walk.
 """
 
+import json
 import subprocess
 import sys
+import tracemalloc
 from contextlib import contextmanager
+from functools import partial
 from unittest.mock import patch
 
 import pytest
@@ -129,7 +133,7 @@ def endpoint(k, n):
 # the second chunk of one; a corrupted c whose first mismatch is at n = 9,
 # in the second chunk of 7; the identity map; the reference toy in lanes
 # of 86 steps, 21 flushes of 4 and a partial one of 2; a failing window of
-# 10, short enough to be stepped in turn rather than doubled over a table.
+# 10, whose backward walk runs in 3 lanes of 3 steps.
 @settings(max_examples=300, deadline=None)
 @given(run=reproduction_runs(), reseed=st.booleans(), shape=SHAPES)
 @example(run=(RundConstants(5, 3, 16, 2, 13, 1, 256), 256, None), reseed=False, shape=(3, 7, 1, 2))
@@ -155,51 +159,65 @@ def backward(k):
 
 @st.composite
 def table_walks(draw):
-    """(step, m, z, count): a coupled map's forward step, with the carry on
-    or off and bijective or not, or the reference backward step with true
-    or corrupted (c, d); counts run past m**2, so the walk wraps its cycle."""
+    """(step, p, u, m, z, count): a coupled map's forward step, with the carry
+    on or off and bijective or not, or the reference backward step with true
+    or corrupted (c, d), and its x word x -> p*x + u; counts run past m**2,
+    so the walk wraps its cycle."""
     params, coupling, seed = draw(coupled_maps())
     m = params.m
     if draw(st.booleans()):
         step = verification._CoupledMap(params, coupling).forward
+        p, u = params.a, params.b
     else:
         word = st.integers(0, m - 1)
-        k = RundConstants(params.a, params.b, m, coupling.s, draw(word), draw(word), m * m)
-        step = backward(k)
-    return step, m, seed.x + m * seed.y, draw(st.integers(1, 2 * m * m + 3))
+        p, u = draw(word), draw(word)
+        step = backward(RundConstants(params.a, params.b, m, coupling.s, p, u, m * m))
+    return step, p, u, m, seed.x + m * seed.y, draw(st.integers(1, 2 * m * m + 3))
 
 
 TOY_K = RundConstants(5, 3, 16, 2, 13, 9, 256)  # the true toy inverse
 
 
 # Examples: the `verify paper --m 16 --a 5 --b 3 --s 2 --c 7` control over
-# its whole window; the true toy inverse past its period; a map that is not
-# a bijection, whose walk runs into a cycle that misses the start; the
-# identity map without the carry; a single step.
+# its whole window, in 7 lanes of 37 steps, the last one cut short; the true
+# toy inverse past its period, in 60 lanes of 5 steps; a map that is not a
+# bijection, whose walk runs into a cycle that misses the start, in lanes
+# of 44 steps; the identity map without the carry, in one lane; a single
+# step.
 @settings(max_examples=300, deadline=None)
-@given(walk=table_walks(), chunk=st.sampled_from([1, 7, verification._SWEEP_CHUNK]))
-@example(walk=(backward(RundConstants(5, 3, 16, 2, 7, 9, 256)), 16, 0, 255), chunk=7)
-@example(walk=(backward(TOY_K), 16, 0, 300), chunk=1)
-@example(walk=(verification._CoupledMap(*NOT_INVERTIBLE[:2]).forward, 8, 0, 131), chunk=7)
-@example(walk=(verification._CoupledMap(*IDENTITY[:2]).forward, 8, 43, 129), chunk=1)
-@example(walk=(backward(TOY_K), 16, 37, 1), chunk=verification._SWEEP_CHUNK)
-def test_table_walk_matches_sequential(walk, chunk):
-    step, m, z, count = walk
-    with patch.object(verification, "_SWEEP_CHUNK", chunk):
-        doubled = verification._table_walk(step, m, z, count)
-    assert doubled.tolist() == walk_seq(step, m, z, count)
+@given(walk=table_walks(), lanes=st.sampled_from([1, 3, 7, 64, verification._LANES]))
+@example(walk=(backward(RundConstants(5, 3, 16, 2, 7, 9, 256)), 7, 9, 16, 0, 255), lanes=7)
+@example(walk=(backward(TOY_K), 13, 9, 16, 0, 300), lanes=64)
+@example(walk=(verification._CoupledMap(*NOT_INVERTIBLE[:2]).forward, 2, 1, 8, 0, 131), lanes=3)
+@example(walk=(verification._CoupledMap(*IDENTITY[:2]).forward, 1, 0, 8, 43, 129), lanes=1)
+@example(walk=(backward(TOY_K), 13, 9, 16, 37, 1), lanes=verification._LANES)
+def test_table_walk_matches_sequential(walk, lanes):
+    step, p, u, m, z, count = walk
+    with patch.object(verification, "_LANES", lanes):
+        table = verification._orbit_table(m, z % m, z // m, count, step, p, u)
+    assert table.tolist() == walk_seq(step, m, z, count)
 
 
 def test_short_failing_window_at_large_m_builds_no_table():
-    # A table over m**2 = 10**10 states would not fit in memory; a window of
-    # 100 states is stepped in turn, so doubling must not be reached.
+    # A table over m**2 = 10**10 states would take 80 GB; the failing walk's
+    # lanes hold only its window, here 100 states and then 200 000 states in
+    # 4082 lanes of 49 steps.
     m = 100_003
     k = RundConstants(a=5, b=3, m=m, s=2, c=7, d=9, imax=m * m)
     seed = endpoint(k, 100)
-    with patch.object(verification, "_table_walk", side_effect=AssertionError("m**2 table")):
-        report = paper_reproduction(k, imax=100, backward_seed=seed)
+    report = paper_reproduction(k, imax=100, backward_seed=seed)
     assert not report.passed
     assert report == paper_reproduction_seq(k, 100, seed)
+    seed = endpoint(k, 200_000)
+    tracemalloc.start()
+    try:
+        report = paper_reproduction(k, imax=200_000, backward_seed=seed)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not report.passed
+    assert report == paper_reproduction_seq(k, 200_000, seed)
+    assert peak < 32 << 20
 
 
 def test_orbit_table_at_the_shipped_shape():
@@ -209,25 +227,26 @@ def test_orbit_table_at_the_shipped_shape():
     count = verification._LANES * 65 + 1
     assert verification._FLUSH == 64 and -(-count // verification._LANES) == 66
     cmap = verification._CoupledMap(params, coupling)
-    table = verification._orbit_table(cmap, 0, 0, count, cmap.forward)
+    tail = partial(verification._lane_tail, cmap)
+    table = verification._orbit_table(2048, 0, 0, count, cmap.forward, 1029, 1731, tail)
     walk = generate_sequence(CoupledState(0, 0), count, params, coupling)
     assert table.tolist() == [x + 2048 * y for x, y in walk]
 
 
-JUMP = verification._lane_jump
+POWER = verification._power
 
 
-def off_by_one_jump(cmap, n):
-    return JUMP(cmap, n + 1)
+def off_by_one_power(f, n, mod):
+    return POWER(f, n + 1, mod)
 
 
 def test_broken_jump_fails_the_stitch_check():
     params, coupling, seed = FULL_TOY
     # 257 states in 4 lanes of 65 steps: lane 0 ends after 65 steps, and the
-    # broken jump seeds lane 1 one step further on
+    # broken power seeds lane 1, x and y words, one step further on
     walk = generate_sequence(seed, 66, params, coupling)
     expected, got = tuple(walk[64]), tuple(walk[65])
-    with engine_shape((4, 1 << 22, 1 << 15, 64)), patch.object(verification, "_lane_jump", off_by_one_jump):
+    with engine_shape((4, 1 << 22, 1 << 15, 64)), patch.object(verification, "_power", off_by_one_power):
         with pytest.raises(InvariantError, match="lane 1 should start where lane 0 ends") as err:
             orbit_period(seed, params, coupling)
     assert f"expected {expected}, got {got}" in str(err.value)
@@ -241,9 +260,16 @@ HUGE_COUPLING = "revlcg.generator._CoupledMap.f = lambda cmap, x: 10 * cmap.m * 
 BROKEN_UNDER_O = {
     "lane jump": (
         "v = revlcg.verification\n"
-        "jump = v._lane_jump\n"
-        "v._lane_jump = lambda cmap, n: jump(cmap, n + 1)\n"
+        "power = v._power\n"
+        "v._power = lambda f, n, mod: power(f, n + 1, mod)\n"
         "v.orbit_period(revlcg.CoupledState(0, 0), revlcg.LcgParams(5, 3, 16), C)\n",
+        "lanes do not stitch",
+    ),
+    "failing walk lanes": (
+        "v = revlcg.verification\n"
+        "walk = v._tail_walk\n"
+        "v._tail_walk = lambda step, xs, n: [e + 1 for e in walk(step, xs, n)]\n"
+        "v.paper_reproduction(revlcg.RundConstants(5, 3, 16, 2, 7, 9, 256))\n",
         "lanes do not stitch",
     ),
     "derived inverse": (
@@ -259,16 +285,50 @@ BROKEN_UNDER_O = {
 }
 
 
-@pytest.mark.parametrize("what", sorted(BROKEN_UNDER_O))
-def test_invariant_checks_survive_python_O(what):
-    body, message = BROKEN_UNDER_O[what]
-    script = (
-        "import revlcg, revlcg.congruence, revlcg.generator, revlcg.verification\n"
-        "P, C = revlcg.LcgParams(5, 3, 8), revlcg.CouplingSpec(2)\n"
-        "S, I = revlcg.CoupledState(1, 2), revlcg.InverseParams(5, 1)\n"
-        "assert False, 'asserts are on'\n" + body
+# Runs each body in one python -O process, restoring every attribute a body
+# patched before the next; prints {name: [exit code, traceback]}, the exit
+# code being the 1 an uncaught exception would give.
+RUN_UNDER_O = """
+import json, sys, traceback
+import revlcg, revlcg.congruence, revlcg.generator, revlcg.verification
+patchable = (revlcg, revlcg.congruence, revlcg.generator, revlcg.verification,
+             revlcg.generator._CoupledMap)
+saved = [(obj, dict(vars(obj))) for obj in patchable]
+prelude = (
+    "P, C = revlcg.LcgParams(5, 3, 8), revlcg.CouplingSpec(2)\\n"
+    "S, I = revlcg.CoupledState(1, 2), revlcg.InverseParams(5, 1)\\n"
+    "assert False, 'asserts are on'\\n"
+)
+results = {}
+for name, body in json.load(sys.stdin).items():
+    try:
+        exec(prelude + body, {"revlcg": revlcg})
+        results[name] = [0, ""]
+    except Exception:
+        results[name] = [1, traceback.format_exc()]
+    for obj, attrs in saved:
+        for key, value in attrs.items():
+            if vars(obj).get(key) is not value:
+                setattr(obj, key, value)
+print(json.dumps(results))
+"""
+
+
+@pytest.fixture(scope="module")
+def runs_under_O():
+    bodies = {what: body for what, (body, _) in BROKEN_UNDER_O.items()}
+    res = subprocess.run(
+        [sys.executable, "-O", "-c", RUN_UNDER_O],
+        input=json.dumps(bodies), capture_output=True, text=True,
     )
-    res = subprocess.run([sys.executable, "-O", "-c", script], capture_output=True, text=True)
-    assert "asserts are on" not in res.stderr
-    assert res.returncode == 1
-    assert "InvariantError" in res.stderr and message in res.stderr, res.stderr
+    assert res.returncode == 0, res.stderr
+    return json.loads(res.stdout)
+
+
+@pytest.mark.parametrize("what", sorted(BROKEN_UNDER_O))
+def test_invariant_checks_survive_python_O(what, runs_under_O):
+    message = BROKEN_UNDER_O[what][1]
+    returncode, stderr = runs_under_O[what]
+    assert "asserts are on" not in stderr
+    assert returncode == 1
+    assert "InvariantError" in stderr and message in stderr, stderr
