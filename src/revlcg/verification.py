@@ -7,10 +7,10 @@ forward/backward/compare reproduction run of the reference program.
 
 Each check builds the coupled map, ``generator._CoupledMap``, once from
 its parameters, and that constructor is where s < m and c, d in [0, m)
-are checked. The sweeps evaluate the map's step methods, the ones the
-scalar step functions use, elementwise over packed numpy arrays, so
-enumerating all m**2 states stays a sub-second operation at the
-reference scale (m = 2048, 2**22 states).
+are checked. The round-trip sweep runs the map's step methods, the ones
+the scalar steps use, on x = 0 .. m-1 as a row and blocks of y as a
+column, so numpy broadcasting computes the terms of x alone once per
+column and the y terms once per state of the (y, x) grid.
 
 The orbit walks run in lanes. An orbit of N states is cut into up to
 ``_LANES`` consecutive stretches of T steps; lane l starts T*l steps
@@ -38,10 +38,10 @@ that closes the orbit.
 
 The reproduction keeps its whole forward table, which the comparisons
 read. As long as back(i) = forw(imax - i), back(i + 1) is one backward
-step from a state already in that table, so one elementwise backward
-step over the table, ``_SWEEP_CHUNK`` states at a time, tells whether
-any comparison fails. Only a failing run walks its backward orbit, in
-stitched lanes like the forward one.
+step from a state already in that table, so a scalar step from the seed
+and an elementwise step over the table, ``_SWEEP_CHUNK`` states at a
+time in forward order, tell whether any comparison fails. Only a failing
+run walks its backward orbit, in stitched lanes like the forward one.
 
 Each report states every fact once, as a ``(key, value, line)`` row
 yielded in output order by its private ``_rows()``. Both renderings
@@ -85,8 +85,9 @@ _LANES = 4096
 _BLOCK = 1 << 22
 _FLUSH = 64
 
-# The round-trip checks and the reproduction's backward check step this
-# many states at a time, whatever m or the sample count is. Their dozen
+# The round-trip sample and the reproduction's backward check step this
+# many states at a time, and the sweep whole rows of the grid up to this
+# many (at least one row), whatever m or the sample count is. Their dozen
 # int64 temporaries take about 3 MiB: more than the 2 MiB L2 cache of one
 # core of the 2-vCPU Xeon VM this was timed on (lscpu: 4 MiB over 2
 # instances), yet chunks of 2**14 and 2**16 states were no faster there.
@@ -422,24 +423,21 @@ def _reversible(params, coupling, inverse) -> _CoupledMap:
     return _CoupledMap(params, coupling, derive_inverse(params) if inverse is None else inverse)
 
 
-def _states(m, start, count):
-    """Packed states start .. start + count - 1, as a pair of int64 word arrays (x, y)."""
-    z = np.arange(start, start + count, dtype=np.int64)
-    y = z // m
-    return z - y * m, y
+def _grid(m):
+    """[0, m)**2 in z order as (x, y) chunks: x of shape (1, m), y of (rows, 1) rows."""
+    rows, x = max(1, _SWEEP_CHUNK // m), np.arange(m, dtype=np.int64).reshape(1, m)
+    return ((x, x.T[r : r + rows]) for r in range(0, m, rows))
 
 
-def _roundtrip(cmap, states, draw) -> RoundTripReport:
-    """Check backward(forward(state)) = state on ``states`` states of ``cmap``.
+def _roundtrip(cmap, chunks) -> RoundTripReport:
+    """Check backward(forward(state)) = state on the states of ``chunks``.
 
-    ``draw(start, count)`` returns states start .. start + count - 1 as a
-    pair of int64 word arrays. They run through the step arithmetic
-    elementwise, ``_SWEEP_CHUNK`` at a time, and the first mismatch
-    reported is the first drawn.
+    Each chunk is a pair of int64 word arrays (x, y) that broadcast to
+    an array of states. The first mismatch reported is the first in the
+    order of the chunks and, within one, in the flat broadcast order.
     """
-    mismatches, first = 0, None
-    for start in range(0, states, _SWEEP_CHUNK):
-        x, y = draw(start, min(_SWEEP_CHUNK, states - start))
+    states, mismatches, first = 0, 0, None
+    for x, y in chunks:
         x0, y0, slack = cmap.backward(*cmap.forward(x, y))
         if int(slack.min()) < 0:
             raise InvariantError("backward offset went negative")
@@ -447,7 +445,8 @@ def _roundtrip(cmap, states, draw) -> RoundTripReport:
         count = int(np.count_nonzero(bad))
         if count and first is None:
             i = int(bad.argmax())
-            first = CoupledState(int(x[i]), int(y[i]))
+            first = CoupledState(*(int(w.flat[i]) for w in np.broadcast_arrays(x, y)))
+        states += bad.size
         mismatches += count
     return RoundTripReport(states_checked=states, mismatches=mismatches, first_mismatch=first)
 
@@ -459,9 +458,9 @@ def roundtrip_sweep(
 ) -> RoundTripReport:
     """Check backward(forward(state)) = state on every state in [0, m)**2.
 
-    Runs the step arithmetic elementwise over the packed state space, in
-    chunks of ``_SWEEP_CHUNK`` states taken in packed (z) order, so the
-    first mismatch reported is the one with the smallest z.
+    Runs the step arithmetic over the (y, x) grid of states, broadcast
+    over whole rows of up to ``_SWEEP_CHUNK`` states taken in packed (z)
+    order, so the first mismatch reported is the one with the smallest z.
     Pass an explicit ``inverse`` to test corrupted reversal constants;
     by default the true inverse is derived from the parameters.
     """
@@ -470,7 +469,7 @@ def roundtrip_sweep(
     m = _CoupledMap(params, coupling).m
     _require_sweepable(m, "roundtrip_sweep", "; use roundtrip_sample for spot checks at this size")
     cmap = _reversible(params, coupling, inverse)
-    return _roundtrip(cmap, m * m, lambda start, count: _states(m, start, count))
+    return _roundtrip(cmap, _grid(m))
 
 
 def roundtrip_sample(
@@ -493,11 +492,12 @@ def roundtrip_sample(
     cmap = _reversible(params, coupling, inverse)
     randrange, m = random.Random(rng_seed).randrange, params.m
 
-    def draw(start, count):
+    def draw(count):
         words = np.fromiter((randrange(m) for _ in range(2 * count)), np.int64, 2 * count)
         return words[0::2], words[1::2]
 
-    return _roundtrip(cmap, samples, draw)
+    sizes = (min(_SWEEP_CHUNK, samples - start) for start in range(0, samples, _SWEEP_CHUNK))
+    return _roundtrip(cmap, map(draw, sizes))
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -562,24 +562,26 @@ def paper_reproduction(
     if not 1 <= n <= k.imax:
         raise ParameterError(f"imax must lie in [1, {k.imax}], got {n}")
     bx, by = _require_state((0, 0) if backward_seed is None else backward_seed, k.m)
-    m, count, z0 = k.m, n - 1, bx + k.m * by
+    m, count = k.m, n - 1
     forward = partial(rund_forward_step, k=k)
     forw = _orbit_table(m, 0, 0, n, forward, k.a, k.b, partial(_lane_tail, cmap))
-    # expected[i] = forw(imax - (i + 1)), the state back(i + 1) must equal.
-    # back(i + 1) is one backward step from back(i): from the seed for i = 0,
-    # and from expected[i - 1] as long as every comparison before it passed.
-    expected = forw[:count][::-1]
-    mismatches, first = 0, None
-    for start in range(0, count, _SWEEP_CHUNK):
+    # back(i) must equal forw[count - i], the state imax - i steps forward.
+    # back(1) is one backward step from the seed and back(i + 1) one from
+    # back(i), so every comparison passes exactly when the seed steps back
+    # to forw[count - 1] and each forw[j], 0 < j < count, to forw[j - 1].
+    x, y = rund_backward_step(bx, by, k)
+    passed, start = count == 0 or x + m * y == forw[count - 1], 1
+    while passed and start < count:
         stop = min(start + _SWEEP_CHUNK, count)
-        prev = expected[start - 1 : stop - 1] if start else np.append(z0, expected[: stop - 1])
-        py = prev // m
-        x, y = rund_backward_step(prev - py * m, py, k)
-        if np.any(x + m * y != expected[start:stop]):
-            back = partial(rund_backward_step, k=k)
-            bad = _orbit_table(m, bx, by, count, back, k.c, k.d) != expected
-            mismatches, first = int(np.count_nonzero(bad)), int(bad.argmax()) + 1
-            break
+        cur = forw[start:stop]
+        cy = cur // m
+        x, y = rund_backward_step(cur - cy * m, cy, k)
+        passed, start = bool(np.all(x + m * y == forw[start - 1 : stop - 1])), stop
+    mismatches, first = 0, None
+    if not passed:
+        back = partial(rund_backward_step, k=k)
+        bad = _orbit_table(m, bx, by, count, back, k.c, k.d) != forw[:count][::-1]
+        mismatches, first = int(np.count_nonzero(bad)), int(bad.argmax()) + 1
     return ReproductionReport(
         comparisons=count,
         mismatches=mismatches,

@@ -18,6 +18,7 @@ from contextlib import contextmanager
 from functools import partial
 from unittest.mock import patch
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -129,18 +130,22 @@ def endpoint(k, n):
 
 
 # Examples: a corrupted d; the `verify paper --m 16 --a 5 --b 3 --s 2 --c 7`
-# control; a truncated window; a seed whose first mismatch is at n = 2, in
-# the second chunk of one; a corrupted c whose first mismatch is at n = 9,
-# in the second chunk of 7; the identity map; the reference toy in lanes
-# of 86 steps, 21 flushes of 4 and a partial one of 2; a failing window of
-# 10, whose backward walk runs in 3 lanes of 3 steps.
+# control; a truncated window; a seed whose first mismatch is at n = 2, and
+# whose seed step and table pair forw[1] -> forw[0] pass, so the check
+# fails in its second chunk of one (pair forw[2] -> forw[1]); a corrupted c
+# whose first mismatch is at n = 9, failing the check in the second chunk
+# of one in the same way; true constants from a seed that is not the
+# forward endpoint, where only the seed step fails; the identity map; the
+# reference toy in lanes of 86 steps, 21 flushes of 4 and a partial one of
+# 2; a failing window of 10, whose backward walk runs in 3 lanes of 3 steps.
 @settings(max_examples=300, deadline=None)
 @given(run=reproduction_runs(), reseed=st.booleans(), shape=SHAPES)
 @example(run=(RundConstants(5, 3, 16, 2, 13, 1, 256), 256, None), reseed=False, shape=(3, 7, 1, 2))
 @example(run=(RundConstants(5, 3, 16, 2, 7, 9, 256), 256, None), reseed=False, shape=(5, 64, 7, 1))
 @example(run=(RundConstants(5, 3, 16, 2, 13, 2, 256), 100, None), reseed=True, shape=(3, 7, 1, 2))
-@example(run=(RundConstants(5, 3, 16, 2, 7, 0, 256), 256, (15, 13)), reseed=False, shape=(3, 7, 1, 2))
-@example(run=(RundConstants(17, 14, 32, 1, 1, 18, 1024), 1024, None), reseed=False, shape=(3, 7, 7, 3))
+@example(run=(RundConstants(5, 3, 16, 2, 5, 9, 256), 256, (0, 8)), reseed=False, shape=(3, 7, 1, 2))
+@example(run=(RundConstants(17, 14, 32, 1, 1, 18, 1024), 1024, None), reseed=False, shape=(3, 7, 1, 3))
+@example(run=(RundConstants(5, 3, 16, 2, 13, 9, 256), 100, (0, 0)), reseed=False, shape=(3, 7, 1, 2))
 @example(run=(RundConstants(1, 0, 8, 0, 1, 0, 64), 64, (3, 5)), reseed=False, shape=(3, 7, 1, 2))
 @example(run=(RundConstants(5, 3, 16, 2, 13, 1, 256), 256, None), reseed=False, shape=(3, 7, 1, 4))
 @example(run=(RundConstants(5, 3, 16, 2, 7, 9, 256), 10, None), reseed=True, shape=(3, 7, 1, 2))
@@ -151,6 +156,28 @@ def test_paper_reproduction_matches_sequential(run, reseed, shape):
     with engine_shape(shape):
         lanes = paper_reproduction(k, imax=n, backward_seed=seed)
     assert lanes == paper_reproduction_seq(k, n, (0, 0) if seed is None else seed)
+
+
+@pytest.mark.parametrize(
+    "k, n, seed, checks",
+    [
+        (RundConstants(5, 3, 16, 2, 5, 9, 256), 256, (0, 8), [(), (1,), (1,)]),
+        (RundConstants(17, 14, 32, 1, 1, 18, 1024), 1024, None, [(), (1,), (1,)]),
+        (RundConstants(5, 3, 16, 2, 13, 9, 256), 100, (0, 0), [()]),
+    ],
+)
+def test_reproduction_check_fails_where_the_examples_say(k, n, seed, checks):
+    # The check steps back from the seed (a scalar), then from chunks of one
+    # table state; the failing walk that follows steps lanes of 2 and 3.
+    shapes = []
+
+    def spy(x, y, k):
+        shapes.append(np.shape(x))
+        return rund_backward_step(x, y, k)
+
+    with engine_shape((3, 7, 1, 2)), patch.object(verification, "rund_backward_step", spy):
+        assert not paper_reproduction(k, imax=n, backward_seed=seed).passed
+    assert shapes[: len(checks) + 1] == checks + [(2,)]
 
 
 def backward(k):

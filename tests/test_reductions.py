@@ -1,22 +1,39 @@
-"""The array reductions v - (v // m)*m against ``%`` on plain ints.
+"""The array reductions v - (v // m)*m against ``%`` on plain ints, and the sweep's grid.
 
-The coupled map's steps and ``verification._states`` reduce int64 arrays
-by floor division, which numpy runs as a multiply by a precomputed
-reciprocal; ``%`` would run ``np.remainder``, a divide per element.
-These tests hold the arrays to a ``%``-based reference on Python ints,
-exhaustively on toy grids and at the largest modulus, and check that
-``np.remainder`` is not called on the array paths.
+The coupled map's steps reduce int64 arrays by floor division, which
+numpy runs as a multiply by a precomputed reciprocal; ``%`` would run
+``np.remainder``, a divide per element. These tests hold the arrays to a
+``%``-based reference on Python ints, exhaustively on toy grids and at
+the largest modulus, and check that ``np.remainder`` is not called on
+the array paths. ``roundtrip_sweep`` runs those steps on chunks of whole
+rows of the (y, x) grid, x of shape (1, m) and y of shape (rows, 1):
+the chunks must broadcast to the states in z order, and the sweep must
+equal a state-by-state run of the reference, whatever the chunk size.
 """
 
 import math
 import random
+from unittest.mock import patch
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from revlcg import MAX_MODULUS, CouplingSpec, InverseParams, LcgParams, derive_inverse
+from revlcg import (
+    MAX_MODULUS,
+    CoupledState,
+    CouplingSpec,
+    InvariantError,
+    InverseParams,
+    LcgParams,
+    RoundTripReport,
+    derive_inverse,
+    roundtrip_sweep,
+    verification,
+)
 from revlcg.generator import _CoupledMap
-from revlcg.verification import _states
+from revlcg.verification import _grid
 
 
 def reference_forward(x, y, a, b, m, s, carry):
@@ -84,17 +101,39 @@ def test_largest_modulus_stays_inside_int64(carry):
         check_against_reference(_CoupledMap(params, CouplingSpec(top, carry), inverse), x, y)
 
 
+def grid_states(m, stop):
+    """The sweep's chunks, broadcast and concatenated in order, until they hold ``stop`` states."""
+    rows = max(1, verification._SWEEP_CHUNK // m)
+    xs, ys, held = [], [], 0
+    for x, y in _grid(m):
+        assert x.dtype == y.dtype == np.int64
+        assert x.shape == (1, m) and y.shape == (min(rows, m - held // m), 1)
+        bx, by = np.broadcast_arrays(x, y)
+        xs.append(bx.ravel())
+        ys.append(by.ravel())
+        held += bx.size
+        if held >= stop:
+            break
+    return np.concatenate(xs), np.concatenate(ys)
+
+
+# The largest modulus has 2**21 rows; its window straddles the first two,
+# one chunk each at every size below, without walking all of them.
 @pytest.mark.parametrize(
     "m, start, count",
     [(2, 0, 4), (7, 3, 40), (2048, 0, 1 << 15), (2048, 2048 * 2048 - 5000, 5000),
-     (MAX_MODULUS, MAX_MODULUS**2 - 3000, 3000)],
+     (MAX_MODULUS, MAX_MODULUS - 1500, 3000)],
 )
-def test_states_equal_divmod(m, start, count):
-    x, y = _states(m, start, count)
+@pytest.mark.parametrize("chunk", ["shipped", 1, 7, "m - 1", "m", "m + 1"])
+def test_grid_chunks_equal_divmod(monkeypatch, m, start, count, chunk):
+    sizes = {"shipped": verification._SWEEP_CHUNK, "m - 1": m - 1, "m": m, "m + 1": m + 1}
+    monkeypatch.setattr(verification, "_SWEEP_CHUNK", sizes.get(chunk, chunk))
+    x, y = grid_states(m, start + count)
+    if m * m == start + count:
+        assert x.size == m * m
     q, r = np.divmod(np.arange(start, start + count, dtype=np.int64), m)
-    assert x.dtype == y.dtype == np.int64
-    np.testing.assert_array_equal(x, r)
-    np.testing.assert_array_equal(y, q)
+    np.testing.assert_array_equal(x[start : start + count], r)
+    np.testing.assert_array_equal(y[start : start + count], q)
 
 
 class Recorded(np.ndarray):
@@ -129,9 +168,79 @@ def test_map_steps_call_no_remainder(recorded, carry):
     assert not {"remainder", "fmod", "divmod"} & set(recorded)
 
 
-def test_states_call_no_remainder(recorded, monkeypatch):
+@pytest.mark.parametrize("carry", [True, False])
+def test_sweep_calls_no_remainder(recorded, monkeypatch, carry):
     arange = np.arange
     monkeypatch.setattr(np, "arange", lambda *a, **k: arange(*a, **k).view(Recorded))
-    _states(2048, 5, 4096)
+    monkeypatch.setattr(verification, "_SWEEP_CHUNK", 64)
+    report = roundtrip_sweep(LcgParams(5, 3, 16), CouplingSpec(2, carry), InverseParams(13, 10))
+    assert report.mismatches == 256
     assert "floor_divide" in recorded
     assert not {"remainder", "fmod", "divmod"} & set(recorded)
+
+
+def sweep_reference(params, coupling, inverse):
+    """The round-trip report of the plain-int reference, one state at a time in z order."""
+    a, b, m, s, carry = params.a, params.b, params.m, coupling.s, coupling.carry_enabled
+    mismatches, first = 0, None
+    for z in range(m * m):
+        y, x = divmod(z, m)
+        fx, fy = reference_forward(x, y, a, b, m, s, carry)
+        x0, y0, slack = reference_backward(fx, fy, a, b, m, s, carry, inverse.c, inverse.d)
+        assert slack >= 0
+        if (x0, y0) != (x, y):
+            mismatches += 1
+            first = CoupledState(x, y) if first is None else first
+    return RoundTripReport(states_checked=m * m, mismatches=mismatches, first_mismatch=first)
+
+
+@st.composite
+def toy_sweeps(draw):
+    """A map with m <= 40, the carry on or off, and true, corrupted or random (c, d)."""
+    m = draw(st.integers(2, 40))
+    word = st.integers(0, m - 1)
+    params = LcgParams(draw(word), draw(word), m)
+    coupling = CouplingSpec(draw(word), carry_enabled=draw(st.booleans()))
+    inverse = InverseParams(draw(word), draw(word))
+    if math.gcd(params.a, m) == 1:
+        true = derive_inverse(params)
+        inverse = draw(st.sampled_from([true, corrupted(true, m), inverse]))
+    return params, coupling, inverse
+
+
+@settings(max_examples=200, deadline=None)
+@given(sweep=toy_sweeps(), chunk=st.sampled_from([1, 7, 64, verification._SWEEP_CHUNK]))
+def test_grid_sweep_matches_the_reference(sweep, chunk):
+    with patch.object(verification, "_SWEEP_CHUNK", chunk):
+        assert roundtrip_sweep(*sweep) == sweep_reference(*sweep)
+
+
+def corrupt_row_11(monkeypatch, corrupt):
+    """Chunks of 2 rows of 16, and ``corrupt(y0, slack, row)`` on the backward step's output.
+
+    ``row`` flags the states of row y = 11, the second row of the sixth
+    chunk, so a check there depends on both the chunk's row offset and
+    the row inside it.
+    """
+    backward = _CoupledMap.backward
+
+    def backward_row_11(self, x, y):
+        x0, y0, slack = backward(self, x, y)
+        return (x0, *corrupt(y0, slack, y0 == 11))
+
+    monkeypatch.setattr(_CoupledMap, "backward", backward_row_11)
+    monkeypatch.setattr(verification, "_SWEEP_CHUNK", 32)
+
+
+def test_first_mismatch_in_a_later_chunk(monkeypatch):
+    corrupt_row_11(monkeypatch, lambda y0, slack, row: (y0 + row, slack))
+    report = roundtrip_sweep(LcgParams(5, 3, 16), CouplingSpec(2))
+    assert report == RoundTripReport(
+        states_checked=256, mismatches=16, first_mismatch=CoupledState(0, 11)
+    )
+
+
+def test_slack_checked_in_every_row(monkeypatch):
+    corrupt_row_11(monkeypatch, lambda y0, slack, row: (y0, np.where(row, -1, slack)))
+    with pytest.raises(InvariantError, match="went negative"):
+        roundtrip_sweep(LcgParams(5, 3, 16), CouplingSpec(2))
