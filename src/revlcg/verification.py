@@ -28,20 +28,25 @@ computers"), seeded by the arbitrary-stride jump of Brown (1994,
 "Random number generation with arbitrary strides"). The seeding is
 never trusted: lane l must end exactly where lane l + 1 started (the
 stitch check, an explicit raise), and by induction from the seed the
-stitched table is the sequential walk. The lanes' states of ``_FLUSH``
-consecutive steps are gathered in one small contiguous buffer and
-written to the table together, so that a step does not scatter one
-store per lane across the table. The period and equidistribution walks
-build their orbit tables in blocks of at most ``_BLOCK`` states, so
-memory does not grow with the step limit, and stop at the first block
-that closes the orbit.
+stitched walk is the sequential one. ``_lane_walk`` yields the lanes'
+words after each step and makes the stitch check once the last step has
+been taken, so a check reads each step as it is made and gives a
+passing verdict only after a walk run out to its end.
 
-The reproduction keeps its whole forward table, which the comparisons
-read. As long as back(i) = forw(imax - i), back(i + 1) is one backward
-step from a state already in that table, so a scalar step from the seed
-and an elementwise step over the table, ``_SWEEP_CHUNK`` states at a
-time in forward order, tell whether any comparison fails. Only a failing
-run walks its backward orbit, in stitched lanes like the forward one.
+None of the passing checks holds an orbit table. The period walk tests
+each step's words against the seed, the equidistribution walk marks them
+in its coverage flags, and both walk in blocks of at most ``_BLOCK``
+states, each continuing from the last state of the one before, and stop
+at the first block that closes the orbit. The reproduction steps each
+forward state back as it is walked: as long as back(i) = forw(imax - i),
+back(i + 1) is one backward step from a forward state, so one scalar
+step from the seed and one elementwise step per lane step, compared with
+the words of the step before, tell whether any comparison fails. Only a
+failing run builds tables, with ``_orbit_table``: of its forward orbit
+and of its backward one, both walked in stitched lanes. A table gathers
+the lanes' states of ``_FLUSH`` consecutive steps in one small
+contiguous buffer and writes them together, so that a step does not
+scatter one store per lane across the table.
 
 Each report states every fact once, as a ``(key, value, line)`` row
 yielded in output order by its private ``_rows()``. Both renderings
@@ -77,17 +82,18 @@ from .rund import RUND, RundConstants, rund_backward_step, rund_forward_step
 # the walk stop being desk-scale.
 SWEEP_MAX_M = 4096
 
-# Orbit walks step this many lanes at once, and hold at most _BLOCK
-# packed states (32 MiB of int64) of one orbit at a time. The lanes'
-# states of _FLUSH consecutive steps are gathered in one contiguous
-# buffer (2 MiB at 4096 lanes) before they are written to the table.
+# Orbit walks step this many lanes at once. The period and
+# equidistribution walks take an orbit _BLOCK states at a time, so they
+# stop within _BLOCK states of where it closes. A table of the failing
+# reproduction gathers the lanes' states of _FLUSH consecutive steps in
+# one contiguous buffer (2 MiB at 4096 lanes) before writing them out.
 _LANES = 4096
 _BLOCK = 1 << 22
 _FLUSH = 64
 
-# The round-trip sample and the reproduction's backward check step this
-# many states at a time, and the sweep whole rows of the grid up to this
-# many (at least one row), whatever m or the sample count is. Their dozen
+# The round-trip sample steps this many states at a time, and the sweep
+# whole rows of the grid up to this many (at least one row), whatever m
+# or the sample count is. Their dozen
 # int64 temporaries take about 3 MiB: more than the 2 MiB L2 cache of one
 # core of the 2-vCPU Xeon VM this was timed on (lscpu: 4 MiB over 2
 # instances), yet chunks of 2**14 and 2**16 states were no faster there.
@@ -290,16 +296,29 @@ def _tail_walk(step, xs, n):
     return y.tolist()
 
 
-def _orbit_table(m, x, y, count, step, p, u, tail=None):
-    """Packed states after 1 .. count steps of ``step`` from (x, y), walked in stitched lanes.
+def _lane_shape(count):
+    """(T, L, e): count states cut into L lanes of T steps, the last lane ending at its step e."""
+    span = -(-count // _LANES)
+    return span, -(-count // span), (count - 1) % span
+
+
+def _lane_walk(m, x, y, count, step, p, u, tail=None):
+    """Yield the lanes' words (x, y) after each step of a stitched walk of count states.
+
+    The walk covers the states after 1 .. count steps of ``step`` from
+    (x, y), in the L lanes of T steps of :func:`_lane_shape`: entry l of
+    the arrays yielded t-th (from 0) is the state after l*T + t + 1 steps,
+    at index l*T + t of the orbit. The last lane is left out of the steps
+    after its step e, which would take it to index count or beyond.
 
     ``step`` has the skew form x -> p*x + u, y -> p*y + g(x) mod m.
     ``tail(xs, T)`` gives the y words T steps after (x, 0) for x in xs;
-    without it, :func:`_tail_walk` walks them. Each lane must end exactly
-    where the next one started, or :class:`InvariantError` is raised.
+    without it, :func:`_tail_walk` walks them. Once the last step has been
+    yielded, each lane must have ended exactly where the next one
+    started, or :class:`InvariantError` is raised, so only a walk run out
+    to its end is proven to be the sequential one.
     """
-    span = -(-count // _LANES)
-    lanes = -(-count // span)
+    span, lanes, end_t = _lane_shape(count)
     pt, _, ut, _ = _power((p, 0, u, 0), span, m)
     xs, ys = [x], [y]
     for _ in range(lanes - 1):
@@ -308,19 +327,10 @@ def _orbit_table(m, x, y, count, step, p, u, tail=None):
     for e in tails:
         ys.append((pt * ys[-1] + e) % m)
     sx, sy = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
-    # Row l is lane l, so the flattened table is in orbit order. A step
-    # writes one packed state per lane, each a row apart in the table; it
-    # goes into a contiguous row of `buf` instead, and every _FLUSH steps
-    # the block is copied into the table as columns t0 .. t0 + n - 1.
-    table = np.empty((lanes, span), dtype=np.int64)
-    buf = np.empty((min(_FLUSH, span), lanes), dtype=np.int64)
     ex, ey = sx, sy
-    for t0 in range(0, span, _FLUSH):
-        n = min(_FLUSH, span - t0)
-        for row in buf[:n]:
-            ex, ey = step(ex, ey)
-            np.add(ex, m * ey, out=row)
-        table[:, t0 : t0 + n] = buf[:n].T
+    for t in range(span):
+        ex, ey = step(ex, ey)
+        yield (ex, ey) if t <= end_t else (ex[:-1], ey[:-1])
     broken = np.flatnonzero((ex[:-1] != sx[1:]) | (ey[:-1] != sy[1:]))
     if broken.size:
         lane = int(broken[0])
@@ -328,21 +338,28 @@ def _orbit_table(m, x, y, count, step, p, u, tail=None):
             f"orbit lanes do not stitch: lane {lane + 1} should start where lane {lane} "
             f"ends, expected ({ex[lane]}, {ey[lane]}), got ({sx[lane + 1]}, {sy[lane + 1]})"
         )
+
+
+def _forward_lanes(cmap, x, y, count):
+    """The lane walk of count forward steps of ``cmap`` from (x, y), seeded in closed form."""
+    return _lane_walk(cmap.m, x, y, count, cmap.forward, cmap.a, cmap.b, partial(_lane_tail, cmap))
+
+
+def _orbit_table(m, x, y, count, step, p, u, tail=None):
+    """Packed states after 1 .. count steps of ``step`` from (x, y), from :func:`_lane_walk`."""
+    span, lanes, _ = _lane_shape(count)
+    # Row l is lane l, so the flattened table is in orbit order. A step
+    # gives one packed state per lane, each a row apart in the table; they
+    # go into a contiguous row of `buf` instead, and every _FLUSH steps the
+    # rows are copied into the table as columns.
+    table = np.empty((lanes, span), dtype=np.int64)
+    buf = np.empty((min(_FLUSH, span), lanes), dtype=np.int64)
+    for t, (ex, ey) in enumerate(_lane_walk(m, x, y, count, step, p, u, tail)):
+        row = t % _FLUSH
+        np.add(ex, m * ey, out=buf[row, : ex.size])
+        if row == _FLUSH - 1 or t == span - 1:
+            table[:, t - row : t + 1] = buf[: row + 1].T
     return table.ravel()[:count]
-
-
-def _orbit_blocks(cmap, x, y, limit):
-    """Yield (start, z) with z[i] the packed state start + i + 1 steps after (x, y).
-
-    Covers steps 1 .. limit in blocks of at most ``_BLOCK`` states; each
-    block continues from the last state of the one before.
-    """
-    tail = partial(_lane_tail, cmap)
-    for start in range(0, limit, _BLOCK):
-        count = min(_BLOCK, limit - start)
-        z = _orbit_table(cmap.m, x, y, count, cmap.forward, cmap.a, cmap.b, tail)
-        yield start, z
-        x, y = int(z[-1]) % cmap.m, int(z[-1]) // cmap.m
 
 
 def orbit_period(
@@ -361,22 +378,30 @@ def orbit_period(
     happen when the map is not bijective or the limit is below the
     true period.
     """
-    x, y = _require_state(seed, params.m)
+    x0, y0 = _require_state(seed, params.m)
     cmap = _CoupledMap(params, coupling)
     m2 = params.m * params.m
     limit = m2 + 1 if limit is None else _require_int(limit, "limit")
     if limit < 1:
         raise ParameterError(f"limit must be positive, got {limit}")
-    z0 = x + params.m * y
-    for start, z in _orbit_blocks(cmap, x, y, limit):
-        hits = np.flatnonzero(z == z0)
-        if hits.size:
-            period = start + int(hits[0]) + 1
+    x, y = x0, y0
+    for start in range(0, limit, _BLOCK):
+        count = min(_BLOCK, limit - start)
+        span, _, end_t = _lane_shape(count)
+        first = count
+        for t, (ex, ey) in enumerate(_forward_lanes(cmap, x, y, count)):
+            hits = np.flatnonzero((ex == x0) & (ey == y0))
+            if hits.size:
+                first = min(first, int(hits[0]) * span + t)
+            if t == end_t:
+                x, y = int(ex[-1]), int(ey[-1])
+        if first < count:
+            period = start + first + 1
             return OrbitReport(
                 period=period,
                 reached_full_period=(period == m2),
                 states_visited=period,
-                first_repeat_state=CoupledState(x, y),
+                first_repeat_state=CoupledState(x0, y0),
             )
     return OrbitReport(
         period=None, reached_full_period=False, states_visited=limit, first_repeat_state=None
@@ -396,19 +421,32 @@ def equidistribution_check(
     x, y = _require_state(seed, params.m)
     cmap = _CoupledMap(params, coupling)
     _require_sweepable(params.m, "equidistribution_check")
-    total = params.m * params.m
-    z0 = x + params.m * y
+    m, total = params.m, params.m * params.m
+    z0 = x + m * y
     seen = np.zeros(total, dtype=bool)
     seen[z0] = True
-    for start, z in _orbit_blocks(cmap, x, y, total):
-        seen[z] = True
+    for start in range(0, total, _BLOCK):
+        count = min(_BLOCK, total - start)
+        span, _, end_t = _lane_shape(count)
+        lane_start = x, y
+        for t, (ex, ey) in enumerate(_forward_lanes(cmap, x, y, count)):
+            seen[ex + m * ey] = True
+            if t == end_t:
+                x, y = int(ex[-1]), int(ey[-1])
         covered = int(np.count_nonzero(seen))
-        if covered <= start + z.size:
+        if covered <= start + count:
             break
     # The map is deterministic, so the states after 0 .. covered - 1 steps
     # are distinct and the state after `covered` steps is the first repeat;
-    # with total + 1 states in total slots that happens by step total.
-    repeat = int(z[covered - start - 1])
+    # with total + 1 states in total slots that happens by step total. It
+    # is the block's last state or t + 1 steps on from where its lane
+    # started: the block's start, or the end of the lane before.
+    if covered < start + count:
+        lane, t = divmod(covered - start - 1, span)
+        x, y = (int(ex[lane - 1]), int(ey[lane - 1])) if lane else lane_start
+        for _ in range(t + 1):
+            x, y = cmap.forward(x, y)
+    repeat = x + m * y
     return EquidistributionReport(
         covered=covered,
         total=total,
@@ -533,6 +571,39 @@ def hull_dobell_check(params: LcgParams) -> HullDobellReport:
     )
 
 
+def _differ(x, y, px, py):
+    """Whether the words (x, y) differ anywhere from the first ones of (px, py)."""
+    return bool(((x != px[: x.size]) | (y != py[: x.size])).any())
+
+
+def _retraces(k, count, bx, by, forward, tail):
+    """Whether back(i) = forw[count - i] for i = 1 .. count, from the backward seed (bx, by).
+
+    forw[j] is the state j + 1 steps of ``forward`` after (0, 0). back(1)
+    is one backward step from the seed and back(i + 1) one from back(i),
+    so every comparison passes exactly when the seed steps back to
+    forw[count - 1] and each forw[j], 0 < j < count, to forw[j - 1]. The
+    forward walk's lanes step back as they are walked, onto the lanes'
+    words of the step before. Once the walk is done and its lanes have
+    stitched, a lane's first state is compared with the last state of the
+    lane before it, and the seed's backward step with forw[count - 1],
+    taken as it was walked. forw[0] never steps back onto the start
+    (0, 0): the reference program makes no such comparison.
+    """
+    _, _, end_t = _lane_shape(count)
+    x, y = rund_backward_step(bx, by, k)
+    for t, (ex, ey) in enumerate(_lane_walk(k.m, 0, 0, count, forward, k.a, k.b, tail)):
+        px, py = rund_backward_step(ex, ey, k)
+        if t == 0:
+            hx, hy = px[1:], py[1:]
+        elif _differ(px, py, qx, qy):
+            return False
+        if t == end_t:
+            end = int(ex[-1]), int(ey[-1])
+        qx, qy = ex, ey
+    return (x, y) == end and not _differ(hx, hy, qx, qy)
+
+
 def paper_reproduction(
     constants: RundConstants = RUND,
     imax: Optional[int] = None,
@@ -563,24 +634,12 @@ def paper_reproduction(
         raise ParameterError(f"imax must lie in [1, {k.imax}], got {n}")
     bx, by = _require_state((0, 0) if backward_seed is None else backward_seed, k.m)
     m, count = k.m, n - 1
-    forward = partial(rund_forward_step, k=k)
-    forw = _orbit_table(m, 0, 0, n, forward, k.a, k.b, partial(_lane_tail, cmap))
-    # back(i) must equal forw[count - i], the state imax - i steps forward.
-    # back(1) is one backward step from the seed and back(i + 1) one from
-    # back(i), so every comparison passes exactly when the seed steps back
-    # to forw[count - 1] and each forw[j], 0 < j < count, to forw[j - 1].
-    x, y = rund_backward_step(bx, by, k)
-    passed, start = count == 0 or x + m * y == forw[count - 1], 1
-    while passed and start < count:
-        stop = min(start + _SWEEP_CHUNK, count)
-        cur = forw[start:stop]
-        cy = cur // m
-        x, y = rund_backward_step(cur - cy * m, cy, k)
-        passed, start = bool(np.all(x + m * y == forw[start - 1 : stop - 1])), stop
+    forward, tail = partial(rund_forward_step, k=k), partial(_lane_tail, cmap)
     mismatches, first = 0, None
-    if not passed:
+    if count and not _retraces(k, count, bx, by, forward, tail):
+        forw = _orbit_table(m, 0, 0, count, forward, k.a, k.b, tail)
         back = partial(rund_backward_step, k=k)
-        bad = _orbit_table(m, bx, by, count, back, k.c, k.d) != forw[:count][::-1]
+        bad = _orbit_table(m, bx, by, count, back, k.c, k.d) != forw[::-1]
         mismatches, first = int(np.count_nonzero(bad)), int(bad.argmax()) + 1
     return ReproductionReport(
         comparisons=count,

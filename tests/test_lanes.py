@@ -3,11 +3,13 @@
 Every report must equal the sequential one field for field, over small
 random coupled maps, including maps that are not bijections, step
 limits below the period, the identity map and corrupted reversal
-constants. The engine's lane count, block size, reproduction chunk and
-table flush are patched down so that small orbits still cross lane,
-block, chunk and flush boundaries. The lane walk seeded without a
-closed form, which a failing reproduction runs backward, must equal the
-plain step-by-step walk.
+constants. The engine's lane count, block size and table flush are
+patched down so that small orbits still cross lane, block and flush
+boundaries; the shapes also set the round-trip chunk, which no orbit
+walk may depend on. The lane walk seeded without a closed form, which a
+failing reproduction runs backward, must equal the plain step-by-step
+walk, and the passing checks at the reference size must hold no orbit
+table.
 """
 
 import json
@@ -46,7 +48,7 @@ from sequential_walks import (
 )
 
 # (lanes, block, chunk, flush): the shipped shape, one lane, and shapes
-# whose lanes, blocks, chunks and flush blocks end inside small orbits.
+# whose lanes, blocks and flush blocks end inside small orbits.
 SHIPPED = (verification._LANES, verification._BLOCK, verification._SWEEP_CHUNK, verification._FLUSH)
 SHAPES = st.sampled_from(
     [SHIPPED, (1, 1 << 22, 7, 3), (3, 7, 1, 2), (5, 64, 7, 1), (64, 1000, 1 << 15, 3)]
@@ -131,13 +133,13 @@ def endpoint(k, n):
 
 # Examples: a corrupted d; the `verify paper --m 16 --a 5 --b 3 --s 2 --c 7`
 # control; a truncated window; a seed whose first mismatch is at n = 2, and
-# whose seed step and table pair forw[1] -> forw[0] pass, so the check
-# fails in its second chunk of one (pair forw[2] -> forw[1]); a corrupted c
-# whose first mismatch is at n = 9, failing the check in the second chunk
-# of one in the same way; true constants from a seed that is not the
-# forward endpoint, where only the seed step fails; the identity map; the
-# reference toy in lanes of 86 steps, 21 flushes of 4 and a partial one of
-# 2; a failing window of 10, whose backward walk runs in 3 lanes of 3 steps.
+# whose seed step and pair forw[1] -> forw[0] pass, while the pair
+# forw[2] -> forw[1] fails; a corrupted c whose first mismatch is at n = 9,
+# where the same two pairs pass and fail; true constants from a seed that
+# is not the forward endpoint, where only the seed step fails; the identity
+# map; the reference toy in lanes of 86 steps, 21 flushes of 4 and a
+# partial one of 2; a failing window of 10, whose backward walk runs in 3
+# lanes of 3 steps.
 @settings(max_examples=300, deadline=None)
 @given(run=reproduction_runs(), reseed=st.booleans(), shape=SHAPES)
 @example(run=(RundConstants(5, 3, 16, 2, 13, 1, 256), 256, None), reseed=False, shape=(3, 7, 1, 2))
@@ -159,25 +161,41 @@ def test_paper_reproduction_matches_sequential(run, reseed, shape):
 
 
 @pytest.mark.parametrize(
-    "k, n, seed, checks",
+    "k, n, seed, steps",
     [
-        (RundConstants(5, 3, 16, 2, 5, 9, 256), 256, (0, 8), [(), (1,), (1,)]),
-        (RundConstants(17, 14, 32, 1, 1, 18, 1024), 1024, None, [(), (1,), (1,)]),
-        (RundConstants(5, 3, 16, 2, 13, 9, 256), 100, (0, 0), [()]),
+        (RundConstants(5, 3, 16, 2, 5, 9, 256), 256, (0, 8), 3),
+        (RundConstants(17, 14, 32, 1, 1, 18, 1024), 1024, None, 3),
+        (RundConstants(5, 3, 16, 2, 13, 9, 256), 100, (0, 0), 99),
     ],
 )
-def test_reproduction_check_fails_where_the_examples_say(k, n, seed, checks):
-    # The check steps back from the seed (a scalar), then from chunks of one
-    # table state; the failing walk that follows steps lanes of 2 and 3.
-    shapes = []
+def test_reproduction_check_fails_where_the_examples_say(k, n, seed, steps):
+    # In one lane the check is sequential: it steps the seed back (a scalar),
+    # then each forward state as it is walked, forw[0] with no comparison,
+    # and stops at the first failing pair; the seed's step is compared with
+    # the last state once the walk is done. In the first two examples the
+    # pair forw[1] -> forw[0] passes and forw[2] -> forw[1] fails; in the
+    # last every pair passes and only the seed's comparison fails. Then the
+    # failing run builds its tables.
+    calls = []
+    orbit_table = verification._orbit_table
 
     def spy(x, y, k):
-        shapes.append(np.shape(x))
+        calls.append(np.ravel(x + k.m * y).tolist())
         return rund_backward_step(x, y, k)
 
-    with engine_shape((3, 7, 1, 2)), patch.object(verification, "rund_backward_step", spy):
+    def table(*args):
+        calls.append("table")
+        return orbit_table(*args)
+
+    with (
+        engine_shape((1, 7, 1, 2)),
+        patch.object(verification, "rund_backward_step", spy),
+        patch.object(verification, "_orbit_table", table),
+    ):
         assert not paper_reproduction(k, imax=n, backward_seed=seed).passed
-    assert shapes[: len(checks) + 1] == checks + [(2,)]
+    x, y = (0, 0) if seed is None else seed
+    forw = walk_seq(lambda x, y: rund_forward_step(x, y, k), k.m, 0, steps)
+    assert calls[: steps + 2] == [[x + k.m * y]] + [[z] for z in forw] + ["table"]
 
 
 def backward(k):
@@ -222,7 +240,17 @@ def test_table_walk_matches_sequential(walk, lanes):
     step, p, u, m, z, count = walk
     with patch.object(verification, "_LANES", lanes):
         table = verification._orbit_table(m, z % m, z // m, count, step, p, u)
-    assert table.tolist() == walk_seq(step, m, z, count)
+        span, _, _ = verification._lane_shape(count)
+        steps = list(verification._lane_walk(m, z % m, z // m, count, step, p, u))
+    expected = walk_seq(step, m, z, count)
+    assert table.tolist() == expected
+    # entry l of step t is orbit index l*span + t; none lies past the walk
+    walked = {
+        lane * span + t: int(x + m * y)
+        for t, (xs, ys) in enumerate(steps)
+        for lane, (x, y) in enumerate(zip(xs, ys))
+    }
+    assert walked == dict(enumerate(expected))
 
 
 def test_short_failing_window_at_large_m_builds_no_table():
@@ -260,6 +288,27 @@ def test_orbit_table_at_the_shipped_shape():
     assert table.tolist() == [x + 2048 * y for x, y in walk]
 
 
+def test_passing_checks_hold_no_orbit_table():
+    # One table of the 2**22 reference states takes 32 MiB; the
+    # equidistribution check's coverage flags take 4 MiB of that bound.
+    params, coupling, seed = LcgParams(1029, 1731, 2048), CouplingSpec(1536), CoupledState(0, 0)
+    checks = [
+        lambda: orbit_period(seed, params, coupling).passed,
+        lambda: equidistribution_check(params, coupling, seed).passed,
+        lambda: paper_reproduction().passed,
+    ]
+    peaks = []
+    tracemalloc.start()
+    try:
+        for check in checks:
+            tracemalloc.reset_peak()
+            assert check()
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < 8 << 20, peaks
+
+
 POWER = verification._power
 
 
@@ -290,6 +339,20 @@ BROKEN_UNDER_O = {
         "power = v._power\n"
         "v._power = lambda f, n, mod: power(f, n + 1, mod)\n"
         "v.orbit_period(revlcg.CoupledState(0, 0), revlcg.LcgParams(5, 3, 16), C)\n",
+        "lanes do not stitch",
+    ),
+    "passing equidistribution lanes": (
+        "v = revlcg.verification\n"
+        "power = v._power\n"
+        "v._power = lambda f, n, mod: power(f, n + 1, mod)\n"
+        "v.equidistribution_check(revlcg.LcgParams(5, 3, 16), C, revlcg.CoupledState(0, 0))\n",
+        "lanes do not stitch",
+    ),
+    "passing reproduction lanes": (
+        "v = revlcg.verification\n"
+        "power = v._power\n"
+        "v._power = lambda f, n, mod: power(f, n + 1, mod)\n"
+        "v.paper_reproduction(revlcg.RundConstants(5, 3, 16, 2, 13, 9, 256))\n",
         "lanes do not stitch",
     ),
     "failing walk lanes": (
