@@ -28,10 +28,12 @@ computers"), seeded by the arbitrary-stride jump of Brown (1994,
 "Random number generation with arbitrary strides"). The seeding is
 never trusted: lane l must end exactly where lane l + 1 started (the
 stitch check, an explicit raise), and by induction from the seed the
-stitched walk is the sequential one. ``_lane_walk`` yields the lanes'
+stitched walk is the sequential one. A ``_LaneWalk`` yields the lanes'
 words after each step and makes the stitch check once the last step has
 been taken, so a check reads each step as it is made and gives a
-passing verdict only after a walk run out to its end.
+passing verdict only after a walk run out to its end. Any single state
+of the walk, such as its last, it steps in turn from the start of that
+state's lane.
 
 None of the passing checks holds an orbit table. The period walk tests
 each step's words against the seed, the equidistribution walk marks them
@@ -41,8 +43,10 @@ at the first block that closes the orbit. The reproduction steps each
 forward state back as it is walked: as long as back(i) = forw(imax - i),
 back(i + 1) is one backward step from a forward state, so one scalar
 step from the seed and one elementwise step per lane step, compared with
-the words of the step before, tell whether any comparison fails. Only a
-failing run builds tables, with ``_orbit_table``: of its forward orbit
+the words of the step before, tell whether any comparison fails. The
+seed's step is compared first, with the walk's last state, so a run
+from a wrong backward seed fails before its walk. Only a failing run
+builds tables, with ``_orbit_table``: of its forward orbit
 and of its backward one, both walked in stitched lanes. A table gathers
 the lanes' states of ``_FLUSH`` consecutive steps in one small
 contiguous buffer and writes them together, so that a step does not
@@ -296,68 +300,87 @@ def _tail_walk(step, xs, n):
     return y.tolist()
 
 
-def _lane_shape(count):
-    """(T, L, e): count states cut into L lanes of T steps, the last lane ending at its step e."""
-    span = -(-count // _LANES)
-    return span, -(-count // span), (count - 1) % span
+class _LaneWalk:
+    """A stitched walk of the states after 1 .. count steps of ``step`` from (x, y).
 
+    The walk is cut into ``lanes`` lanes of ``span`` = T steps; lane l
+    starts at the state after l*T steps. ``step`` has the skew form
+    x -> p*x + u, y -> p*y + g(x) mod m, and ``tail(xs, T)`` gives the y
+    words T steps after (x, 0) for x in xs; without it, :func:`_tail_walk`
+    walks them.
 
-def _lane_walk(m, x, y, count, step, p, u, tail=None):
-    """Yield the lanes' words (x, y) after each step of a stitched walk of count states.
-
-    The walk covers the states after 1 .. count steps of ``step`` from
-    (x, y), in the L lanes of T steps of :func:`_lane_shape`: entry l of
+    Iterating yields the lanes' words (x, y) after each step: entry l of
     the arrays yielded t-th (from 0) is the state after l*T + t + 1 steps,
     at index l*T + t of the orbit. The last lane is left out of the steps
-    after its step e, which would take it to index count or beyond.
-
-    ``step`` has the skew form x -> p*x + u, y -> p*y + g(x) mod m.
-    ``tail(xs, T)`` gives the y words T steps after (x, 0) for x in xs;
-    without it, :func:`_tail_walk` walks them. Once the last step has been
-    yielded, each lane must have ended exactly where the next one
+    that would take it to index count or beyond. Once the last step has
+    been yielded, each lane must have ended exactly where the next one
     started, or :class:`InvariantError` is raised, so only a walk run out
-    to its end is proven to be the sequential one.
+    to its end is proven to be the sequential one. ``state(j)`` steps
+    the state at index j from the start of its lane, in at most T scalar
+    steps; past lane 0 it rests on the same seeding.
     """
-    span, lanes, end_t = _lane_shape(count)
-    pt, _, ut, _ = _power((p, 0, u, 0), span, m)
-    xs, ys = [x], [y]
-    for _ in range(lanes - 1):
-        xs.append((pt * xs[-1] + ut) % m)
-    tails = tail(xs[:-1], span) if tail else _tail_walk(step, xs[:-1], span)
-    for e in tails:
-        ys.append((pt * ys[-1] + e) % m)
-    sx, sy = np.array(xs, dtype=np.int64), np.array(ys, dtype=np.int64)
-    ex, ey = sx, sy
-    for t in range(span):
-        ex, ey = step(ex, ey)
-        yield (ex, ey) if t <= end_t else (ex[:-1], ey[:-1])
-    broken = np.flatnonzero((ex[:-1] != sx[1:]) | (ey[:-1] != sy[1:]))
-    if broken.size:
-        lane = int(broken[0])
-        raise InvariantError(
-            f"orbit lanes do not stitch: lane {lane + 1} should start where lane {lane} "
-            f"ends, expected ({ex[lane]}, {ey[lane]}), got ({sx[lane + 1]}, {sy[lane + 1]})"
-        )
+
+    def __init__(self, m, x, y, count, step, p, u, tail=None):
+        self.count, self.span = count, -(-count // _LANES)
+        self.lanes, self._step = -(-count // self.span), step
+        pt, _, ut, _ = _power((p, 0, u, 0), self.span, m)
+        xs, ys = [x], [y]
+        for _ in range(self.lanes - 1):
+            xs.append((pt * xs[-1] + ut) % m)
+        tails = tail(xs[:-1], self.span) if tail else _tail_walk(step, xs[:-1], self.span)
+        for e in tails:
+            ys.append((pt * ys[-1] + e) % m)
+        self._starts = xs, ys
+
+    def state(self, j):
+        lane, t = divmod(j, self.span)
+        x, y = self._starts[0][lane], self._starts[1][lane]
+        for _ in range(t + 1):
+            x, y = self._step(x, y)
+        return x, y
+
+    def __iter__(self):
+        sx, sy = (np.array(words, dtype=np.int64) for words in self._starts)
+        ex, ey, end_t = sx, sy, (self.count - 1) % self.span
+        for t in range(self.span):
+            ex, ey = self._step(ex, ey)
+            yield (ex, ey) if t <= end_t else (ex[:-1], ey[:-1])
+        broken = np.flatnonzero((ex[:-1] != sx[1:]) | (ey[:-1] != sy[1:]))
+        if broken.size:
+            lane = int(broken[0])
+            raise InvariantError(
+                f"orbit lanes do not stitch: lane {lane + 1} should start where lane {lane} "
+                f"ends, expected ({ex[lane]}, {ey[lane]}), got ({sx[lane + 1]}, {sy[lane + 1]})"
+            )
 
 
-def _forward_lanes(cmap, x, y, count):
-    """The lane walk of count forward steps of ``cmap`` from (x, y), seeded in closed form."""
-    return _lane_walk(cmap.m, x, y, count, cmap.forward, cmap.a, cmap.b, partial(_lane_tail, cmap))
+def _forward_blocks(cmap, x, y, total):
+    """Yield (start, walk): the total states after (x, y) in stitched forward walks.
+
+    Each walk covers up to ``_BLOCK`` states, from orbit index start, in
+    lanes seeded in closed form, and continues from the last state of the
+    one before; the caller runs each walk out before it takes the next.
+    """
+    for start in range(0, total, _BLOCK):
+        count = min(_BLOCK, total - start)
+        walk = _LaneWalk(cmap.m, x, y, count, cmap.forward, cmap.a, cmap.b, partial(_lane_tail, cmap))
+        yield start, walk
+        x, y = walk.state(count - 1)
 
 
 def _orbit_table(m, x, y, count, step, p, u, tail=None):
-    """Packed states after 1 .. count steps of ``step`` from (x, y), from :func:`_lane_walk`."""
-    span, lanes, _ = _lane_shape(count)
+    """Packed states after 1 .. count steps of ``step`` from (x, y), from a :class:`_LaneWalk`."""
+    walk = _LaneWalk(m, x, y, count, step, p, u, tail)
     # Row l is lane l, so the flattened table is in orbit order. A step
     # gives one packed state per lane, each a row apart in the table; they
     # go into a contiguous row of `buf` instead, and every _FLUSH steps the
     # rows are copied into the table as columns.
-    table = np.empty((lanes, span), dtype=np.int64)
-    buf = np.empty((min(_FLUSH, span), lanes), dtype=np.int64)
-    for t, (ex, ey) in enumerate(_lane_walk(m, x, y, count, step, p, u, tail)):
+    table = np.empty((walk.lanes, walk.span), dtype=np.int64)
+    buf = np.empty((min(_FLUSH, walk.span), walk.lanes), dtype=np.int64)
+    for t, (ex, ey) in enumerate(walk):
         row = t % _FLUSH
         np.add(ex, m * ey, out=buf[row, : ex.size])
-        if row == _FLUSH - 1 or t == span - 1:
+        if row == _FLUSH - 1 or t == walk.span - 1:
             table[:, t - row : t + 1] = buf[: row + 1].T
     return table.ravel()[:count]
 
@@ -384,19 +407,14 @@ def orbit_period(
     limit = m2 + 1 if limit is None else _require_int(limit, "limit")
     if limit < 1:
         raise ParameterError(f"limit must be positive, got {limit}")
-    x, y = x0, y0
-    for start in range(0, limit, _BLOCK):
-        count = min(_BLOCK, limit - start)
-        span, _, end_t = _lane_shape(count)
-        first = count
-        for t, (ex, ey) in enumerate(_forward_lanes(cmap, x, y, count)):
-            hits = np.flatnonzero((ex == x0) & (ey == y0))
-            if hits.size:
-                first = min(first, int(hits[0]) * span + t)
-            if t == end_t:
-                x, y = int(ex[-1]), int(ey[-1])
-        if first < count:
-            period = start + first + 1
+    for start, walk in _forward_blocks(cmap, x0, y0, limit):
+        hits = [
+            int(lane) * walk.span + t
+            for t, (ex, ey) in enumerate(walk)
+            for lane in np.flatnonzero((ex == x0) & (ey == y0))[:1]
+        ]
+        if hits:
+            period = start + min(hits) + 1
             return OrbitReport(
                 period=period,
                 reached_full_period=(period == m2),
@@ -425,27 +443,17 @@ def equidistribution_check(
     z0 = x + m * y
     seen = np.zeros(total, dtype=bool)
     seen[z0] = True
-    for start in range(0, total, _BLOCK):
-        count = min(_BLOCK, total - start)
-        span, _, end_t = _lane_shape(count)
-        lane_start = x, y
-        for t, (ex, ey) in enumerate(_forward_lanes(cmap, x, y, count)):
+    for start, walk in _forward_blocks(cmap, x, y, total):
+        for ex, ey in walk:
             seen[ex + m * ey] = True
-            if t == end_t:
-                x, y = int(ex[-1]), int(ey[-1])
         covered = int(np.count_nonzero(seen))
-        if covered <= start + count:
+        if covered <= start + walk.count:
             break
     # The map is deterministic, so the states after 0 .. covered - 1 steps
     # are distinct and the state after `covered` steps is the first repeat;
-    # with total + 1 states in total slots that happens by step total. It
-    # is the block's last state or t + 1 steps on from where its lane
-    # started: the block's start, or the end of the lane before.
-    if covered < start + count:
-        lane, t = divmod(covered - start - 1, span)
-        x, y = (int(ex[lane - 1]), int(ey[lane - 1])) if lane else lane_start
-        for _ in range(t + 1):
-            x, y = cmap.forward(x, y)
+    # with total + 1 states in total slots that happens by step total, in
+    # the last block walked.
+    x, y = walk.state(covered - start - 1)
     repeat = x + m * y
     return EquidistributionReport(
         covered=covered,
@@ -583,25 +591,25 @@ def _retraces(k, count, bx, by, forward, tail):
     is one backward step from the seed and back(i + 1) one from back(i),
     so every comparison passes exactly when the seed steps back to
     forw[count - 1] and each forw[j], 0 < j < count, to forw[j - 1]. The
-    forward walk's lanes step back as they are walked, onto the lanes'
-    words of the step before. Once the walk is done and its lanes have
-    stitched, a lane's first state is compared with the last state of the
-    lane before it, and the seed's backward step with forw[count - 1],
-    taken as it was walked. forw[0] never steps back onto the start
-    (0, 0): the reference program makes no such comparison.
+    seed's backward step is compared first, with forw[count - 1] stepped
+    from the start of its lane. Then the forward walk's lanes step back as
+    they are walked, onto the lanes' words of the step before, and once
+    the walk is done and its lanes have stitched, a lane's first state is
+    compared with the last state of the lane before it. forw[0] never
+    steps back onto the start (0, 0): the reference program makes no such
+    comparison.
     """
-    _, _, end_t = _lane_shape(count)
-    x, y = rund_backward_step(bx, by, k)
-    for t, (ex, ey) in enumerate(_lane_walk(k.m, 0, 0, count, forward, k.a, k.b, tail)):
+    walk = _LaneWalk(k.m, 0, 0, count, forward, k.a, k.b, tail)
+    if rund_backward_step(bx, by, k) != walk.state(count - 1):
+        return False
+    for t, (ex, ey) in enumerate(walk):
         px, py = rund_backward_step(ex, ey, k)
         if t == 0:
             hx, hy = px[1:], py[1:]
         elif _differ(px, py, qx, qy):
             return False
-        if t == end_t:
-            end = int(ex[-1]), int(ey[-1])
         qx, qy = ex, ey
-    return (x, y) == end and not _differ(hx, hy, qx, qy)
+    return not _differ(hx, hy, qx, qy)
 
 
 def paper_reproduction(

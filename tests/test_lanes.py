@@ -165,17 +165,17 @@ def test_paper_reproduction_matches_sequential(run, reseed, shape):
     [
         (RundConstants(5, 3, 16, 2, 5, 9, 256), 256, (0, 8), 3),
         (RundConstants(17, 14, 32, 1, 1, 18, 1024), 1024, None, 3),
-        (RundConstants(5, 3, 16, 2, 13, 9, 256), 100, (0, 0), 99),
+        (RundConstants(5, 3, 16, 2, 13, 9, 256), 100, (0, 0), 0),
     ],
 )
 def test_reproduction_check_fails_where_the_examples_say(k, n, seed, steps):
-    # In one lane the check is sequential: it steps the seed back (a scalar),
-    # then each forward state as it is walked, forw[0] with no comparison,
-    # and stops at the first failing pair; the seed's step is compared with
-    # the last state once the walk is done. In the first two examples the
-    # pair forw[1] -> forw[0] passes and forw[2] -> forw[1] fails; in the
-    # last every pair passes and only the seed's comparison fails. Then the
-    # failing run builds its tables.
+    # In one lane the check is sequential: it steps the seed back (a scalar)
+    # and compares that with the last state, then steps back each forward
+    # state as it is walked, forw[0] with no comparison, and stops at the
+    # first failing pair. In the first two examples the seed's step and the
+    # pair forw[1] -> forw[0] pass and forw[2] -> forw[1] fails; in the
+    # last only the seed's comparison fails, before any forward state is
+    # stepped back. Then the failing run builds its tables.
     calls = []
     orbit_table = verification._orbit_table
 
@@ -240,10 +240,14 @@ def test_table_walk_matches_sequential(walk, lanes):
     step, p, u, m, z, count = walk
     with patch.object(verification, "_LANES", lanes):
         table = verification._orbit_table(m, z % m, z // m, count, step, p, u)
-        span, _, _ = verification._lane_shape(count)
-        steps = list(verification._lane_walk(m, z % m, z // m, count, step, p, u))
+        lane_walk = verification._LaneWalk(m, z % m, z // m, count, step, p, u)
+        steps = list(lane_walk)
     expected = walk_seq(step, m, z, count)
     assert table.tolist() == expected
+    span = lane_walk.span
+    for j in {0, span - 1, count - 1}:
+        x, y = lane_walk.state(j)
+        assert x + m * y == expected[j]
     # entry l of step t is orbit index l*span + t; none lies past the walk
     walked = {
         lane * span + t: int(x + m * y)
