@@ -16,24 +16,37 @@ The orbit walks run in lanes. An orbit of N states is cut into up to
 ``_LANES`` consecutive stretches of T steps; lane l starts T*l steps
 along the orbit, and all lanes advance together through the unchanged
 step arithmetic, elementwise on int64 arrays. Every walk here, forward
-or backward with any (c, d), has a skew form: x -> p*x + u and
-y -> p*y + g(x) mod m. So lane l + 1 starts at the O(log T) affine
-power of (p, u) applied to x_l, and at p**T*y_l plus the y word T steps
-after (x_l, 0). The forward walks have that word in closed form (with
-the carry on the packed LCG z -> ((a + s*m)*z + b) mod m**2, with it
-off (x, y) -> [[a, 0], [s, a]]·(x, y) + (b, 0) mod m); the backward
-walk takes it from one pass of all lanes from y = 0. This is the
-blocking split of L'Ecuyer et al. (2017, "Random numbers for parallel
-computers"), seeded by the arbitrary-stride jump of Brown (1994,
-"Random number generation with arbitrary strides"). The seeding is
-never trusted: lane l must end exactly where lane l + 1 started (the
+or backward with any (c, d), has a skew form: x -> p*x + u never reads
+y, and y -> p*y + g(x) mod m reads only x. So lane l + 1 starts at the
+O(log T) affine power of (p, u) applied to x_l, and at p**T*y_l plus
+the y word T steps after (x_l, 0). The forward walks have that word in
+closed form (with the carry on the packed LCG
+z -> ((a + s*m)*z + b) mod m**2, with it off
+(x, y) -> [[a, 0], [s, a]]·(x, y) + (b, 0) mod m); the backward walk
+takes it from one pass from y = 0. This is the blocking split of
+L'Ecuyer et al. (2017, "Random numbers for parallel computers"),
+seeded by the arbitrary-stride jump of Brown (1994, "Random number
+generation with arbitrary strides").
+
+The skew form also means that two lanes which start on the same x word
+hold the same x word at every step. The lanes' start words repeat with
+some smallest lane period k (at the reference size T = 1024 and x has
+period 2048, so k = 2), and a ``_LaneWalk`` seats lane l in row l % k,
+column l // k of a (k, cols) grid: x is a (k, 1) column and y a
+(k, cols) array, and numpy broadcasting steps each row's x word once
+and each lane's y word once, as the round-trip sweep does over its
+(y, x) grid. Start words that do not repeat within the lanes, or rows
+that would be shorter than k, give one row per lane, cols = 1, through
+the same code. Neither the seeding nor the sharing is trusted: lane l
+must end exactly where lane l + 1 started, x word and y word (the
 stitch check, an explicit raise), and by induction from the seed the
-stitched walk is the sequential one. A ``_LaneWalk`` yields the lanes'
-words after each step and makes the stitch check once the last step has
-been taken, so a check reads each step as it is made and gives a
-passing verdict only after a walk run out to its end. Any single state
-of the walk, such as its last, it steps in turn from the start of that
-state's lane.
+stitched walk is the sequential one. A ``_LaneWalk`` yields the grid's
+words after each step with the cells that hold states of the walk, and
+makes the stitch check once the last step has been taken, so a check
+reads each step as it is made, never tests, marks or compares a cell
+past the walk, and gives a passing verdict only after a walk run out
+to its end. Any single state of the walk, such as its last, it steps
+in turn from the start of that state's lane.
 
 None of the passing checks holds an orbit table. The period walk tests
 each step's words against the seed, the equidistribution walk marks them
@@ -300,6 +313,35 @@ def _tail_walk(step, xs, n):
     return y.tolist()
 
 
+def _grid_rows(xs):
+    """Rows of the lane grid for the lanes' start x words xs.
+
+    The smallest k with xs[l + k] = xs[l] for every lane l, when each of
+    the k rows, ceil(len(xs) / k) lanes long, is at least k long;
+    otherwise one row per lane.
+    """
+    n = len(xs)
+    for k in range(1, n):
+        if -(-n // k) < k:
+            break
+        if xs[k] == xs[0] and xs[k:] == xs[:-k]:
+            return k
+    return n
+
+
+def _live(shape, n):
+    """The cells of a (rows, cols) lane grid that hold lanes 0 .. n-1.
+
+    Lane j sits in row j % rows, column j // rows, so they are every row
+    of the whole columns, then the first rows of the next one: a list
+    of (row count, column slice) blocks, none of them empty.
+    """
+    rows = shape[0]
+    full, part = divmod(n, rows)
+    blocks = [(rows, slice(0, full))] if full else []
+    return blocks + [(part, slice(full, full + 1))] if part else blocks
+
+
 class _LaneWalk:
     """A stitched walk of the states after 1 .. count steps of ``step`` from (x, y).
 
@@ -309,42 +351,67 @@ class _LaneWalk:
     words T steps after (x, 0) for x in xs; without it, :func:`_tail_walk`
     walks them.
 
-    Iterating yields the lanes' words (x, y) after each step: entry l of
-    the arrays yielded t-th (from 0) is the state after l*T + t + 1 steps,
-    at index l*T + t of the orbit. The last lane is left out of the steps
-    that would take it to index count or beyond. Once the last step has
-    been yielded, each lane must have ended exactly where the next one
-    started, or :class:`InvariantError` is raised, so only a walk run out
-    to its end is proven to be the sequential one. ``state(j)`` steps
-    the state at index j from the start of its lane, in at most T scalar
-    steps; past lane 0 it rests on the same seeding.
+    The lanes sit in a grid of ``rows`` = k rows and ``cols`` columns,
+    lane l in row l % k and column l // k, where k is the lanes' smallest
+    period of start x words (:func:`_grid_rows`); the cells past the last
+    lane are padding. A row shares one x word, so the walk steps x of
+    shape (k, 1) and y of shape (k, cols), and ``tail`` is asked for only
+    k words. When the start words do not repeat, or repeat only with rows
+    shorter than k, k is the lane count and cols = 1.
+
+    Iterating yields, after each step t (from 0), the grid's words
+    (x, y) and the blocks of :func:`_live` for the lanes whose state
+    after that step lies in the walk: the cell of lane l holds the
+    state after l*T + t + 1 steps, at index l*T + t of the orbit, and
+    the last lane is left out of the steps that would take it to index
+    count or beyond. Once the last step has been yielded, each lane must
+    have ended, x word and y word, exactly where the next one started,
+    or :class:`InvariantError` is raised, so only a walk run out to its
+    end is proven to be the sequential one, shared x words included.
+    ``state(j)`` steps the state at index j from the start of its lane,
+    in at most T scalar steps; past lane 0 it rests on the same seeding.
     """
 
     def __init__(self, m, x, y, count, step, p, u, tail=None):
         self.count, self.span = count, -(-count // _LANES)
         self.lanes, self._step = -(-count // self.span), step
         pt, _, ut, _ = _power((p, 0, u, 0), self.span, m)
-        xs, ys = [x], [y]
+        xs = [x]
         for _ in range(self.lanes - 1):
             xs.append((pt * xs[-1] + ut) % m)
-        tails = tail(xs[:-1], self.span) if tail else _tail_walk(step, xs[:-1], self.span)
-        for e in tails:
-            ys.append((pt * ys[-1] + e) % m)
+        self.rows = _grid_rows(xs)
+        self.cols = -(-self.lanes // self.rows)
+        cells = self.rows * self.cols
+        # The start of lane l + 1 takes the tail of lane l's x word, which
+        # is the word of row l % rows.
+        xs = xs[: self.rows]
+        tails = (tail or partial(_tail_walk, step))(xs[: cells - 1], self.span)
+        ys = [y]
+        for lane in range(cells - 1):
+            ys.append((pt * ys[-1] + tails[lane % self.rows]) % m)
         self._starts = xs, ys
+
+    def in_lanes(self, x, y):
+        """The grid's words (x, y) as two arrays in lane order, the padding left out."""
+        return (np.broadcast_to(x, y.shape).T.ravel()[: self.lanes], y.T.ravel()[: self.lanes])
 
     def state(self, j):
         lane, t = divmod(j, self.span)
-        x, y = self._starts[0][lane], self._starts[1][lane]
+        x, y = self._starts[0][lane % self.rows], self._starts[1][lane]
         for _ in range(t + 1):
             x, y = self._step(x, y)
         return x, y
 
     def __iter__(self):
-        sx, sy = (np.array(words, dtype=np.int64) for words in self._starts)
+        sx = np.array(self._starts[0], dtype=np.int64).reshape(self.rows, 1)
+        sy = np.array(self._starts[1], dtype=np.int64).reshape(self.cols, self.rows)
+        sy = np.ascontiguousarray(sy.T)
         ex, ey, end_t = sx, sy, (self.count - 1) % self.span
+        every, cut = _live(sy.shape, self.lanes), _live(sy.shape, self.lanes - 1)
         for t in range(self.span):
             ex, ey = self._step(ex, ey)
-            yield (ex, ey) if t <= end_t else (ex[:-1], ey[:-1])
+            yield ex, ey, every if t <= end_t else cut
+        (ex, ey), (sx, sy) = self.in_lanes(ex, ey), self.in_lanes(sx, sy)
         broken = np.flatnonzero((ex[:-1] != sx[1:]) | (ey[:-1] != sy[1:]))
         if broken.size:
             lane = int(broken[0])
@@ -373,15 +440,16 @@ def _orbit_table(m, x, y, count, step, p, u, tail=None):
     walk = _LaneWalk(m, x, y, count, step, p, u, tail)
     # Row l is lane l, so the flattened table is in orbit order. A step
     # gives one packed state per lane, each a row apart in the table; they
-    # go into a contiguous row of `buf` instead, and every _FLUSH steps the
-    # rows are copied into the table as columns.
+    # go into a contiguous row of `buf` instead, in lane order, and every
+    # _FLUSH steps the rows are copied into the table as columns. The
+    # padding and the last lane's states past the walk are cut off.
     table = np.empty((walk.lanes, walk.span), dtype=np.int64)
-    buf = np.empty((min(_FLUSH, walk.span), walk.lanes), dtype=np.int64)
-    for t, (ex, ey) in enumerate(walk):
+    buf = np.empty((min(_FLUSH, walk.span), walk.cols, walk.rows), dtype=np.int64)
+    for t, (ex, ey, _) in enumerate(walk):
         row = t % _FLUSH
-        np.add(ex, m * ey, out=buf[row, : ex.size])
+        np.add(ex, m * ey, out=buf[row].T)
         if row == _FLUSH - 1 or t == walk.span - 1:
-            table[:, t - row : t + 1] = buf[: row + 1].T
+            table[:, t - row : t + 1] = buf[: row + 1].reshape(row + 1, -1)[:, : walk.lanes].T
     return table.ravel()[:count]
 
 
@@ -408,10 +476,13 @@ def orbit_period(
     if limit < 1:
         raise ParameterError(f"limit must be positive, got {limit}")
     for start, walk in _forward_blocks(cmap, x0, y0, limit):
+        # x is tested on the rows, y only on the live cells of a matching row
         hits = [
-            int(lane) * walk.span + t
-            for t, (ex, ey) in enumerate(walk)
-            for lane in np.flatnonzero((ex == x0) & (ey == y0))[:1]
+            ((cols.start + int(col)) * walk.rows + int(row)) * walk.span + t
+            for t, (ex, ey, live) in enumerate(walk)
+            for rows, cols in live
+            for row in np.flatnonzero(ex[:rows, 0] == x0)
+            for col in np.flatnonzero(ey[row, cols] == y0)[:1]
         ]
         if hits:
             period = start + min(hits) + 1
@@ -434,7 +505,9 @@ def equidistribution_check(
     Marks the walked orbit in a one-flag-per-state table. A full-period
     orbit marks all m**2 entries exactly once; a shorter cycle leaves
     gaps; a non-bijective map revisits a marked state before closing,
-    which is reported as a duplicate.
+    which is reported as a duplicate. The flags are held x-major, the
+    flag of (x, y) at y + m*x, so the stores of one row of a lane grid,
+    which shares its x word, stay within m flags.
     """
     x, y = _require_state(seed, params.m)
     cmap = _CoupledMap(params, coupling)
@@ -442,10 +515,11 @@ def equidistribution_check(
     m, total = params.m, params.m * params.m
     z0 = x + m * y
     seen = np.zeros(total, dtype=bool)
-    seen[z0] = True
+    seen[y + m * x] = True
     for start, walk in _forward_blocks(cmap, x, y, total):
-        for ex, ey in walk:
-            seen[ex + m * ey] = True
+        for ex, ey, live in walk:
+            for rows, cols in live:
+                seen[ey[:rows, cols] + m * ex[:rows]] = True
         covered = int(np.count_nonzero(seen))
         if covered <= start + walk.count:
             break
@@ -455,12 +529,19 @@ def equidistribution_check(
     # the last block walked.
     x, y = walk.state(covered - start - 1)
     repeat = x + m * y
+    missing = None
+    if covered < total:
+        # the smallest missing z = x + m*y: the lowest y with a gap, then
+        # its lowest x, read from the x-major flags without transposing them
+        flags = seen.reshape(m, m)
+        y = int(np.argmin(flags.all(axis=0)))
+        missing = int(np.argmin(flags[:, y])) + m * y
     return EquidistributionReport(
         covered=covered,
         total=total,
         complete=(covered == total),
         first_duplicate=None if repeat == z0 else repeat,
-        first_missing=int(np.argmin(seen)) if covered < total else None,
+        first_missing=missing,
     )
 
 
@@ -579,9 +660,12 @@ def hull_dobell_check(params: LcgParams) -> HullDobellReport:
     )
 
 
-def _differ(x, y, px, py):
-    """Whether the words (x, y) differ anywhere from the first ones of (px, py)."""
-    return bool(((x != px[: x.size]) | (y != py[: x.size])).any())
+def _differ(x, y, qx, qy, live):
+    """Whether the grid words (x, y) differ from (qx, qy) in any of the ``live`` blocks."""
+    return any(
+        bool((x[:rows] != qx[:rows]).any() or (y[:rows, cols] != qy[:rows, cols]).any())
+        for rows, cols in live
+    )
 
 
 def _retraces(k, count, bx, by, forward, tail):
@@ -592,24 +676,25 @@ def _retraces(k, count, bx, by, forward, tail):
     so every comparison passes exactly when the seed steps back to
     forw[count - 1] and each forw[j], 0 < j < count, to forw[j - 1]. The
     seed's backward step is compared first, with forw[count - 1] stepped
-    from the start of its lane. Then the forward walk's lanes step back as
-    they are walked, onto the lanes' words of the step before, and once
-    the walk is done and its lanes have stitched, a lane's first state is
-    compared with the last state of the lane before it. forw[0] never
-    steps back onto the start (0, 0): the reference program makes no such
-    comparison.
+    from the start of its lane. Then the forward walk's grid steps back as
+    it is walked, onto its live words of the step before, and once the
+    walk is done and its lanes have stitched, a lane's first state is
+    compared, in lane order, with the last state of the lane before it.
+    forw[0] never steps back onto the start (0, 0): the reference program
+    makes no such comparison.
     """
     walk = _LaneWalk(k.m, 0, 0, count, forward, k.a, k.b, tail)
     if rund_backward_step(bx, by, k) != walk.state(count - 1):
         return False
-    for t, (ex, ey) in enumerate(walk):
+    for t, (ex, ey, live) in enumerate(walk):
         px, py = rund_backward_step(ex, ey, k)
         if t == 0:
-            hx, hy = px[1:], py[1:]
-        elif _differ(px, py, qx, qy):
+            hx, hy = walk.in_lanes(px, py)
+        elif _differ(px, py, qx, qy, live):
             return False
         qx, qy = ex, ey
-    return not _differ(hx, hy, qx, qy)
+    qx, qy = walk.in_lanes(qx, qy)
+    return not bool(((hx[1:] != qx[:-1]) | (hy[1:] != qy[:-1])).any())
 
 
 def paper_reproduction(

@@ -57,6 +57,10 @@ SHAPES = st.sampled_from(
 IDENTITY = (LcgParams(1, 0, 8), CouplingSpec(0, carry_enabled=False), CoupledState(3, 5))
 NOT_INVERTIBLE = (LcgParams(2, 1, 8), CouplingSpec(3), CoupledState(0, 0))
 FULL_TOY = (LcgParams(5, 3, 16), CouplingSpec(2), CoupledState(0, 0))
+# Covers 8 of 16 states and misses (1, 0), z = 1, and (0, 1), z = 4; the
+# coverage flags, held x-major at y + m*x, hold them at 4 and 1.
+Z_BEFORE_X = (LcgParams(1, 3, 4), CouplingSpec(1, carry_enabled=False), CoupledState(1, 1))
+REFERENCE = (LcgParams(1029, 1731, 2048), CouplingSpec(1536), CoupledState(0, 0))
 
 
 @contextmanager
@@ -100,6 +104,7 @@ def test_orbit_period_matches_sequential(maps, limit, shape):
 @example(maps=NOT_INVERTIBLE, shape=(5, 64, 7, 1))
 @example(maps=FULL_TOY, shape=(3, 7, 1, 2))
 @example(maps=FULL_TOY, shape=(3, 1000, 1, 4))  # lanes of 86 steps: 21 flushes and 2 steps
+@example(maps=Z_BEFORE_X, shape=SHIPPED)
 def test_equidistribution_matches_sequential(maps, shape):
     params, coupling, seed = maps
     with engine_shape(shape):
@@ -223,19 +228,32 @@ def table_walks(draw):
 TOY_K = RundConstants(5, 3, 16, 2, 13, 9, 256)  # the true toy inverse
 
 
+ODD_M = verification._CoupledMap(LcgParams(58, 5, 1539), CouplingSpec(700))
+TOY_FORWARD = verification._CoupledMap(*FULL_TOY[:2]).forward
+NOT_INVERTIBLE_FORWARD = verification._CoupledMap(*NOT_INVERTIBLE[:2]).forward
+
+
 # Examples: the `verify paper --m 16 --a 5 --b 3 --s 2 --c 7` control over
 # its whole window, in 7 lanes of 37 steps, the last one cut short; the true
 # toy inverse past its period, in 60 lanes of 5 steps; a map that is not a
 # bijection, whose walk runs into a cycle that misses the start, in lanes
 # of 44 steps; the identity map without the carry, in one lane; a single
-# step.
+# step; 300 lanes of one step in a grid of 16 rows (the x period) by 19
+# columns, the last 4 cells padding; the map that is not a bijection in
+# 131 lanes, whose start words 0, 1, 3, 7, 7, ... never come back to the
+# first, so one row per lane; an odd modulus in 4096 lanes of 3 steps,
+# whose start words repeat with period 1539 / 3 = 513 but would fill rows
+# of only 8, so one row per lane.
 @settings(max_examples=300, deadline=None)
 @given(walk=table_walks(), lanes=st.sampled_from([1, 3, 7, 64, verification._LANES]))
 @example(walk=(backward(RundConstants(5, 3, 16, 2, 7, 9, 256)), 7, 9, 16, 0, 255), lanes=7)
 @example(walk=(backward(TOY_K), 13, 9, 16, 0, 300), lanes=64)
-@example(walk=(verification._CoupledMap(*NOT_INVERTIBLE[:2]).forward, 2, 1, 8, 0, 131), lanes=3)
+@example(walk=(NOT_INVERTIBLE_FORWARD, 2, 1, 8, 0, 131), lanes=3)
 @example(walk=(verification._CoupledMap(*IDENTITY[:2]).forward, 1, 0, 8, 43, 129), lanes=1)
 @example(walk=(backward(TOY_K), 13, 9, 16, 37, 1), lanes=verification._LANES)
+@example(walk=(TOY_FORWARD, 5, 3, 16, 0, 300), lanes=verification._LANES)
+@example(walk=(NOT_INVERTIBLE_FORWARD, 2, 1, 8, 0, 131), lanes=verification._LANES)
+@example(walk=(ODD_M.forward, 58, 5, 1539, 0, 3 * verification._LANES), lanes=verification._LANES)
 def test_table_walk_matches_sequential(walk, lanes):
     step, p, u, m, z, count = walk
     with patch.object(verification, "_LANES", lanes):
@@ -244,17 +262,41 @@ def test_table_walk_matches_sequential(walk, lanes):
         steps = list(lane_walk)
     expected = walk_seq(step, m, z, count)
     assert table.tolist() == expected
-    span = lane_walk.span
+    span, rows, cols = lane_walk.span, lane_walk.rows, lane_walk.cols
     for j in {0, span - 1, count - 1}:
         x, y = lane_walk.state(j)
         assert x + m * y == expected[j]
-    # entry l of step t is orbit index l*span + t; none lies past the walk
-    walked = {
-        lane * span + t: int(x + m * y)
-        for t, (xs, ys) in enumerate(steps)
-        for lane, (x, y) in enumerate(zip(xs, ys))
-    }
+    # lane l sits in row l % rows, column l // rows; rows share an x word
+    assert rows * cols >= lane_walk.lanes > rows * (cols - 1)
+    # the cell of lane l at step t is orbit index l*span + t; the live
+    # blocks hold every such index below count, and none past the walk
+    walked = {}
+    for t, (xs, ys, live) in enumerate(steps):
+        assert xs.shape == (rows, 1) and ys.shape == (rows, cols)
+        for live_rows, live_cols in live:
+            for row in range(live_rows):
+                for col in range(cols)[live_cols]:
+                    index = (col * rows + row) * span + t
+                    assert index not in walked
+                    walked[index] = int(xs[row, 0] + m * ys[row, col])
     assert walked == dict(enumerate(expected))
+
+
+@pytest.mark.parametrize(
+    "xs, rows",
+    [
+        ([4], 1),
+        ([4, 4, 4], 1),
+        ([1, 2, 1, 2, 1], 2),  # the padding cell holds no lane
+        ([1, 2, 3, 1, 2, 3, 1, 2, 3], 3),
+        ([1, 2, 3, 1, 2, 3, 1, 2], 3),  # a row of 2 lanes and padding
+        ([1, 2, 3, 1, 2, 3], 6),  # period 3, but rows of 2
+        ([0, 1, 3, 7, 7, 7, 7, 7, 7], 9),  # never back to the first word
+        ([1, 2, 1, 3] * 4 + [1], 4),  # 1 recurs at 2, before the period
+    ],
+)
+def test_grid_rows_are_the_smallest_lane_period_of_long_enough_rows(xs, rows):
+    assert verification._grid_rows(xs) == rows
 
 
 def test_short_failing_window_at_large_m_builds_no_table():
@@ -292,10 +334,46 @@ def test_orbit_table_at_the_shipped_shape():
     assert table.tolist() == [x + 2048 * y for x, y in walk]
 
 
+def reference_reports():
+    params, coupling, seed = REFERENCE
+    return [
+        orbit_period(seed, params, coupling),
+        equidistribution_check(params, coupling, seed),
+        paper_reproduction(),
+        paper_reproduction(RundConstants(c=204)),
+        paper_reproduction(RundConstants(d=1498)),
+    ]
+
+
+def test_reference_walks_share_x_words_and_match_flat_lanes():
+    # T = 1024 steps per lane and x period 2048: lanes j and j + 2 hold the
+    # same x word, so every forward walk is 2 rows of 2048 lanes, those of
+    # the failing runs' check and forward table included. The backward walk
+    # of c = 204, whose x map is not a bijection, takes one row per lane;
+    # that of d = 1498, whose x word is back at 0 after every 1024 steps,
+    # one row of 4096 lanes. With one row per lane everywhere, every report
+    # is the same.
+    shapes = []
+
+    class Recorded(verification._LaneWalk):
+        def __init__(self, *args):
+            super().__init__(*args)
+            shapes.append((self.rows, self.cols))
+
+    with patch.object(verification, "_LaneWalk", Recorded):
+        shared = reference_reports()
+        assert shapes == [(2, 2048)] * 5 + [(4096, 1)] + [(2, 2048)] * 2 + [(1, 4096)]
+        shapes.clear()
+        with patch.object(verification, "_grid_rows", len):
+            assert reference_reports() == shared
+        assert set(shapes) == {(4096, 1)}
+    assert [report.passed for report in shared] == [True, True, True, False, False]
+
+
 def test_passing_checks_hold_no_orbit_table():
     # One table of the 2**22 reference states takes 32 MiB; the
     # equidistribution check's coverage flags take 4 MiB of that bound.
-    params, coupling, seed = LcgParams(1029, 1731, 2048), CouplingSpec(1536), CoupledState(0, 0)
+    params, coupling, seed = REFERENCE
     checks = [
         lambda: orbit_period(seed, params, coupling).passed,
         lambda: equidistribution_check(params, coupling, seed).passed,
@@ -357,6 +435,13 @@ BROKEN_UNDER_O = {
         "power = v._power\n"
         "v._power = lambda f, n, mod: power(f, n + 1, mod)\n"
         "v.paper_reproduction(revlcg.RundConstants(5, 3, 16, 2, 13, 9, 256))\n",
+        "lanes do not stitch",
+    ),
+    "shared lane x words": (
+        "v = revlcg.verification\n"
+        "rows = v._grid_rows\n"
+        "v._grid_rows = lambda xs: rows(xs) + 1\n"
+        "v.orbit_period(revlcg.CoupledState(0, 0), revlcg.LcgParams(5, 3, 16), C)\n",
         "lanes do not stitch",
     ),
     "failing walk lanes": (
