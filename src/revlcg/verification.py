@@ -329,14 +329,13 @@ def _grid_rows(xs):
     return n
 
 
-def _live(shape, n):
-    """The cells of a (rows, cols) lane grid that hold lanes 0 .. n-1.
+def _live(rows, n):
+    """The cells of a lane grid of ``rows`` rows that hold lanes 0 .. n-1.
 
     Lane j sits in row j % rows, column j // rows, so they are every row
     of the whole columns, then the first rows of the next one: a list
     of (row count, column slice) blocks, none of them empty.
     """
-    rows = shape[0]
     full, part = divmod(n, rows)
     blocks = [(rows, slice(0, full))] if full else []
     return blocks + [(part, slice(full, full + 1))] if part else blocks
@@ -407,7 +406,7 @@ class _LaneWalk:
         sy = np.array(self._starts[1], dtype=np.int64).reshape(self.cols, self.rows)
         sy = np.ascontiguousarray(sy.T)
         ex, ey, end_t = sx, sy, (self.count - 1) % self.span
-        every, cut = _live(sy.shape, self.lanes), _live(sy.shape, self.lanes - 1)
+        every, cut = _live(self.rows, self.lanes), _live(self.rows, self.lanes - 1)
         for t in range(self.span):
             ex, ey = self._step(ex, ey)
             yield ex, ey, every if t <= end_t else cut
@@ -476,14 +475,16 @@ def orbit_period(
     if limit < 1:
         raise ParameterError(f"limit must be positive, got {limit}")
     for start, walk in _forward_blocks(cmap, x0, y0, limit):
-        # x is tested on the rows, y only on the live cells of a matching row
-        hits = [
-            ((cols.start + int(col)) * walk.rows + int(row)) * walk.span + t
-            for t, (ex, ey, live) in enumerate(walk)
-            for rows, cols in live
-            for row in np.flatnonzero(ex[:rows, 0] == x0)
-            for col in np.flatnonzero(ey[row, cols] == y0)[:1]
-        ]
+        hits = []
+        for t, (ex, ey, live) in enumerate(walk):
+            for rows, cols in live:
+                # x is tested on the row words, y on the live cells of the rows it matched
+                match = np.flatnonzero(ex[:rows, 0] == x0)
+                if match.size:
+                    row, col = np.nonzero(ey[match, cols] == y0)
+                    if row.size:
+                        lanes = (cols.start + col) * walk.rows + match[row]
+                        hits.append(int(lanes.min()) * walk.span + t)
         if hits:
             period = start + min(hits) + 1
             return OrbitReport(

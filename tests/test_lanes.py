@@ -8,8 +8,10 @@ patched down so that small orbits still cross lane, block and flush
 boundaries; the shapes also set the round-trip chunk, which no orbit
 walk may depend on. The lane walk seeded without a closed form, which a
 failing reproduction runs backward, must equal the plain step-by-step
-walk, and the passing checks at the reference size must hold no orbit
-table.
+walk, whether its lanes share x words in a grid or take one row each,
+and the passing checks at the reference size must hold no orbit table.
+There the walks run in a grid of 2 rows, and every report equals the
+one with one row per lane.
 """
 
 import json
@@ -91,6 +93,9 @@ def coupled_maps(draw, max_m=24):
 @example(maps=FULL_TOY, limit=100, shape=(3, 7, 1, 2))
 @example(maps=NOT_INVERTIBLE, limit=70, shape=(3, 7, 1, 2))
 @example(maps=FULL_TOY, limit=None, shape=(3, 1000, 1, 4))  # lanes of 86 steps: 21 flushes and 2 steps
+# 255 lanes of one step in 16 rows of 16; the padding cell holds the seed,
+# one step past the limit
+@example(maps=FULL_TOY, limit=255, shape=SHIPPED)
 def test_orbit_period_matches_sequential(maps, limit, shape):
     params, coupling, seed = maps
     with engine_shape(shape):
