@@ -208,6 +208,39 @@ def test_reproduction_check_fails_where_the_examples_say(k, n, seed, steps):
     assert calls[: steps + 2] == [[x + k.m * y]] + [[z] for z in forw] + ["table"]
 
 
+TOY_K = RundConstants(5, 3, 16, 2, 13, 9, 256)  # the true toy inverse
+
+
+def corrupted_at(z, dx, dy):
+    """The reference backward step, its words off by (dx, dy) from the packed state z."""
+
+    def step(x, y, k):
+        x0, y0 = rund_backward_step(x, y, k)
+        hit = (x == z % k.m) & (y == z // k.m)
+        return (x0 + dx * hit) % k.m, (y0 + dy * hit) % k.m
+
+    return step
+
+
+# The check of the true toy inverse over 255 comparisons, in 64 lanes of 4
+# steps, 4 rows of 16; the last lane ends after 3 steps. One state's
+# backward step is off in one word: the x word of forw[4], which starts
+# lane 1, so that only the comparison across the lanes' boundary sees it,
+# or the y word of forw[247], lane 61's last state, in the last column at
+# the step the last lane has left (an x word is compared for a whole row).
+# A failing run's backward table of such a step cannot be seeded, since
+# it is no longer affine, and the stitch check would refuse it.
+@pytest.mark.parametrize("z_index, dx, dy", [(4, 1, 0), (247, 0, 1)])
+def test_reproduction_check_sees_one_bad_word(z_index, dx, dy):
+    k, cmap = TOY_K, verification._CoupledMap(LcgParams(5, 3, 16), CouplingSpec(2))
+    forward, tail = partial(rund_forward_step, k=k), partial(verification._lane_tail, cmap)
+    z = walk_seq(forward, k.m, 0, z_index + 1)[-1]
+    with engine_shape((64, 1 << 22, 1 << 15, 64)):
+        assert verification._retraces(k, 255, 0, 0, forward, tail)
+        with patch.object(verification, "rund_backward_step", corrupted_at(z, dx, dy)):
+            assert not verification._retraces(k, 255, 0, 0, forward, tail)
+
+
 def backward(k):
     return lambda x, y: rund_backward_step(x, y, k)
 
@@ -228,9 +261,6 @@ def table_walks(draw):
         p, u = draw(word), draw(word)
         step = backward(RundConstants(params.a, params.b, m, coupling.s, p, u, m * m))
     return step, p, u, m, seed.x + m * seed.y, draw(st.integers(1, 2 * m * m + 3))
-
-
-TOY_K = RundConstants(5, 3, 16, 2, 13, 9, 256)  # the true toy inverse
 
 
 ODD_M = verification._CoupledMap(LcgParams(58, 5, 1539), CouplingSpec(700))
