@@ -23,15 +23,17 @@ the y word T steps after (x_l, 0). The forward walks have that word in
 closed form (with the carry on the packed LCG
 z -> ((a + s*m)*z + b) mod m**2, with it off
 (x, y) -> [[a, 0], [s, a]]·(x, y) + (b, 0) mod m); the backward walk
-takes it from one pass from y = 0. This is the blocking split of
-L'Ecuyer et al. (2017, "Random numbers for parallel computers"),
-seeded by the arbitrary-stride jump of Brown (1994, "Random number
-generation with arbitrary strides").
+takes it from one pass from y = 0. Both start words are first-order
+affine recurrences over the lanes, so a doubling scan over int64
+arrays seeds every lane in O(log lanes) passes. This is the blocking
+split of L'Ecuyer et al. (2017, "Random numbers for parallel
+computers"), seeded by the arbitrary-stride jump of Brown (1994,
+"Random number generation with arbitrary strides").
 
 The skew form also means that two lanes which start on the same x word
 hold the same x word at every step. The lanes' start words repeat with
-some smallest lane period k (at the reference size T = 1024 and x has
-period 2048, so k = 2), and a ``_LaneWalk`` seats lane l in row l % k,
+some smallest lane period k (at the reference size T = 256 and x has
+period 2048, so k = 8), and a ``_LaneWalk`` seats lane l in row l % k,
 column l // k of a (k, cols) grid: x is a (k, 1) column and y a
 (k, cols) array, and numpy broadcasting steps each row's x word once
 and each lane's y word once, as the round-trip sweep does over its
@@ -99,15 +101,6 @@ from .rund import RUND, RundConstants, rund_backward_step, rund_forward_step
 # the walk stop being desk-scale.
 SWEEP_MAX_M = 4096
 
-# Orbit walks step this many lanes at once. The period and
-# equidistribution walks take an orbit _BLOCK states at a time, so they
-# stop within _BLOCK states of where it closes. A table of the failing
-# reproduction gathers the lanes' states of _FLUSH consecutive steps in
-# one contiguous buffer (2 MiB at 4096 lanes) before writing them out.
-_LANES = 4096
-_BLOCK = 1 << 22
-_FLUSH = 64
-
 # The round-trip sample steps this many states at a time, and the sweep
 # whole rows of the grid up to this many (at least one row), whatever m
 # or the sample count is. Their dozen
@@ -115,6 +108,19 @@ _FLUSH = 64
 # core of the 2-vCPU Xeon VM this was timed on (lscpu: 4 MiB over 2
 # instances), yet chunks of 2**14 and 2**16 states were no faster there.
 _SWEEP_CHUNK = 1 << 15
+
+# Orbit walks step up to this many lanes at once, a grid of half as many
+# cells as the sweep's chunk: at m = 2048, 8 rows of 2048 lanes of 256
+# steps. On the same VM, in process, the reference orbit_period took a
+# median of 29, 23 and 33 ms at 8192, 16384 and 32768 lanes, and no other
+# orbit check was more than 1% faster at either. The period and
+# equidistribution walks take an orbit _BLOCK states at a time, so they
+# stop within _BLOCK states of where it closes. A table of the failing
+# reproduction gathers the lanes' states of _FLUSH consecutive steps in
+# one contiguous buffer (8 MiB at 16384 lanes) before writing them out.
+_LANES = _SWEEP_CHUNK // 2
+_BLOCK = 1 << 22
+_FLUSH = 64
 
 
 class _Report:
@@ -292,40 +298,57 @@ def _power(f, n, mod):
 
 
 def _lane_tail(cmap, xs, n):
-    """The y words n steps of ``cmap`` after (x, 0) for x in xs, in closed form.
+    """The y words n steps of ``cmap`` after (x, 0) for the int64 words xs, in closed form.
 
     With the carry on, the map is the packed LCG z -> (a + s*m)*z + b
-    mod m**2; with it off, it is (x, y) -> (a*x + b, s*x + a*y) mod m.
+    mod m**2, where p*x + u < m**3 fits in int64 as every step does; with
+    it off, it is (x, y) -> (a*x + b, s*x + a*y) mod m.
     """
     m = cmap.m
     if cmap.carry:
         p, _, u, _ = _power((cmap.a + cmap.s * m, 0, cmap.b, 0), n, m * m)
-        return [(p * x + u) % (m * m) // m for x in xs]
+        return (p * xs + u) % (m * m) // m
     _, q, _, v = _power((cmap.a, cmap.s, cmap.b, 0), n, m)
-    return [(q * x + v) % m for x in xs]
+    return (q * xs + v) % m
 
 
 def _tail_walk(step, xs, n):
-    """The y words n steps of ``step`` after (x, 0) for x in xs, walked in lanes."""
-    x, y = np.array(xs, dtype=np.int64), np.zeros(len(xs), dtype=np.int64)
+    """The y words n steps of ``step`` after (x, 0) for the int64 words xs, walked in lanes."""
+    x, y = xs, np.zeros_like(xs)
     for _ in range(n):
         x, y = step(x, y)
-    return y.tolist()
+    return y
+
+
+def _affine_scan(p, c, m):
+    """The words w_0 = c_0, w_i = p*w_{i-1} + c_i mod m, for the int64 words c.
+
+    A doubling scan: after the pass with shift h, w_i is the sum of
+    p**(i-j)*c_j over the last 2h indices j <= i, so O(log len(c)) array
+    passes give every prefix.
+    """
+    w, h, ph = c.copy(), 1, p % m
+    while h < w.size:
+        # w and p**h are below m, so every product is below m**2 < 2**63
+        # (m <= MAX_MODULUS < 2**21): no int64 wraps
+        w[h:] = (w[h:] + ph * w[:-h]) % m
+        h, ph = 2 * h, ph * ph % m
+    return w
 
 
 def _grid_rows(xs):
-    """Rows of the lane grid for the lanes' start x words xs.
+    """Rows of the lane grid for the lanes' start x words, the int64 array xs.
 
     The smallest k with xs[l + k] = xs[l] for every lane l, when each of
     the k rows, ceil(len(xs) / k) lanes long, is at least k long;
     otherwise one row per lane.
     """
     n = len(xs)
-    for k in range(1, n):
-        if -(-n // k) < k:
-            break
-        if xs[k] == xs[0] and xs[k:] == xs[:-k]:
-            return k
+    # ceil(n / k) >= k exactly when k*(k - 1) < n, that is 2k - 1 <= isqrt(4n - 3)
+    longest = (1 + math.isqrt(4 * n - 3)) // 2
+    for k in np.flatnonzero(xs[1 : longest + 1] == xs[0]) + 1:
+        if (xs[k:] == xs[:-k]).all():
+            return int(k)
     return n
 
 
@@ -356,7 +379,10 @@ class _LaneWalk:
     lane are padding. A row shares one x word, so the walk steps x of
     shape (k, 1) and y of shape (k, cols), and ``tail`` is asked for only
     k words. When the start words do not repeat, or repeat only with rows
-    shorter than k, k is the lane count and cols = 1.
+    shorter than k, k is the lane count and cols = 1. The start words of
+    every lane, and the y words of the padding, which continue the same
+    recurrence, come from :func:`_affine_scan` over int64 arrays, so
+    ``tail`` takes and gives int64 arrays too.
 
     Iterating yields, after each step t (from 0), the grid's words
     (x, y) and the blocks of :func:`_live` for the lanes whose state
@@ -375,9 +401,9 @@ class _LaneWalk:
         self.count, self.span = count, -(-count // _LANES)
         self.lanes, self._step = -(-count // self.span), step
         pt, _, ut, _ = _power((p, 0, u, 0), self.span, m)
-        xs = [x]
-        for _ in range(self.lanes - 1):
-            xs.append((pt * xs[-1] + ut) % m)
+        xs = np.full(self.lanes, ut, dtype=np.int64)
+        xs[0] = x
+        xs = _affine_scan(pt, xs, m)
         self.rows = _grid_rows(xs)
         self.cols = -(-self.lanes // self.rows)
         cells = self.rows * self.cols
@@ -385,10 +411,9 @@ class _LaneWalk:
         # is the word of row l % rows.
         xs = xs[: self.rows]
         tails = (tail or partial(_tail_walk, step))(xs[: cells - 1], self.span)
-        ys = [y]
-        for lane in range(cells - 1):
-            ys.append((pt * ys[-1] + tails[lane % self.rows]) % m)
-        self._starts = xs, ys
+        ys = np.empty(cells, dtype=np.int64)
+        ys[0], ys[1:] = y, np.resize(tails, cells - 1)
+        self._starts = xs, _affine_scan(pt, ys, m)
 
     def in_lanes(self, x, y):
         """The grid's words (x, y) as two arrays in lane order, the padding left out."""
@@ -396,15 +421,14 @@ class _LaneWalk:
 
     def state(self, j):
         lane, t = divmod(j, self.span)
-        x, y = self._starts[0][lane % self.rows], self._starts[1][lane]
+        x, y = int(self._starts[0][lane % self.rows]), int(self._starts[1][lane])
         for _ in range(t + 1):
             x, y = self._step(x, y)
         return x, y
 
     def __iter__(self):
-        sx = np.array(self._starts[0], dtype=np.int64).reshape(self.rows, 1)
-        sy = np.array(self._starts[1], dtype=np.int64).reshape(self.cols, self.rows)
-        sy = np.ascontiguousarray(sy.T)
+        sx = self._starts[0].reshape(self.rows, 1)
+        sy = np.ascontiguousarray(self._starts[1].reshape(self.cols, self.rows).T)
         ex, ey, end_t = sx, sy, (self.count - 1) % self.span
         every, cut = _live(self.rows, self.lanes), _live(self.rows, self.lanes - 1)
         for t in range(self.span):

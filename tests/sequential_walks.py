@@ -5,8 +5,10 @@ engine. The differential tests require the lane-parallel
 ``orbit_period``, ``equidistribution_check`` and ``paper_reproduction``
 to return reports equal to these field for field, and the lane walk
 seeded without a closed form, which a failing reproduction runs
-backward, to equal ``walk_seq``. Inputs are assumed valid: the library
-functions do the validation.
+backward, to equal ``walk_seq``. ``lane_starts_seq`` is the lane
+seeding in scalar recurrences, as the lane walk made it before its
+array scan. Inputs are assumed valid: the library functions do the
+validation.
 """
 
 from array import array
@@ -103,3 +105,37 @@ def paper_reproduction_seq(k, n, backward_seed=(0, 0)):
         first_mismatch_n=first,
         passed=(mismatches == 0),
     )
+
+
+def lane_starts_seq(step, p, u, m, x, y, lanes, span):
+    """The lane walk's seeding, one scalar step at a time.
+
+    Lane l + 1 starts at x_{l+1} = p**T*x_l + u_T and
+    y_{l+1} = p**T*y_l + tail(x_l) mod m, where T = span, u_T is the x word
+    T steps of x -> p*x + u after 0, and tail(x) the y word T steps of
+    ``step`` after (x, 0). The lanes sit in a grid of k rows, k the
+    smallest lane period of the x words whose rows of ceil(lanes / k)
+    lanes are at least k long, otherwise one row per lane; the cells
+    past the last lane continue the y recurrence with the tails of their
+    rows. Returns (rows, cols, the rows' x words, every cell's y word).
+    """
+    pt, ut = pow(p, span, m), 0
+    for _ in range(span):
+        ut = (p * ut + u) % m
+    xs = [x]
+    for _ in range(lanes - 1):
+        xs.append((pt * xs[-1] + ut) % m)
+    rows = next(
+        (k for k in range(1, lanes) if -(-lanes // k) >= k and xs[k:] == xs[:-k]), lanes
+    )
+    cols = -(-lanes // rows)
+    tails = []
+    for tx in xs[: min(rows, rows * cols - 1)]:
+        ty = 0
+        for _ in range(span):
+            tx, ty = step(tx, ty)
+        tails.append(ty)
+    ys = [y]
+    for lane in range(rows * cols - 1):
+        ys.append((pt * ys[-1] + tails[lane % rows]) % m)
+    return rows, cols, xs[:rows], ys

@@ -8,10 +8,11 @@ patched down so that small orbits still cross lane, block and flush
 boundaries; the shapes also set the round-trip chunk, which no orbit
 walk may depend on. The lane walk seeded without a closed form, which a
 failing reproduction runs backward, must equal the plain step-by-step
-walk, whether its lanes share x words in a grid or take one row each,
-and the passing checks at the reference size must hold no orbit table.
-There the walks run in a grid of 2 rows, and every report equals the
-one with one row per lane.
+walk, whether its lanes share x words in a grid or take one row each;
+the lanes' start words, seeded by a scan over arrays, must equal the
+scalar recurrences; and the passing checks at the reference size must
+hold no orbit table. There the walks run in a grid of 8 rows, and every
+report equals the one with one row per lane.
 """
 
 import json
@@ -28,6 +29,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from revlcg import (
+    MAX_MODULUS,
     CoupledState,
     CouplingSpec,
     InvariantError,
@@ -44,6 +46,7 @@ from revlcg import (
 )
 from sequential_walks import (
     equidistribution_seq,
+    lane_starts_seq,
     orbit_period_seq,
     paper_reproduction_seq,
     walk_seq,
@@ -276,9 +279,9 @@ NOT_INVERTIBLE_FORWARD = verification._CoupledMap(*NOT_INVERTIBLE[:2]).forward
 # step; 300 lanes of one step in a grid of 16 rows (the x period) by 19
 # columns, the last 4 cells padding; the map that is not a bijection in
 # 131 lanes, whose start words 0, 1, 3, 7, 7, ... never come back to the
-# first, so one row per lane; an odd modulus in 4096 lanes of 3 steps,
+# first, so one row per lane; an odd modulus in 16384 lanes of 3 steps,
 # whose start words repeat with period 1539 / 3 = 513 but would fill rows
-# of only 8, so one row per lane.
+# of only 32, so one row per lane.
 @settings(max_examples=300, deadline=None)
 @given(walk=table_walks(), lanes=st.sampled_from([1, 3, 7, 64, verification._LANES]))
 @example(walk=(backward(RundConstants(5, 3, 16, 2, 7, 9, 256)), 7, 9, 16, 0, 255), lanes=7)
@@ -317,6 +320,66 @@ def test_table_walk_matches_sequential(walk, lanes):
     assert walked == dict(enumerate(expected))
 
 
+def closed(params, coupling, x, y, count):
+    """A walk to seed: the coupled map's forward step, with its closed-form tail."""
+    cmap = verification._CoupledMap(params, coupling)
+    tail = partial(verification._lane_tail, cmap)
+    return cmap.forward, params.a, params.b, params.m, x, y, count, tail
+
+
+def walked(k, x, y, count):
+    """A walk to seed: the reference backward step, x -> c*x + d, its tail walked."""
+    return backward(k), k.c, k.d, k.m, x, y, count, None
+
+
+@st.composite
+def seeded_walks(draw):
+    """(step, p, u, m, x, y, count, tail): a coupled map's forward step, with
+    the carry on or off, or the reference backward step with any (c, d),
+    gcd(c, m) > 1 and c = 0 or d = 0 included."""
+    params, coupling, seed = draw(coupled_maps())
+    m = params.m
+    count = draw(st.integers(1, 2 * m * m + 3))
+    if draw(st.booleans()):
+        return closed(params, coupling, seed.x, seed.y, count)
+    word = st.integers(0, m - 1)
+    k = RundConstants(params.a, params.b, m, coupling.s, draw(word), draw(word), m * m)
+    return walked(k, seed.x, seed.y, count)
+
+
+BIG = MAX_MODULUS
+TOY_C0 = RundConstants(5, 3, 16, 2, 0, 0, 256)
+
+
+# Examples at m = MAX_MODULUS = 7**2 * 127 * 337, where the scan's products
+# come nearest the int64 bound, in 16384 lanes of 3 steps, with closed-form
+# tails: a = 5, b = 3, whose start x words repeat every 112 lanes, 112 rows
+# of 147; a = 1 + 7*127*337, b = 1, x of full period, so one row per lane;
+# and with its tails walked, a backward step with gcd(c, m) = 7, one row
+# per lane. On the toy: c = 0 and d = 0 from x = 0, whose x words all stay
+# 0, one shared row; the same from x = 5, whose x words are 5, 0, 0, ...,
+# one row per lane; gcd(c, m) = 4; the full-period toy in 16 rows of 19
+# lanes, the last 4 cells padding.
+@settings(max_examples=300, deadline=None)
+@given(walk=seeded_walks(), lanes=st.sampled_from([1, 3, 7, 64, verification._LANES]))
+@example(walk=closed(LcgParams(5, 3, BIG), CouplingSpec(BIG - 2), 1234567, BIG - 1, 49152), lanes=16384)
+@example(walk=closed(LcgParams(299594, 1, BIG), CouplingSpec(BIG - 2), BIG - 1, 7, 49152), lanes=16384)
+@example(walk=walked(RundConstants(5, 3, BIG, 1, 7, BIG - 1, BIG * BIG), 99, 2, 49152), lanes=16384)
+@example(walk=walked(TOY_C0, 0, 9, 200), lanes=64)
+@example(walk=walked(TOY_C0, 5, 9, 200), lanes=64)
+@example(walk=walked(RundConstants(5, 3, 16, 2, 4, 1, 256), 3, 1, 300), lanes=7)
+@example(walk=closed(*FULL_TOY[:2], 0, 0, 300), lanes=verification._LANES)
+def test_array_seeding_matches_the_scalar_recurrences(walk, lanes):
+    step, p, u, m, x, y, count, tail = walk
+    with patch.object(verification, "_LANES", lanes):
+        seeded = verification._LaneWalk(m, x, y, count, step, p, u, tail)
+    rows, cols, xs, ys = lane_starts_seq(step, p, u, m, x, y, seeded.lanes, seeded.span)
+    assert seeded.span == -(-count // lanes) and seeded.lanes == -(-count // seeded.span)
+    assert (seeded.rows, seeded.cols) == (rows, cols)
+    assert seeded._starts[0].tolist() == xs
+    assert seeded._starts[1].tolist() == ys
+
+
 @pytest.mark.parametrize(
     "xs, rows",
     [
@@ -331,13 +394,13 @@ def test_table_walk_matches_sequential(walk, lanes):
     ],
 )
 def test_grid_rows_are_the_smallest_lane_period_of_long_enough_rows(xs, rows):
-    assert verification._grid_rows(xs) == rows
+    assert verification._grid_rows(np.array(xs, dtype=np.int64)) == rows
 
 
 def test_short_failing_window_at_large_m_builds_no_table():
     # A table over m**2 = 10**10 states would take 80 GB; the failing walk's
     # lanes hold only its window, here 100 states and then 200 000 states in
-    # 4082 lanes of 49 steps.
+    # 15385 lanes of 13 steps.
     m = 100_003
     k = RundConstants(a=5, b=3, m=m, s=2, c=7, d=9, imax=m * m)
     seed = endpoint(k, 100)
@@ -357,8 +420,8 @@ def test_short_failing_window_at_large_m_builds_no_table():
 
 
 def test_orbit_table_at_the_shipped_shape():
-    # 65 * 4096 + 1 states: 4034 lanes of 66 steps, one full flush block of
-    # 64 and a partial one of 2
+    # 65 * 16384 + 1 states: 16136 lanes of 66 steps, one full flush block
+    # of 64 and a partial one of 2
     params, coupling = LcgParams(1029, 1731, 2048), CouplingSpec(1536)
     count = verification._LANES * 65 + 1
     assert verification._FLUSH == 64 and -(-count // verification._LANES) == 66
@@ -381,13 +444,12 @@ def reference_reports():
 
 
 def test_reference_walks_share_x_words_and_match_flat_lanes():
-    # T = 1024 steps per lane and x period 2048: lanes j and j + 2 hold the
-    # same x word, so every forward walk is 2 rows of 2048 lanes, those of
+    # T = 256 steps per lane and x period 2048: lanes j and j + 8 hold the
+    # same x word, so every forward walk is 8 rows of 2048 lanes, those of
     # the failing runs' check and forward table included. The backward walk
     # of c = 204, whose x map is not a bijection, takes one row per lane;
-    # that of d = 1498, whose x word is back at 0 after every 1024 steps,
-    # one row of 4096 lanes. With one row per lane everywhere, every report
-    # is the same.
+    # that of d = 1498, whose x word has period 1024, 4 rows of 4096 lanes.
+    # With one row per lane everywhere, every report is the same.
     shapes = []
 
     class Recorded(verification._LaneWalk):
@@ -397,11 +459,11 @@ def test_reference_walks_share_x_words_and_match_flat_lanes():
 
     with patch.object(verification, "_LaneWalk", Recorded):
         shared = reference_reports()
-        assert shapes == [(2, 2048)] * 5 + [(4096, 1)] + [(2, 2048)] * 2 + [(1, 4096)]
+        assert shapes == [(8, 2048)] * 5 + [(16384, 1)] + [(8, 2048)] * 2 + [(4, 4096)]
         shapes.clear()
         with patch.object(verification, "_grid_rows", len):
             assert reference_reports() == shared
-        assert set(shapes) == {(4096, 1)}
+        assert set(shapes) == {(16384, 1)}
     assert [report.passed for report in shared] == [True, True, True, False, False]
 
 
