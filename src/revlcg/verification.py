@@ -320,14 +320,15 @@ def _tail_walk(step, xs, n):
     return y
 
 
-def _affine_scan(p, c, m):
-    """The words w_0 = c_0, w_i = p*w_{i-1} + c_i mod m, for the int64 words c.
+def _affine_scan(p, w0, c, m):
+    """The int64 words w_0 = w0, w_{i+1} = p*w_i + c_i mod m, for the words c.
 
-    A doubling scan: after the pass with shift h, w_i is the sum of
-    p**(i-j)*c_j over the last 2h indices j <= i, so O(log len(c)) array
-    passes give every prefix.
+    A doubling scan: with c_{-1} = w0, after the pass with shift h, w_i is
+    the sum of p**(i-1-j)*c_j over the last 2h indices j < i, so
+    O(log len(c)) array passes give every word.
     """
-    w, h, ph = c.copy(), 1, p % m
+    w, h, ph = np.empty(len(c) + 1, dtype=np.int64), 1, p % m
+    w[0], w[1:] = w0, c
     while h < w.size:
         # w and p**h are below m, so every product is below m**2 < 2**63
         # (m <= MAX_MODULUS < 2**21): no int64 wraps
@@ -344,9 +345,9 @@ def _grid_rows(xs):
     otherwise one row per lane.
     """
     n = len(xs)
-    # ceil(n / k) >= k exactly when k*(k - 1) < n, that is 2k - 1 <= isqrt(4n - 3)
-    longest = (1 + math.isqrt(4 * n - 3)) // 2
-    for k in np.flatnonzero(xs[1 : longest + 1] == xs[0]) + 1:
+    for k in np.flatnonzero(xs[1:] == xs[0]) + 1:
+        if -(-n // k) < k:
+            break
         if (xs[k:] == xs[:-k]).all():
             return int(k)
     return n
@@ -401,9 +402,7 @@ class _LaneWalk:
         self.count, self.span = count, -(-count // _LANES)
         self.lanes, self._step = -(-count // self.span), step
         pt, _, ut, _ = _power((p, 0, u, 0), self.span, m)
-        xs = np.full(self.lanes, ut, dtype=np.int64)
-        xs[0] = x
-        xs = _affine_scan(pt, xs, m)
+        xs = _affine_scan(pt, x, np.full(self.lanes - 1, ut), m)
         self.rows = _grid_rows(xs)
         self.cols = -(-self.lanes // self.rows)
         cells = self.rows * self.cols
@@ -411,9 +410,7 @@ class _LaneWalk:
         # is the word of row l % rows.
         xs = xs[: self.rows]
         tails = (tail or partial(_tail_walk, step))(xs[: cells - 1], self.span)
-        ys = np.empty(cells, dtype=np.int64)
-        ys[0], ys[1:] = y, np.resize(tails, cells - 1)
-        self._starts = xs, _affine_scan(pt, ys, m)
+        self._starts = xs, _affine_scan(pt, y, np.resize(tails, cells - 1), m)
 
     def in_lanes(self, x, y):
         """The grid's words (x, y) as two arrays in lane order, the padding left out."""
