@@ -22,8 +22,8 @@ O(log T) affine power of (p, u) applied to x_l, and at p**T*y_l plus
 the y word T steps after (x_l, 0). The forward walks have that word in
 closed form (with the carry on the packed LCG
 z -> ((a + s*m)*z + b) mod m**2, with it off
-(x, y) -> [[a, 0], [s, a]]·(x, y) + (b, 0) mod m); the backward walk
-takes it from one pass from y = 0. Both start words are first-order
+(x, y) -> [[a, 0], [s, a]]·(x, y) + (b, 0) mod m); the backward walks
+take it from one pass from y = 0. Both start words are first-order
 affine recurrences over the lanes, so a doubling scan over int64
 arrays seeds every lane in O(log lanes) passes. This is the blocking
 split of L'Ecuyer et al. (2017, "Random numbers for parallel
@@ -50,22 +50,14 @@ past the walk, and gives a passing verdict only after a walk run out
 to its end. Any single state of the walk, such as its last, it steps
 in turn from the start of that state's lane.
 
-None of the passing checks holds an orbit table. The period walk tests
-each step's words against the seed, the equidistribution walk marks them
-in its coverage flags, and both walk in blocks of at most ``_BLOCK``
-states, each continuing from the last state of the one before, and stop
-at the first block that closes the orbit. The reproduction steps each
-forward state back as it is walked: as long as back(i) = forw(imax - i),
-back(i + 1) is one backward step from a forward state, so one scalar
-step from the seed and one elementwise step per lane step, compared with
-the words of the step before, tell whether any comparison fails. The
-seed's step is compared first, with the walk's last state, so a run
-from a wrong backward seed fails before its walk. Only a failing run
-builds tables, with ``_orbit_table``: of its forward orbit
-and of its backward one, both walked in stitched lanes. A table gathers
-the lanes' states of ``_FLUSH`` consecutive steps in one small
-contiguous buffer and writes them together, so that a step does not
-scatter one store per lane across the table.
+No check holds an orbit table. The period walk tests each step's words
+against the seed, the equidistribution walk marks them in its coverage
+flags, and both walk in blocks of at most ``_BLOCK`` states, each
+continuing from the last state of the one before, and stop at the first
+block that closes the orbit. The reproduction steps each forward state
+back onto the one before as it is walked (:func:`_retraces`); a failing
+run then walks the derived inverse back from forw(imax) beside the given
+backward walk (:func:`_mismatches`), so it refuses an a with no inverse.
 
 Each report states every fact once, as a ``(key, value, line)`` row
 yielded in output order by its private ``_rows()``. Both renderings
@@ -95,7 +87,7 @@ from .congruence import (
     derive_inverse,
 )
 from .generator import CoupledState, CouplingSpec, _CoupledMap, _require_state
-from .rund import RUND, RundConstants, rund_backward_step, rund_forward_step
+from .rund import RUND, RundConstants, packed_multiplier, rund_backward_step, rund_forward_step
 
 # Exhaustive modes enumerate m**2 states; beyond this bound the table and
 # the walk stop being desk-scale.
@@ -115,12 +107,9 @@ _SWEEP_CHUNK = 1 << 15
 # median of 29, 23 and 33 ms at 8192, 16384 and 32768 lanes, and no other
 # orbit check was more than 1% faster at either. The period and
 # equidistribution walks take an orbit _BLOCK states at a time, so they
-# stop within _BLOCK states of where it closes. A table of the failing
-# reproduction gathers the lanes' states of _FLUSH consecutive steps in
-# one contiguous buffer (8 MiB at 16384 lanes) before writing them out.
+# stop within _BLOCK states of where it closes.
 _LANES = _SWEEP_CHUNK // 2
 _BLOCK = 1 << 22
-_FLUSH = 64
 
 
 class _Report:
@@ -455,24 +444,6 @@ def _forward_blocks(cmap, x, y, total):
         x, y = walk.state(count - 1)
 
 
-def _orbit_table(m, x, y, count, step, p, u, tail=None):
-    """Packed states after 1 .. count steps of ``step`` from (x, y), from a :class:`_LaneWalk`."""
-    walk = _LaneWalk(m, x, y, count, step, p, u, tail)
-    # Row l is lane l, so the flattened table is in orbit order. A step
-    # gives one packed state per lane, each a row apart in the table; they
-    # go into a contiguous row of `buf` instead, in lane order, and every
-    # _FLUSH steps the rows are copied into the table as columns. The
-    # padding and the last lane's states past the walk are cut off.
-    table = np.empty((walk.lanes, walk.span), dtype=np.int64)
-    buf = np.empty((min(_FLUSH, walk.span), walk.cols, walk.rows), dtype=np.int64)
-    for t, (ex, ey, _) in enumerate(walk):
-        row = t % _FLUSH
-        np.add(ex, m * ey, out=buf[row].T)
-        if row == _FLUSH - 1 or t == walk.span - 1:
-            table[:, t - row : t + 1] = buf[: row + 1].reshape(row + 1, -1)[:, : walk.lanes].T
-    return table.ravel()[:count]
-
-
 def orbit_period(
     seed: CoupledState,
     params: LcgParams,
@@ -719,6 +690,37 @@ def _retraces(k, count, bx, by, forward, tail):
     return not bool(((hx[1:] != qx[:-1]) | (hy[1:] != qy[:-1])).any())
 
 
+def _forward_jump(k, n):
+    """forw(n), the state n reference forward steps after (0, 0): a power of the packed LCG."""
+    z = _power((packed_multiplier(k), 0, k.b, 0), n, k.m * k.m)[2]
+    return z % k.m, z // k.m
+
+
+def _mismatches(k, true_k, n, bx, by):
+    """(mismatches, first i) of back(i) != forw(n - i), i = 1 .. n - 1, n > 1.
+
+    back(i) is i steps of ``k`` from (bx, by), and forw(n - i) i steps of
+    the true inverse ``true_k`` from forw(n). The two backward walks
+    share their lanes but not always their grid: they meet in lane order.
+    """
+    count, mismatches, first = n - 1, 0, n
+
+    def back(q, x, y):
+        return _LaneWalk(q.m, x, y, count, partial(rund_backward_step, k=q), q.c, q.d)
+
+    given, true = back(k, bx, by), back(true_k, *_forward_jump(k, n))
+    # strict=True also steps the true walk past its last step, into its stitch check
+    for t, ((gx, gy, _), (tx, ty, _)) in enumerate(zip(given, true, strict=True)):
+        live = -(-(count - t) // given.span)  # lane l holds i = l*T + t + 1 <= count
+        (gx, gy), (tx, ty) = given.in_lanes(gx, gy), true.in_lanes(tx, ty)
+        bad = np.flatnonzero((gx[:live] != tx[:live]) | (gy[:live] != ty[:live]))
+        if bad.size:
+            mismatches, first = mismatches + bad.size, min(first, int(bad[0]) * given.span + t + 1)
+    if (end := true.state(count - 1)) != rund_forward_step(0, 0, k):
+        raise InvariantError(f"the true walk back from forw({n}) ends at {end}, not at forw(1)")
+    return mismatches, first if mismatches else None
+
+
 def paper_reproduction(
     constants: RundConstants = RUND,
     imax: Optional[int] = None,
@@ -740,22 +742,21 @@ def paper_reproduction(
     by building the coupled map from them: (a, b, m) as
     :class:`LcgParams`, 0 <= s < m, and c, d in [0, m); any other value
     raises :class:`ParameterError`. :class:`RundConstants` itself
-    refuses an imax other than m**2.
+    refuses an imax other than m**2. An a with no inverse mod m raises
+    :class:`NotInvertibleError` before any walk.
     """
-    k = constants
-    cmap = _CoupledMap(LcgParams(k.a, k.b, k.m), CouplingSpec(k.s), InverseParams(k.c, k.d))
+    k, params = constants, LcgParams(constants.a, constants.b, constants.m)
+    cmap = _CoupledMap(params, CouplingSpec(k.s), InverseParams(k.c, k.d))
     n = k.imax if imax is None else _require_int(imax, "imax")
     if not 1 <= n <= k.imax:
         raise ParameterError(f"imax must lie in [1, {k.imax}], got {n}")
     bx, by = _require_state((0, 0) if backward_seed is None else backward_seed, k.m)
-    m, count = k.m, n - 1
+    inverse, count = derive_inverse(params), n - 1
     forward, tail = partial(rund_forward_step, k=k), partial(_lane_tail, cmap)
     mismatches, first = 0, None
     if count and not _retraces(k, count, bx, by, forward, tail):
-        forw = _orbit_table(m, 0, 0, count, forward, k.a, k.b, tail)
-        back = partial(rund_backward_step, k=k)
-        bad = _orbit_table(m, bx, by, count, back, k.c, k.d) != forw[::-1]
-        mismatches, first = int(np.count_nonzero(bad)), int(bad.argmax()) + 1
+        true_k = RundConstants(k.a, k.b, k.m, k.s, inverse.c, inverse.d, k.imax)
+        mismatches, first = _mismatches(k, true_k, n, bx, by)
     return ReproductionReport(
         comparisons=count,
         mismatches=mismatches,

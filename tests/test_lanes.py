@@ -3,19 +3,21 @@
 Every report must equal the sequential one field for field, over small
 random coupled maps, including maps that are not bijections, step
 limits below the period, the identity map and corrupted reversal
-constants. The engine's lane count, block size and table flush are
-patched down so that small orbits still cross lane, block and flush
-boundaries; the shapes also set the round-trip chunk, which no orbit
-walk may depend on. The lane walk seeded without a closed form, which a
-failing reproduction runs backward, must equal the plain step-by-step
-walk, whether its lanes share x words in a grid or take one row each;
-the lanes' start words, seeded by a scan over arrays, must equal the
-scalar recurrences; and the passing checks at the reference size must
-hold no orbit table. There the walks run in a grid of 8 rows, and every
-report equals the one with one row per lane.
+constants. The engine's lane count and block size are patched down so
+that small orbits still cross lane and block boundaries; the shapes
+also set the round-trip chunk, which no orbit walk may depend on. The
+lane walk seeded without a closed form, which a failing reproduction
+runs backward twice, must equal the plain step-by-step walk, whether
+its lanes share x words in a grid or take one row each; the lanes'
+start words, seeded by a scan over arrays, must equal the scalar
+recurrences; a reproduction whose a has no inverse is refused; and no
+check at the reference size, passing or failing, may hold an orbit
+table. There the walks run in a grid of 8 rows, and every report equals
+the one with one row per lane.
 """
 
 import json
+import math
 import subprocess
 import sys
 import tracemalloc
@@ -34,6 +36,7 @@ from revlcg import (
     CouplingSpec,
     InvariantError,
     LcgParams,
+    NotInvertibleError,
     RundConstants,
     derive_inverse,
     equidistribution_check,
@@ -52,12 +55,10 @@ from sequential_walks import (
     walk_seq,
 )
 
-# (lanes, block, chunk, flush): the shipped shape, one lane, and shapes
-# whose lanes, blocks and flush blocks end inside small orbits.
-SHIPPED = (verification._LANES, verification._BLOCK, verification._SWEEP_CHUNK, verification._FLUSH)
-SHAPES = st.sampled_from(
-    [SHIPPED, (1, 1 << 22, 7, 3), (3, 7, 1, 2), (5, 64, 7, 1), (64, 1000, 1 << 15, 3)]
-)
+# (lanes, block, chunk): the shipped shape, one lane, and shapes whose
+# lanes and blocks end inside small orbits.
+SHIPPED = (verification._LANES, verification._BLOCK, verification._SWEEP_CHUNK)
+SHAPES = st.sampled_from([SHIPPED, (1, 1 << 22, 7), (3, 7, 1), (5, 64, 7), (64, 1000, 1 << 15)])
 
 IDENTITY = (LcgParams(1, 0, 8), CouplingSpec(0, carry_enabled=False), CoupledState(3, 5))
 NOT_INVERTIBLE = (LcgParams(2, 1, 8), CouplingSpec(3), CoupledState(0, 0))
@@ -70,12 +71,11 @@ REFERENCE = (LcgParams(1029, 1731, 2048), CouplingSpec(1536), CoupledState(0, 0)
 
 @contextmanager
 def engine_shape(shape):
-    lanes, block, chunk, flush = shape
+    lanes, block, chunk = shape
     with (
         patch.object(verification, "_LANES", lanes),
         patch.object(verification, "_BLOCK", block),
         patch.object(verification, "_SWEEP_CHUNK", chunk),
-        patch.object(verification, "_FLUSH", flush),
     ):
         yield
 
@@ -91,11 +91,11 @@ def coupled_maps(draw, max_m=24):
 
 @settings(max_examples=300, deadline=None)
 @given(maps=coupled_maps(), limit=st.none() | st.integers(1, 700), shape=SHAPES)
-@example(maps=IDENTITY, limit=None, shape=(3, 7, 1, 2))
-@example(maps=NOT_INVERTIBLE, limit=None, shape=(5, 64, 7, 1))
-@example(maps=FULL_TOY, limit=100, shape=(3, 7, 1, 2))
-@example(maps=NOT_INVERTIBLE, limit=70, shape=(3, 7, 1, 2))
-@example(maps=FULL_TOY, limit=None, shape=(3, 1000, 1, 4))  # lanes of 86 steps: 21 flushes and 2 steps
+@example(maps=IDENTITY, limit=None, shape=(3, 7, 1))
+@example(maps=NOT_INVERTIBLE, limit=None, shape=(5, 64, 7))
+@example(maps=FULL_TOY, limit=100, shape=(3, 7, 1))
+@example(maps=NOT_INVERTIBLE, limit=70, shape=(3, 7, 1))
+@example(maps=FULL_TOY, limit=None, shape=(3, 1000, 1))  # lanes of 86 steps
 # 255 lanes of one step in 16 rows of 16; the padding cell holds the seed,
 # one step past the limit
 @example(maps=FULL_TOY, limit=255, shape=SHIPPED)
@@ -108,10 +108,10 @@ def test_orbit_period_matches_sequential(maps, limit, shape):
 
 @settings(max_examples=300, deadline=None)
 @given(maps=coupled_maps(), shape=SHAPES)
-@example(maps=IDENTITY, shape=(3, 7, 1, 2))
-@example(maps=NOT_INVERTIBLE, shape=(5, 64, 7, 1))
-@example(maps=FULL_TOY, shape=(3, 7, 1, 2))
-@example(maps=FULL_TOY, shape=(3, 1000, 1, 4))  # lanes of 86 steps: 21 flushes and 2 steps
+@example(maps=IDENTITY, shape=(3, 7, 1))
+@example(maps=NOT_INVERTIBLE, shape=(5, 64, 7))
+@example(maps=FULL_TOY, shape=(3, 7, 1))
+@example(maps=FULL_TOY, shape=(3, 1000, 1))  # lanes of 86 steps
 @example(maps=Z_BEFORE_X, shape=SHIPPED)
 def test_equidistribution_matches_sequential(maps, shape):
     params, coupling, seed = maps
@@ -150,27 +150,39 @@ def endpoint(k, n):
 # forw[2] -> forw[1] fails; a corrupted c whose first mismatch is at n = 9,
 # where the same two pairs pass and fail; true constants from a seed that
 # is not the forward endpoint, where only the seed step fails; the identity
-# map; the reference toy in lanes of 86 steps, 21 flushes of 4 and a
-# partial one of 2; a failing window of 10, whose backward walk runs in 3
-# lanes of 3 steps.
+# map; the corrupted d at the shipped lane count, 255 lanes of one step,
+# both backward walks in 16 rows of 16; a failing window of 10, whose
+# backward walks run in 3 lanes of 3 steps. A draw whose a has no inverse
+# mod m is refused.
 @settings(max_examples=300, deadline=None)
 @given(run=reproduction_runs(), reseed=st.booleans(), shape=SHAPES)
-@example(run=(RundConstants(5, 3, 16, 2, 13, 1, 256), 256, None), reseed=False, shape=(3, 7, 1, 2))
-@example(run=(RundConstants(5, 3, 16, 2, 7, 9, 256), 256, None), reseed=False, shape=(5, 64, 7, 1))
-@example(run=(RundConstants(5, 3, 16, 2, 13, 2, 256), 100, None), reseed=True, shape=(3, 7, 1, 2))
-@example(run=(RundConstants(5, 3, 16, 2, 5, 9, 256), 256, (0, 8)), reseed=False, shape=(3, 7, 1, 2))
-@example(run=(RundConstants(17, 14, 32, 1, 1, 18, 1024), 1024, None), reseed=False, shape=(3, 7, 1, 3))
-@example(run=(RundConstants(5, 3, 16, 2, 13, 9, 256), 100, (0, 0)), reseed=False, shape=(3, 7, 1, 2))
-@example(run=(RundConstants(1, 0, 8, 0, 1, 0, 64), 64, (3, 5)), reseed=False, shape=(3, 7, 1, 2))
-@example(run=(RundConstants(5, 3, 16, 2, 13, 1, 256), 256, None), reseed=False, shape=(3, 7, 1, 4))
-@example(run=(RundConstants(5, 3, 16, 2, 7, 9, 256), 10, None), reseed=True, shape=(3, 7, 1, 2))
+@example(run=(RundConstants(5, 3, 16, 2, 13, 1, 256), 256, None), reseed=False, shape=(3, 7, 1))
+@example(run=(RundConstants(5, 3, 16, 2, 7, 9, 256), 256, None), reseed=False, shape=(5, 64, 7))
+@example(run=(RundConstants(5, 3, 16, 2, 13, 2, 256), 100, None), reseed=True, shape=(3, 7, 1))
+@example(run=(RundConstants(5, 3, 16, 2, 5, 9, 256), 256, (0, 8)), reseed=False, shape=(3, 7, 1))
+@example(run=(RundConstants(17, 14, 32, 1, 1, 18, 1024), 1024, None), reseed=False, shape=(3, 7, 1))
+@example(run=(RundConstants(5, 3, 16, 2, 13, 9, 256), 100, (0, 0)), reseed=False, shape=(3, 7, 1))
+@example(run=(RundConstants(1, 0, 8, 0, 1, 0, 64), 64, (3, 5)), reseed=False, shape=(3, 7, 1))
+@example(run=(RundConstants(5, 3, 16, 2, 13, 1, 256), 256, None), reseed=False, shape=SHIPPED)
+@example(run=(RundConstants(5, 3, 16, 2, 7, 9, 256), 10, None), reseed=True, shape=(3, 7, 1))
 def test_paper_reproduction_matches_sequential(run, reseed, shape):
     k, n, seed = run
     if reseed:
         seed = endpoint(k, n)
+    if math.gcd(k.a, k.m) > 1:
+        with engine_shape(shape), pytest.raises(NotInvertibleError):
+            paper_reproduction(k, imax=n, backward_seed=seed)
+        return
     with engine_shape(shape):
         lanes = paper_reproduction(k, imax=n, backward_seed=seed)
     assert lanes == paper_reproduction_seq(k, n, (0, 0) if seed is None else seed)
+
+
+def test_reproduction_refuses_an_a_with_no_inverse():
+    # gcd(2, 8) = 2: no true backward walk exists to read the forward orbit
+    # backwards, so the run is refused before any walk, whatever (c, d)
+    with pytest.raises(NotInvertibleError, match="gcd"):
+        paper_reproduction(RundConstants(2, 1, 8, 3, 1, 0, 64))
 
 
 @pytest.mark.parametrize(
@@ -188,27 +200,27 @@ def test_reproduction_check_fails_where_the_examples_say(k, n, seed, steps):
     # first failing pair. In the first two examples the seed's step and the
     # pair forw[1] -> forw[0] pass and forw[2] -> forw[1] fails; in the
     # last only the seed's comparison fails, before any forward state is
-    # stepped back. Then the failing run builds its tables.
+    # stepped back. Then the failing run counts its mismatches.
     calls = []
-    orbit_table = verification._orbit_table
+    mismatches = verification._mismatches
 
     def spy(x, y, k):
         calls.append(np.ravel(x + k.m * y).tolist())
         return rund_backward_step(x, y, k)
 
-    def table(*args):
-        calls.append("table")
-        return orbit_table(*args)
+    def count(*args):
+        calls.append("count")
+        return mismatches(*args)
 
     with (
-        engine_shape((1, 7, 1, 2)),
+        engine_shape((1, 7, 1)),
         patch.object(verification, "rund_backward_step", spy),
-        patch.object(verification, "_orbit_table", table),
+        patch.object(verification, "_mismatches", count),
     ):
         assert not paper_reproduction(k, imax=n, backward_seed=seed).passed
     x, y = (0, 0) if seed is None else seed
     forw = walk_seq(lambda x, y: rund_forward_step(x, y, k), k.m, 0, steps)
-    assert calls[: steps + 2] == [[x + k.m * y]] + [[z] for z in forw] + ["table"]
+    assert calls[: steps + 2] == [[x + k.m * y]] + [[z] for z in forw] + ["count"]
 
 
 TOY_K = RundConstants(5, 3, 16, 2, 13, 9, 256)  # the true toy inverse
@@ -231,14 +243,14 @@ def corrupted_at(z, dx, dy):
 # lane 1, so that only the comparison across the lanes' boundary sees it,
 # or the y word of forw[247], lane 61's last state, in the last column at
 # the step the last lane has left (an x word is compared for a whole row).
-# A failing run's backward table of such a step cannot be seeded, since
+# A failing run's backward walk of such a step cannot be seeded, since
 # it is no longer affine, and the stitch check would refuse it.
 @pytest.mark.parametrize("z_index, dx, dy", [(4, 1, 0), (247, 0, 1)])
 def test_reproduction_check_sees_one_bad_word(z_index, dx, dy):
     k, cmap = TOY_K, verification._CoupledMap(LcgParams(5, 3, 16), CouplingSpec(2))
     forward, tail = partial(rund_forward_step, k=k), partial(verification._lane_tail, cmap)
     z = walk_seq(forward, k.m, 0, z_index + 1)[-1]
-    with engine_shape((64, 1 << 22, 1 << 15, 64)):
+    with engine_shape((64, 1 << 22, 1 << 15)):
         assert verification._retraces(k, 255, 0, 0, forward, tail)
         with patch.object(verification, "rund_backward_step", corrupted_at(z, dx, dy)):
             assert not verification._retraces(k, 255, 0, 0, forward, tail)
@@ -295,11 +307,9 @@ NOT_INVERTIBLE_FORWARD = verification._CoupledMap(*NOT_INVERTIBLE[:2]).forward
 def test_table_walk_matches_sequential(walk, lanes):
     step, p, u, m, z, count = walk
     with patch.object(verification, "_LANES", lanes):
-        table = verification._orbit_table(m, z % m, z // m, count, step, p, u)
         lane_walk = verification._LaneWalk(m, z % m, z // m, count, step, p, u)
         steps = list(lane_walk)
     expected = walk_seq(step, m, z, count)
-    assert table.tolist() == expected
     span, rows, cols = lane_walk.span, lane_walk.rows, lane_walk.cols
     for j in {0, span - 1, count - 1}:
         x, y = lane_walk.state(j)
@@ -318,6 +328,24 @@ def test_table_walk_matches_sequential(walk, lanes):
                     assert index not in walked
                     walked[index] = int(xs[row, 0] + m * ys[row, col])
     assert walked == dict(enumerate(expected))
+
+
+def test_failing_run_stitches_both_backward_walks():
+    # The true walk is seeded after the given one, here from tails one word
+    # off, so only its own stitch check, after its last step, can refuse it.
+    calls, tail_walk = [], verification._tail_walk
+
+    def second_off(step, xs, n):
+        calls.append(n)
+        return tail_walk(step, xs, n) + (len(calls) == 2)
+
+    with (
+        engine_shape((7, 1 << 22, 1 << 15)),
+        patch.object(verification, "_tail_walk", second_off),
+        pytest.raises(InvariantError, match="lanes do not stitch"),
+    ):
+        paper_reproduction(RundConstants(5, 3, 16, 2, 7, 9, 256))
+    assert len(calls) == 2
 
 
 def closed(params, coupling, x, y, count):
@@ -419,17 +447,21 @@ def test_short_failing_window_at_large_m_builds_no_table():
     assert peak < 32 << 20
 
 
-def test_orbit_table_at_the_shipped_shape():
-    # 65 * 16384 + 1 states: 16136 lanes of 66 steps, one full flush block
-    # of 64 and a partial one of 2
+def test_lane_walk_at_the_shipped_shape():
+    # 65 * 16384 + 1 states: 16136 lanes of 66 steps, the last lane's last
+    # 15 steps past the walk
     params, coupling = LcgParams(1029, 1731, 2048), CouplingSpec(1536)
     count = verification._LANES * 65 + 1
-    assert verification._FLUSH == 64 and -(-count // verification._LANES) == 66
+    assert -(-count // verification._LANES) == 66
     cmap = verification._CoupledMap(params, coupling)
     tail = partial(verification._lane_tail, cmap)
-    table = verification._orbit_table(2048, 0, 0, count, cmap.forward, 1029, 1731, tail)
+    lane_walk = verification._LaneWalk(2048, 0, 0, count, cmap.forward, 1029, 1731, tail)
+    cells = np.empty((lane_walk.span, lane_walk.lanes), dtype=np.int64)
+    for t, (xs, ys, _) in enumerate(lane_walk):
+        x, y = lane_walk.in_lanes(xs, ys)
+        cells[t] = x + 2048 * y
     walk = generate_sequence(CoupledState(0, 0), count, params, coupling)
-    assert table.tolist() == [x + 2048 * y for x, y in walk]
+    assert cells.T.ravel()[:count].tolist() == [x + 2048 * y for x, y in walk]
 
 
 def reference_reports():
@@ -446,10 +478,11 @@ def reference_reports():
 def test_reference_walks_share_x_words_and_match_flat_lanes():
     # T = 256 steps per lane and x period 2048: lanes j and j + 8 hold the
     # same x word, so every forward walk is 8 rows of 2048 lanes, those of
-    # the failing runs' check and forward table included. The backward walk
-    # of c = 204, whose x map is not a bijection, takes one row per lane;
-    # that of d = 1498, whose x word has period 1024, 4 rows of 4096 lanes.
-    # With one row per lane everywhere, every report is the same.
+    # the failing runs' check included, and so is each failing run's true
+    # backward walk. The given backward walk of c = 204, whose x map is not
+    # a bijection, takes one row per lane; that of d = 1498, whose x word
+    # has period 1024, 4 rows of 4096 lanes. With one row per lane
+    # everywhere, every report is the same.
     shapes = []
 
     class Recorded(verification._LaneWalk):
@@ -459,7 +492,7 @@ def test_reference_walks_share_x_words_and_match_flat_lanes():
 
     with patch.object(verification, "_LaneWalk", Recorded):
         shared = reference_reports()
-        assert shapes == [(8, 2048)] * 5 + [(16384, 1)] + [(8, 2048)] * 2 + [(4, 4096)]
+        assert shapes == [(8, 2048)] * 4 + [(16384, 1), (8, 2048), (8, 2048), (4, 4096), (8, 2048)]
         shapes.clear()
         with patch.object(verification, "_grid_rows", len):
             assert reference_reports() == shared
@@ -488,6 +521,21 @@ def test_passing_checks_hold_no_orbit_table():
     assert max(peaks) < 8 << 20, peaks
 
 
+def test_failing_reproductions_hold_no_orbit_table():
+    # Each failing reference run walks back twice in lanes instead of
+    # storing its orbits; the bound sits well below one 32 MiB table.
+    peaks = []
+    tracemalloc.start()
+    try:
+        for k in (RundConstants(c=204), RundConstants(d=1498)):
+            tracemalloc.reset_peak()
+            assert not paper_reproduction(k).passed
+            peaks.append(tracemalloc.get_traced_memory()[1])
+    finally:
+        tracemalloc.stop()
+    assert max(peaks) < 16 << 20, peaks
+
+
 POWER = verification._power
 
 
@@ -501,7 +549,7 @@ def test_broken_jump_fails_the_stitch_check():
     # broken power seeds lane 1, x and y words, one step further on
     walk = generate_sequence(seed, 66, params, coupling)
     expected, got = tuple(walk[64]), tuple(walk[65])
-    with engine_shape((4, 1 << 22, 1 << 15, 64)), patch.object(verification, "_power", off_by_one_power):
+    with engine_shape((4, 1 << 22, 1 << 15)), patch.object(verification, "_power", off_by_one_power):
         with pytest.raises(InvariantError, match="lane 1 should start where lane 0 ends") as err:
             orbit_period(seed, params, coupling)
     assert f"expected {expected}, got {got}" in str(err.value)
@@ -547,6 +595,13 @@ BROKEN_UNDER_O = {
         "v._tail_walk = lambda step, xs, n: [e + 1 for e in walk(step, xs, n)]\n"
         "v.paper_reproduction(revlcg.RundConstants(5, 3, 16, 2, 7, 9, 256))\n",
         "lanes do not stitch",
+    ),
+    "failing walk end": (
+        "v = revlcg.verification\n"
+        "jump = v._forward_jump\n"
+        "v._forward_jump = lambda k, n: jump(k, n + 1)\n"
+        "v.paper_reproduction(revlcg.RundConstants(5, 3, 16, 2, 7, 9, 256))\n",
+        "not at forw(1)",
     ),
     "derived inverse": (
         "c = revlcg.congruence\n"
