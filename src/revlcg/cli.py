@@ -47,9 +47,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BROKEN_PIPE = 141
 
-# `verify paper` walks imax = m**2 steps twice; cap it at the reference size.
-PAPER_MAX_M = RUND.m
-
 # generate/reverse write this many lines per write call.
 _BLOCK_LINES = 8192
 
@@ -203,6 +200,7 @@ def cmd_reverse(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     from .verification import (
         SWEEP_MAX_M,
+        _require_sweepable,
         equidistribution_check,
         hull_dobell_check,
         orbit_period,
@@ -248,10 +246,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     elif args.which == "hulldobell":
         report = hull_dobell_check(params)
     else:  # paper
-        if params.m > PAPER_MAX_M:
-            raise ParameterError(
-                f"verify paper walks m**2 steps twice; refusing m > {PAPER_MAX_M}"
-            )
+        _require_sweepable(params.m, "paper_reproduction")
         if not coupling.carry_enabled:
             raise ParameterError("the reproduction run always couples the carry; drop --no-carry")
         cmap = _CoupledMap(params, coupling)  # the slope is reported before the inverse

@@ -48,6 +48,13 @@ integers and on numpy arrays alike; the exhaustive sweeps in
 :mod:`revlcg.verification` run the very same arithmetic elementwise
 over the full state space. Its ``walk`` is the one sequential loop,
 which the sequences and the CLI's streams both take.
+
+The map is affine, so any number of its steps has a closed form. With
+the carry on it is the single-word LCG z' = ((a + s*m)*z + b) mod m**2
+on z = x + m*y (see :mod:`revlcg.rund`); with it off it is
+(x, y) -> [[a, 0], [s, a]]·(x, y) + (b, 0) mod m. ``_CoupledMap.jump``
+raises either to the n-th power in O(log n) steps of :func:`_compose`
+(Brown 1994, "Random number generation with arbitrary strides").
 """
 
 from __future__ import annotations
@@ -115,6 +122,29 @@ def _require_state(state: CoupledState, m: int) -> tuple[int, int]:
     return _require_word(x, m, "x"), _require_word(y, m, "y")
 
 
+def _compose(f, g, mod):
+    """f after g, for maps (x, y) -> (p*x + u, q*x + p*y + v) mod ``mod``."""
+    p1, q1, u1, v1 = f
+    p2, q2, u2, v2 = g
+    return (
+        p1 * p2 % mod,
+        (q1 * p2 + p1 * q2) % mod,
+        (p1 * u2 + u1) % mod,
+        (q1 * u2 + p1 * v2 + v1) % mod,
+    )
+
+
+def _power(f, n, mod):
+    """f applied n times, for maps in the form of :func:`_compose`, in O(log n)."""
+    acc = (1, 0, 0, 0)
+    while n:
+        if n & 1:
+            acc = _compose(f, acc, mod)
+        f = _compose(f, f, mod)
+        n >>= 1
+    return acc
+
+
 class _CoupledMap:
     """The coupled map of (a, b, m) and (s, carry), with its reversal (c, d) when given.
 
@@ -177,17 +207,26 @@ class _CoupledMap:
             raise InvariantError("coupling value exceeded m**2")
         return x0, y0
 
+    def jump(self, x, y, n: int):
+        """The words n steps after (x, y), in closed form, on ints and, with
+        y = 0 so that every product stays below m**3, on int64 arrays.
+        """
+        m = self.m
+        if self.carry:
+            p, _, u, _ = _power((self.a + self.s * m, 0, self.b, 0), n, m * m)
+            z = (p * (x + m * y) + u) % (m * m)
+            return z % m, z // m
+        p, q, u, v = _power((self.a, self.s, self.b, 0), n, m)
+        return (p * x + u) % m, (q * x + p * y + v) % m
+
     def walk(self, x: int, y: int, count: int, backward: bool = False) -> list[int]:
         """The packed states x + m*y after steps 1 .. count from (x, y), on plain ints.
 
-        With the carry on, the forward map is the single-word LCG
-        z' = ((a + s*m)*z + b) mod m**2 on the packed state (see
-        :mod:`revlcg.rund`), so the forward walk steps that. Its product
-        reaches m**4, past int64, which is why the array sweeps keep to
-        the two-word steps. The walk
-        without the carry, and every backward walk, go through
-        ``forward`` / ``retract``, so the two-word arithmetic and the
-        backward step's slack check each stay in one place.
+        With the carry on, the forward walk steps the packed LCG, whose
+        product reaches m**4, past int64: so the array sweeps keep to the
+        two-word steps. The other walks go through ``forward`` /
+        ``retract``, so the two-word arithmetic and the backward step's
+        slack check each stay in one place.
         """
         m = self.m
         if self.carry and not backward:

@@ -17,18 +17,14 @@ The orbit walks run in lanes. An orbit of N states is cut into up to
 along the orbit, and all lanes advance together through the unchanged
 step arithmetic, elementwise on int64 arrays. Every walk here, forward
 or backward with any (c, d), has a skew form: x -> p*x + u never reads
-y, and y -> p*y + g(x) mod m reads only x. So lane l + 1 starts at the
-O(log T) affine power of (p, u) applied to x_l, and at p**T*y_l plus
-the y word T steps after (x_l, 0). The forward walks have that word in
-closed form (with the carry on the packed LCG
-z -> ((a + s*m)*z + b) mod m**2, with it off
-(x, y) -> [[a, 0], [s, a]]·(x, y) + (b, 0) mod m); the backward walks
-take it from one pass from y = 0. Both start words are first-order
-affine recurrences over the lanes, so a doubling scan over int64
-arrays seeds every lane in O(log lanes) passes. This is the blocking
-split of L'Ecuyer et al. (2017, "Random numbers for parallel
-computers"), seeded by the arbitrary-stride jump of Brown (1994,
-"Random number generation with arbitrary strides").
+y, and y -> p*y + g(x) mod m reads only x. So lane l + 1 starts at
+p**T*x_l + u_T and at p**T*y_l plus the y word T steps after (x_l, 0),
+all read off a jump of T steps. The forward walks jump in closed form,
+by ``_CoupledMap.jump``; the backward walks step T times. Both start
+words are first-order affine recurrences over the lanes, so a doubling
+scan over int64 arrays seeds every lane in O(log lanes) passes. This is
+the blocking split of L'Ecuyer et al. (2017, "Random numbers for
+parallel computers").
 
 The skew form also means that two lanes which start on the same x word
 hold the same x word at every step. The lanes' start words repeat with
@@ -87,7 +83,7 @@ from .congruence import (
     derive_inverse,
 )
 from .generator import CoupledState, CouplingSpec, _CoupledMap, _require_state
-from .rund import RUND, RundConstants, packed_multiplier, rund_backward_step, rund_forward_step
+from .rund import RUND, RundConstants, rund_backward_step, rund_forward_step
 
 # Exhaustive modes enumerate m**2 states; beyond this bound the table and
 # the walk stop being desk-scale.
@@ -263,50 +259,11 @@ def _require_sweepable(m: int, what: str, hint: str = "") -> None:
         )
 
 
-def _compose(f, g, mod):
-    """f after g, for maps (x, y) -> (p*x + u, q*x + p*y + v) mod ``mod``."""
-    p1, q1, u1, v1 = f
-    p2, q2, u2, v2 = g
-    return (
-        p1 * p2 % mod,
-        (q1 * p2 + p1 * q2) % mod,
-        (p1 * u2 + u1) % mod,
-        (q1 * u2 + p1 * v2 + v1) % mod,
-    )
-
-
-def _power(f, n, mod):
-    """f applied n times, for maps in the form of :func:`_compose`, in O(log n)."""
-    acc = (1, 0, 0, 0)
-    while n:
-        if n & 1:
-            acc = _compose(f, acc, mod)
-        f = _compose(f, f, mod)
-        n >>= 1
-    return acc
-
-
-def _lane_tail(cmap, xs, n):
-    """The y words n steps of ``cmap`` after (x, 0) for the int64 words xs, in closed form.
-
-    With the carry on, the map is the packed LCG z -> (a + s*m)*z + b
-    mod m**2, where p*x + u < m**3 fits in int64 as every step does; with
-    it off, it is (x, y) -> (a*x + b, s*x + a*y) mod m.
-    """
-    m = cmap.m
-    if cmap.carry:
-        p, _, u, _ = _power((cmap.a + cmap.s * m, 0, cmap.b, 0), n, m * m)
-        return (p * xs + u) % (m * m) // m
-    _, q, _, v = _power((cmap.a, cmap.s, cmap.b, 0), n, m)
-    return (q * xs + v) % m
-
-
-def _tail_walk(step, xs, n):
-    """The y words n steps of ``step`` after (x, 0) for the int64 words xs, walked in lanes."""
-    x, y = xs, np.zeros_like(xs)
+def _tail_walk(step, x, y, n):
+    """The words n steps of ``step`` after (x, y), walked."""
     for _ in range(n):
         x, y = step(x, y)
-    return y
+    return x, y
 
 
 def _affine_scan(p, w0, c, m):
@@ -359,20 +316,21 @@ class _LaneWalk:
 
     The walk is cut into ``lanes`` lanes of ``span`` = T steps; lane l
     starts at the state after l*T steps. ``step`` has the skew form
-    x -> p*x + u, y -> p*y + g(x) mod m, and ``tail(xs, T)`` gives the y
-    words T steps after (x, 0) for x in xs; without it, :func:`_tail_walk`
-    walks them.
+    x -> p*x + u, y -> p*y + g(x) mod m, and ``jump(x, y, T)`` gives the
+    words T steps after (x, y), on ints and, with y = 0, on int64 arrays:
+    ``_CoupledMap.jump`` for a forward walk; without it,
+    :func:`_tail_walk` steps them. The x words T steps after x = 0 and
+    x = 1 give p**T and u_T.
 
     The lanes sit in a grid of ``rows`` = k rows and ``cols`` columns,
     lane l in row l % k and column l // k, where k is the lanes' smallest
     period of start x words (:func:`_grid_rows`); the cells past the last
     lane are padding. A row shares one x word, so the walk steps x of
-    shape (k, 1) and y of shape (k, cols), and ``tail`` is asked for only
-    k words. When the start words do not repeat, or repeat only with rows
-    shorter than k, k is the lane count and cols = 1. The start words of
-    every lane, and the y words of the padding, which continue the same
-    recurrence, come from :func:`_affine_scan` over int64 arrays, so
-    ``tail`` takes and gives int64 arrays too.
+    shape (k, 1) and y of shape (k, cols), and jumps only k words. When
+    the start words do not repeat, or repeat only with rows shorter than
+    k, k is the lane count and cols = 1. The start words of every lane,
+    and the y words of the padding, which continue the same recurrence,
+    come from :func:`_affine_scan` over int64 arrays.
 
     Iterating yields, after each step t (from 0), the grid's words
     (x, y) and the blocks of :func:`_live` for the lanes whose state
@@ -387,10 +345,12 @@ class _LaneWalk:
     in at most T scalar steps; past lane 0 it rests on the same seeding.
     """
 
-    def __init__(self, m, x, y, count, step, p, u, tail=None):
+    def __init__(self, m, x, y, count, step, jump=None):
         self.count, self.span = count, -(-count // _LANES)
         self.lanes, self._step = -(-count // self.span), step
-        pt, _, ut, _ = _power((p, 0, u, 0), self.span, m)
+        jump = jump or partial(_tail_walk, step)
+        ut = jump(0, 0, self.span)[0]
+        pt = (jump(1, 0, self.span)[0] - ut) % m
         xs = _affine_scan(pt, x, np.full(self.lanes - 1, ut), m)
         self.rows = _grid_rows(xs)
         self.cols = -(-self.lanes // self.rows)
@@ -398,7 +358,7 @@ class _LaneWalk:
         # The start of lane l + 1 takes the tail of lane l's x word, which
         # is the word of row l % rows.
         xs = xs[: self.rows]
-        tails = (tail or partial(_tail_walk, step))(xs[: cells - 1], self.span)
+        tails = jump(xs[: cells - 1], 0, self.span)[1]
         self._starts = xs, _affine_scan(pt, y, np.resize(tails, cells - 1), m)
 
     def in_lanes(self, x, y):
@@ -434,12 +394,12 @@ def _forward_blocks(cmap, x, y, total):
     """Yield (start, walk): the total states after (x, y) in stitched forward walks.
 
     Each walk covers up to ``_BLOCK`` states, from orbit index start, in
-    lanes seeded in closed form, and continues from the last state of the
+    lanes seeded by the map's jump, and continues from the last state of the
     one before; the caller runs each walk out before it takes the next.
     """
     for start in range(0, total, _BLOCK):
         count = min(_BLOCK, total - start)
-        walk = _LaneWalk(cmap.m, x, y, count, cmap.forward, cmap.a, cmap.b, partial(_lane_tail, cmap))
+        walk = _LaneWalk(cmap.m, x, y, count, cmap.forward, cmap.jump)
         yield start, walk
         x, y = walk.state(count - 1)
 
@@ -661,7 +621,7 @@ def _differ(x, y, qx, qy, live):
     )
 
 
-def _retraces(k, count, bx, by, forward, tail):
+def _retraces(k, count, bx, by, forward, jump):
     """Whether back(i) = forw[count - i] for i = 1 .. count, from the backward seed (bx, by).
 
     forw[j] is the state j + 1 steps of ``forward`` after (0, 0). back(1)
@@ -676,7 +636,7 @@ def _retraces(k, count, bx, by, forward, tail):
     forw[0] never steps back onto the start (0, 0): the reference program
     makes no such comparison.
     """
-    walk = _LaneWalk(k.m, 0, 0, count, forward, k.a, k.b, tail)
+    walk = _LaneWalk(k.m, 0, 0, count, forward, jump)
     if rund_backward_step(bx, by, k) != walk.state(count - 1):
         return False
     for t, (ex, ey, live) in enumerate(walk):
@@ -690,25 +650,20 @@ def _retraces(k, count, bx, by, forward, tail):
     return not bool(((hx[1:] != qx[:-1]) | (hy[1:] != qy[:-1])).any())
 
 
-def _forward_jump(k, n):
-    """forw(n), the state n reference forward steps after (0, 0): a power of the packed LCG."""
-    z = _power((packed_multiplier(k), 0, k.b, 0), n, k.m * k.m)[2]
-    return z % k.m, z // k.m
-
-
-def _mismatches(k, true_k, n, bx, by):
+def _mismatches(k, true_k, n, seed, end):
     """(mismatches, first i) of back(i) != forw(n - i), i = 1 .. n - 1, n > 1.
 
-    back(i) is i steps of ``k`` from (bx, by), and forw(n - i) i steps of
-    the true inverse ``true_k`` from forw(n). The two backward walks
-    share their lanes but not always their grid: they meet in lane order.
+    back(i) is i steps of ``k`` from the backward seed, and forw(n - i) i
+    steps of the true inverse ``true_k`` from ``end`` = forw(n). The two
+    backward walks share their lanes but not always their grid: they meet
+    in lane order.
     """
     count, mismatches, first = n - 1, 0, n
 
     def back(q, x, y):
-        return _LaneWalk(q.m, x, y, count, partial(rund_backward_step, k=q), q.c, q.d)
+        return _LaneWalk(q.m, x, y, count, partial(rund_backward_step, k=q))
 
-    given, true = back(k, bx, by), back(true_k, *_forward_jump(k, n))
+    given, true = back(k, *seed), back(true_k, *end)
     # strict=True also steps the true walk past its last step, into its stitch check
     for t, ((gx, gy, _), (tx, ty, _)) in enumerate(zip(given, true, strict=True)):
         live = -(-(count - t) // given.span)  # lane l holds i = l*T + t + 1 <= count
@@ -752,11 +707,10 @@ def paper_reproduction(
         raise ParameterError(f"imax must lie in [1, {k.imax}], got {n}")
     bx, by = _require_state((0, 0) if backward_seed is None else backward_seed, k.m)
     inverse, count = derive_inverse(params), n - 1
-    forward, tail = partial(rund_forward_step, k=k), partial(_lane_tail, cmap)
     mismatches, first = 0, None
-    if count and not _retraces(k, count, bx, by, forward, tail):
+    if count and not _retraces(k, count, bx, by, partial(rund_forward_step, k=k), cmap.jump):
         true_k = RundConstants(k.a, k.b, k.m, k.s, inverse.c, inverse.d, k.imax)
-        mismatches, first = _mismatches(k, true_k, n, bx, by)
+        mismatches, first = _mismatches(k, true_k, n, (bx, by), cmap.jump(0, 0, n))
     return ReproductionReport(
         comparisons=count,
         mismatches=mismatches,

@@ -178,11 +178,19 @@ class TestVerify:
         assert res.returncode == 2
         assert "roundtrip_sample" in res.stderr
 
-    def test_paper_oversized_refused(self, run_cli):
+    def test_paper_above_the_reference_size(self, run_cli):
+        # the derived (c, d) at m = 4096 is (2253, 3545)
         res = run_cli("verify", "paper", "--m", "4096")
+        assert res.returncode == 0
+        assert res.stdout == "comparisons=16777215 mismatches=0 pass=true\n"
+
+    def test_paper_oversized_refused(self, run_cli):
+        res = run_cli("verify", "paper", "--m", "8192")
         assert res.returncode == 2
         assert res.stdout == ""
-        assert res.stderr == "error: verify paper walks m**2 steps twice; refusing m > 2048\n"
+        assert res.stderr == (
+            "error: paper_reproduction enumerates m**2 = 67108864 states, too large for m > 4096\n"
+        )
 
     def test_paper_rejects_no_carry(self, run_cli):
         res = run_cli("verify", "paper", "--no-carry")

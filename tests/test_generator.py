@@ -308,7 +308,8 @@ TOP = MAX_MODULUS - 1
 
 
 class TestWalkKernel:
-    """``_CoupledMap.walk``, which the CLI and the sequences stream from, against the public steps."""
+    """``_CoupledMap.walk``, which the CLI and the sequences stream from, and its closed-form
+    ``jump``, against the public steps."""
 
     @given(walk=invertible_maps(), count=st.integers(0, 40))
     @example(walk=(RUND_PARAMS, RUND_COUPLING, CoupledState(7, 9)), count=40)
@@ -330,6 +331,7 @@ class TestWalkKernel:
             backward.append(pack_state(back, params.m))
         assert cmap.walk(*seed, count) == forward
         assert cmap.walk(*seed, count, backward=True) == backward
+        assert cmap.jump(*seed, count) == state
 
 
 class TestOutputs:

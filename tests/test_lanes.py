@@ -41,6 +41,7 @@ from revlcg import (
     derive_inverse,
     equidistribution_check,
     generate_sequence,
+    generator,
     orbit_period,
     paper_reproduction,
     rund_backward_step,
@@ -248,12 +249,12 @@ def corrupted_at(z, dx, dy):
 @pytest.mark.parametrize("z_index, dx, dy", [(4, 1, 0), (247, 0, 1)])
 def test_reproduction_check_sees_one_bad_word(z_index, dx, dy):
     k, cmap = TOY_K, verification._CoupledMap(LcgParams(5, 3, 16), CouplingSpec(2))
-    forward, tail = partial(rund_forward_step, k=k), partial(verification._lane_tail, cmap)
+    forward = partial(rund_forward_step, k=k)
     z = walk_seq(forward, k.m, 0, z_index + 1)[-1]
     with engine_shape((64, 1 << 22, 1 << 15)):
-        assert verification._retraces(k, 255, 0, 0, forward, tail)
+        assert verification._retraces(k, 255, 0, 0, forward, cmap.jump)
         with patch.object(verification, "rund_backward_step", corrupted_at(z, dx, dy)):
-            assert not verification._retraces(k, 255, 0, 0, forward, tail)
+            assert not verification._retraces(k, 255, 0, 0, forward, cmap.jump)
 
 
 def backward(k):
@@ -262,20 +263,18 @@ def backward(k):
 
 @st.composite
 def table_walks(draw):
-    """(step, p, u, m, z, count): a coupled map's forward step, with the carry
-    on or off and bijective or not, or the reference backward step with true
-    or corrupted (c, d), and its x word x -> p*x + u; counts run past m**2,
-    so the walk wraps its cycle."""
+    """(step, m, z, count): a coupled map's forward step, with the carry on or
+    off and bijective or not, or the reference backward step with true or
+    corrupted (c, d); counts run past m**2, so the walk wraps its cycle."""
     params, coupling, seed = draw(coupled_maps())
     m = params.m
     if draw(st.booleans()):
         step = verification._CoupledMap(params, coupling).forward
-        p, u = params.a, params.b
     else:
         word = st.integers(0, m - 1)
-        p, u = draw(word), draw(word)
-        step = backward(RundConstants(params.a, params.b, m, coupling.s, p, u, m * m))
-    return step, p, u, m, seed.x + m * seed.y, draw(st.integers(1, 2 * m * m + 3))
+        c, d = draw(word), draw(word)
+        step = backward(RundConstants(params.a, params.b, m, coupling.s, c, d, m * m))
+    return step, m, seed.x + m * seed.y, draw(st.integers(1, 2 * m * m + 3))
 
 
 ODD_M = verification._CoupledMap(LcgParams(58, 5, 1539), CouplingSpec(700))
@@ -296,18 +295,18 @@ NOT_INVERTIBLE_FORWARD = verification._CoupledMap(*NOT_INVERTIBLE[:2]).forward
 # of only 32, so one row per lane.
 @settings(max_examples=300, deadline=None)
 @given(walk=table_walks(), lanes=st.sampled_from([1, 3, 7, 64, verification._LANES]))
-@example(walk=(backward(RundConstants(5, 3, 16, 2, 7, 9, 256)), 7, 9, 16, 0, 255), lanes=7)
-@example(walk=(backward(TOY_K), 13, 9, 16, 0, 300), lanes=64)
-@example(walk=(NOT_INVERTIBLE_FORWARD, 2, 1, 8, 0, 131), lanes=3)
-@example(walk=(verification._CoupledMap(*IDENTITY[:2]).forward, 1, 0, 8, 43, 129), lanes=1)
-@example(walk=(backward(TOY_K), 13, 9, 16, 37, 1), lanes=verification._LANES)
-@example(walk=(TOY_FORWARD, 5, 3, 16, 0, 300), lanes=verification._LANES)
-@example(walk=(NOT_INVERTIBLE_FORWARD, 2, 1, 8, 0, 131), lanes=verification._LANES)
-@example(walk=(ODD_M.forward, 58, 5, 1539, 0, 3 * verification._LANES), lanes=verification._LANES)
+@example(walk=(backward(RundConstants(5, 3, 16, 2, 7, 9, 256)), 16, 0, 255), lanes=7)
+@example(walk=(backward(TOY_K), 16, 0, 300), lanes=64)
+@example(walk=(NOT_INVERTIBLE_FORWARD, 8, 0, 131), lanes=3)
+@example(walk=(verification._CoupledMap(*IDENTITY[:2]).forward, 8, 43, 129), lanes=1)
+@example(walk=(backward(TOY_K), 16, 37, 1), lanes=verification._LANES)
+@example(walk=(TOY_FORWARD, 16, 0, 300), lanes=verification._LANES)
+@example(walk=(NOT_INVERTIBLE_FORWARD, 8, 0, 131), lanes=verification._LANES)
+@example(walk=(ODD_M.forward, 1539, 0, 3 * verification._LANES), lanes=verification._LANES)
 def test_table_walk_matches_sequential(walk, lanes):
-    step, p, u, m, z, count = walk
+    step, m, z, count = walk
     with patch.object(verification, "_LANES", lanes):
-        lane_walk = verification._LaneWalk(m, z % m, z // m, count, step, p, u)
+        lane_walk = verification._LaneWalk(m, z % m, z // m, count, step)
         steps = list(lane_walk)
     expected = walk_seq(step, m, z, count)
     span, rows, cols = lane_walk.span, lane_walk.rows, lane_walk.cols
@@ -333,11 +332,13 @@ def test_table_walk_matches_sequential(walk, lanes):
 def test_failing_run_stitches_both_backward_walks():
     # The true walk is seeded after the given one, here from tails one word
     # off, so only its own stitch check, after its last step, can refuse it.
+    # Each walk steps x = 0, then x = 1, for its x word, then its tails.
     calls, tail_walk = [], verification._tail_walk
 
-    def second_off(step, xs, n):
+    def second_off(step, x, y, n):
         calls.append(n)
-        return tail_walk(step, xs, n) + (len(calls) == 2)
+        x, y = tail_walk(step, x, y, n)
+        return x, y + (len(calls) == 6)
 
     with (
         engine_shape((7, 1 << 22, 1 << 15)),
@@ -345,24 +346,23 @@ def test_failing_run_stitches_both_backward_walks():
         pytest.raises(InvariantError, match="lanes do not stitch"),
     ):
         paper_reproduction(RundConstants(5, 3, 16, 2, 7, 9, 256))
-    assert len(calls) == 2
+    assert len(calls) == 6
 
 
 def closed(params, coupling, x, y, count):
-    """A walk to seed: the coupled map's forward step, with its closed-form tail."""
+    """A walk to seed: the coupled map's forward step, x -> a*x + b, with its closed-form jump."""
     cmap = verification._CoupledMap(params, coupling)
-    tail = partial(verification._lane_tail, cmap)
-    return cmap.forward, params.a, params.b, params.m, x, y, count, tail
+    return cmap.forward, params.a, params.b, params.m, x, y, count, cmap.jump
 
 
 def walked(k, x, y, count):
-    """A walk to seed: the reference backward step, x -> c*x + d, its tail walked."""
+    """A walk to seed: the reference backward step, x -> c*x + d, its jump walked."""
     return backward(k), k.c, k.d, k.m, x, y, count, None
 
 
 @st.composite
 def seeded_walks(draw):
-    """(step, p, u, m, x, y, count, tail): a coupled map's forward step, with
+    """(step, p, u, m, x, y, count, jump): a coupled map's forward step, with
     the carry on or off, or the reference backward step with any (c, d),
     gcd(c, m) > 1 and c = 0 or d = 0 included."""
     params, coupling, seed = draw(coupled_maps())
@@ -398,9 +398,9 @@ TOY_C0 = RundConstants(5, 3, 16, 2, 0, 0, 256)
 @example(walk=walked(RundConstants(5, 3, 16, 2, 4, 1, 256), 3, 1, 300), lanes=7)
 @example(walk=closed(*FULL_TOY[:2], 0, 0, 300), lanes=verification._LANES)
 def test_array_seeding_matches_the_scalar_recurrences(walk, lanes):
-    step, p, u, m, x, y, count, tail = walk
+    step, p, u, m, x, y, count, jump = walk
     with patch.object(verification, "_LANES", lanes):
-        seeded = verification._LaneWalk(m, x, y, count, step, p, u, tail)
+        seeded = verification._LaneWalk(m, x, y, count, step, jump)
     rows, cols, xs, ys = lane_starts_seq(step, p, u, m, x, y, seeded.lanes, seeded.span)
     assert seeded.span == -(-count // lanes) and seeded.lanes == -(-count // seeded.span)
     assert (seeded.rows, seeded.cols) == (rows, cols)
@@ -454,8 +454,7 @@ def test_lane_walk_at_the_shipped_shape():
     count = verification._LANES * 65 + 1
     assert -(-count // verification._LANES) == 66
     cmap = verification._CoupledMap(params, coupling)
-    tail = partial(verification._lane_tail, cmap)
-    lane_walk = verification._LaneWalk(2048, 0, 0, count, cmap.forward, 1029, 1731, tail)
+    lane_walk = verification._LaneWalk(2048, 0, 0, count, cmap.forward, cmap.jump)
     cells = np.empty((lane_walk.span, lane_walk.lanes), dtype=np.int64)
     for t, (xs, ys, _) in enumerate(lane_walk):
         x, y = lane_walk.in_lanes(xs, ys)
@@ -536,7 +535,7 @@ def test_failing_reproductions_hold_no_orbit_table():
     assert max(peaks) < 16 << 20, peaks
 
 
-POWER = verification._power
+POWER = generator._power
 
 
 def off_by_one_power(f, n, mod):
@@ -549,7 +548,7 @@ def test_broken_jump_fails_the_stitch_check():
     # broken power seeds lane 1, x and y words, one step further on
     walk = generate_sequence(seed, 66, params, coupling)
     expected, got = tuple(walk[64]), tuple(walk[65])
-    with engine_shape((4, 1 << 22, 1 << 15)), patch.object(verification, "_power", off_by_one_power):
+    with engine_shape((4, 1 << 22, 1 << 15)), patch.object(generator, "_power", off_by_one_power):
         with pytest.raises(InvariantError, match="lane 1 should start where lane 0 ends") as err:
             orbit_period(seed, params, coupling)
     assert f"expected {expected}, got {got}" in str(err.value)
@@ -562,25 +561,27 @@ HUGE_COUPLING = "revlcg.generator._CoupledMap.f = lambda cmap, x: 10 * cmap.m * 
 # vanish and the call would return; the explicit raise must still fire.
 BROKEN_UNDER_O = {
     "lane jump": (
-        "v = revlcg.verification\n"
-        "power = v._power\n"
-        "v._power = lambda f, n, mod: power(f, n + 1, mod)\n"
+        "v, g = revlcg.verification, revlcg.generator\n"
+        "power = g._power\n"
+        "g._power = lambda f, n, mod: power(f, n + 1, mod)\n"
         "v.orbit_period(revlcg.CoupledState(0, 0), revlcg.LcgParams(5, 3, 16), C)\n",
         "lanes do not stitch",
     ),
     "passing equidistribution lanes": (
-        "v = revlcg.verification\n"
-        "power = v._power\n"
-        "v._power = lambda f, n, mod: power(f, n + 1, mod)\n"
+        "v, g = revlcg.verification, revlcg.generator\n"
+        "power = g._power\n"
+        "g._power = lambda f, n, mod: power(f, n + 1, mod)\n"
         "v.equidistribution_check(revlcg.LcgParams(5, 3, 16), C, revlcg.CoupledState(0, 0))\n",
         "lanes do not stitch",
     ),
+    # The broken jump misplaces the last lane, so the seed's comparison
+    # fails; the failing path's true walk then starts at the broken forw(256).
     "passing reproduction lanes": (
-        "v = revlcg.verification\n"
-        "power = v._power\n"
-        "v._power = lambda f, n, mod: power(f, n + 1, mod)\n"
+        "v, g = revlcg.verification, revlcg.generator\n"
+        "power = g._power\n"
+        "g._power = lambda f, n, mod: power(f, n + 1, mod)\n"
         "v.paper_reproduction(revlcg.RundConstants(5, 3, 16, 2, 13, 9, 256))\n",
-        "lanes do not stitch",
+        "not at forw(1)",
     ),
     "shared lane x words": (
         "v = revlcg.verification\n"
@@ -592,14 +593,15 @@ BROKEN_UNDER_O = {
     "failing walk lanes": (
         "v = revlcg.verification\n"
         "walk = v._tail_walk\n"
-        "v._tail_walk = lambda step, xs, n: [e + 1 for e in walk(step, xs, n)]\n"
+        "v._tail_walk = lambda step, x, y, n: [e + 1 for e in walk(step, x, y, n)]\n"
         "v.paper_reproduction(revlcg.RundConstants(5, 3, 16, 2, 7, 9, 256))\n",
         "lanes do not stitch",
     ),
     "failing walk end": (
         "v = revlcg.verification\n"
-        "jump = v._forward_jump\n"
-        "v._forward_jump = lambda k, n: jump(k, n + 1)\n"
+        "mismatches = v._mismatches\n"
+        "v._mismatches = lambda k, true_k, n, seed, end: "
+        "mismatches(k, true_k, n, seed, v.rund_forward_step(*end, k))\n"
         "v.paper_reproduction(revlcg.RundConstants(5, 3, 16, 2, 7, 9, 256))\n",
         "not at forw(1)",
     ),
