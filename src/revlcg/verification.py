@@ -26,25 +26,26 @@ scan over int64 arrays seeds every lane in O(log lanes) passes. This is
 the blocking split of L'Ecuyer et al. (2017, "Random numbers for
 parallel computers").
 
-The skew form also means that two lanes which start on the same x word
-hold the same x word at every step. The lanes' start words repeat with
-some smallest lane period k (at the reference size T = 256 and x has
-period 2048, so k = 8), and a ``_LaneWalk`` seats lane l in row l % k,
-column l // k of a (k, cols) grid: x is a (k, 1) column and y a
-(k, cols) array, and numpy broadcasting steps each row's x word once
-and each lane's y word once, as the round-trip sweep does over its
-(y, x) grid. Start words that do not repeat within the lanes, or rows
-that would be shorter than k, give one row per lane, cols = 1, through
-the same code. Neither the seeding nor the sharing is trusted: lane l
-must end exactly where lane l + 1 started, x word and y word (the
-stitch check, an explicit raise), and by induction from the seed the
-stitched walk is the sequential one. A ``_LaneWalk`` yields the grid's
-words after each step with the cells that hold states of the walk, and
-makes the stitch check once the last step has been taken, so a check
-reads each step as it is made, never tests, marks or compares a cell
-past the walk, and gives a passing verdict only after a walk run out
-to its end. Any single state of the walk, such as its last, it steps
-in turn from the start of that state's lane.
+The skew form also means that lanes which start on the same x word hold
+the same x word at every step and take the same y tail, so each
+distinct start word is jumped once. The start words are a first-order
+recurrence, so when they repeat, the lane grid has one row per distinct
+start word (k = 8 at the reference size, where T = 256 and x has period
+2048). A ``_LaneWalk`` seats lane l in row l % k, column l // k of a
+(k, cols) grid: x is a (k, 1) column and y a (k, cols) array, and numpy
+broadcasting steps each row's x word once and each lane's y word once,
+as the round-trip sweep does over its (y, x) grid. Start words that
+never come back to the first, or rows shorter than k, give one row per
+lane, cols = 1, through the same code. Neither the seeding nor the
+sharing is trusted: lane l must end exactly where lane l + 1 started, x
+word and y word (the stitch check, an explicit raise), and by induction
+from the seed the stitched walk is the sequential one. A ``_LaneWalk``
+yields the grid's words after each step with the cells that hold states
+of the walk, and makes the stitch check once the last step has been
+taken, so a check reads each step as it is made, never tests, marks or
+compares a cell past the walk, and gives a passing verdict only after a
+walk run out to its end. Any single state of the walk, such as its
+last, it steps in turn from the start of that state's lane.
 
 No check holds an orbit table. The period walk tests each step's words
 against the seed, the equidistribution walk marks them in its coverage
@@ -286,17 +287,15 @@ def _affine_scan(p, w0, c, m):
 def _grid_rows(xs):
     """Rows of the lane grid for the lanes' start x words, the int64 array xs.
 
-    The smallest k with xs[l + k] = xs[l] for every lane l, when each of
-    the k rows, ceil(len(xs) / k) lanes long, is at least k long;
-    otherwise one row per lane.
+    The number k of distinct words, when xs[l + k] = xs[l] for every lane
+    l and each of the k rows, ceil(len(xs) / k) lanes long, is at least k
+    long; otherwise one row per lane. The words are a first-order
+    recurrence, so when they repeat, k is their smallest period.
     """
-    n = len(xs)
-    for k in np.flatnonzero(xs[1:] == xs[0]) + 1:
-        if -(-n // k) < k:
-            break
-        if (xs[k:] == xs[:-k]).all():
-            return int(k)
-    return n
+    # counted in the sorted words: np.unique without an inverse index
+    # imports numpy.ma on first use, and hashes, 10x slower here
+    n, k = len(xs), 1 + int(np.count_nonzero(np.diff(np.sort(xs))))
+    return k if -(-n // k) >= k and (xs[k:] == xs[:-k]).all() else n
 
 
 def _live(rows, n):
@@ -323,14 +322,14 @@ class _LaneWalk:
     x = 1 give p**T and u_T.
 
     The lanes sit in a grid of ``rows`` = k rows and ``cols`` columns,
-    lane l in row l % k and column l // k, where k is the lanes' smallest
-    period of start x words (:func:`_grid_rows`); the cells past the last
-    lane are padding. A row shares one x word, so the walk steps x of
-    shape (k, 1) and y of shape (k, cols), and jumps only k words. When
-    the start words do not repeat, or repeat only with rows shorter than
-    k, k is the lane count and cols = 1. The start words of every lane,
-    and the y words of the padding, which continue the same recurrence,
-    come from :func:`_affine_scan` over int64 arrays.
+    lane l in row l % k and column l // k, one row per distinct start x
+    word (:func:`_grid_rows`), or one per lane, cols = 1, when the words
+    do not repeat or the rows would be shorter than k; the cells past the
+    last lane are padding. A row shares one x word, so the walk steps x
+    of shape (k, 1) and y of shape (k, cols). Each distinct start word is
+    jumped once for its tail. The start words of every lane, and the y
+    words of the padding, which continue the same recurrence, come from
+    :func:`_affine_scan` over int64 arrays.
 
     Iterating yields, after each step t (from 0), the grid's words
     (x, y) and the blocks of :func:`_live` for the lanes whose state
@@ -356,9 +355,10 @@ class _LaneWalk:
         self.cols = -(-self.lanes // self.rows)
         cells = self.rows * self.cols
         # The start of lane l + 1 takes the tail of lane l's x word, which
-        # is the word of row l % rows.
+        # is the word of row l % rows; each distinct word is jumped once.
         xs = xs[: self.rows]
-        tails = jump(xs[: cells - 1], 0, self.span)[1]
+        words, inverse = np.unique(xs[: cells - 1], return_inverse=True)
+        tails = jump(words, 0, self.span)[1][inverse]
         self._starts = xs, _affine_scan(pt, y, np.resize(tails, cells - 1), m)
 
     def in_lanes(self, x, y):

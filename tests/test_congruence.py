@@ -3,7 +3,7 @@ import math
 import pickle
 
 import pytest
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from revlcg import (
@@ -16,6 +16,7 @@ from revlcg import (
     RundConstants,
     derive_inverse,
     ext_gcd,
+    generator,
     mod_inverse,
 )
 
@@ -141,6 +142,19 @@ class TestDeriveInverse:
         assert (a * inv.c) % m == 1
         assert (inv.c * b + inv.d) % m == 0
         assert (a * inv.d + b) % m == 0
+
+    @given(
+        m=st.integers(2, MAX_MODULUS),
+        a=st.integers(1, MAX_MODULUS),
+        b=st.integers(0, MAX_MODULUS),
+    )
+    def test_inverse_is_the_affine_cores_inverse(self, m, a, b):
+        # x -> a*x + b and x -> c*x + d as maps (p, q, u, v) of the core
+        a, b = a % m, b % m
+        assume(math.gcd(a, m) == 1)
+        inv = derive_inverse(LcgParams(a, b, m))
+        f, g = (a, 0, b, 0), (inv.c, 0, inv.d, 0)
+        assert generator._compose(g, f, m) == generator._compose(f, g, m) == (1, 0, 0, 0)
 
     @pytest.mark.parametrize(
         "a,b,m",

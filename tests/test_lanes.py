@@ -10,7 +10,8 @@ lane walk seeded without a closed form, which a failing reproduction
 runs backward twice, must equal the plain step-by-step walk, whether
 its lanes share x words in a grid or take one row each; the lanes'
 start words, seeded by a scan over arrays, must equal the scalar
-recurrences; a reproduction whose a has no inverse is refused; and no
+recurrences, and each distinct start word is jumped once for its tail;
+a reproduction whose a has no inverse is refused; and no
 check at the reference size, passing or failing, may hold an orbit
 table. There the walks run in a grid of 8 rows, and every report equals
 the one with one row per lane.
@@ -37,6 +38,7 @@ from revlcg import (
     InvariantError,
     LcgParams,
     NotInvertibleError,
+    ReproductionReport,
     RundConstants,
     derive_inverse,
     equidistribution_check,
@@ -349,6 +351,22 @@ def test_failing_run_stitches_both_backward_walks():
     assert len(calls) == 6
 
 
+def test_failing_run_jumps_each_distinct_start_word_once():
+    # 204**256 = 0 mod 2048, so the given walk's x words after lane 0 are
+    # all one word: its 16383 tails come from 2 distinct start words. Each
+    # walk, the given one first, jumps x = 0, then x = 1, then its tails.
+    sizes, tail_walk = [], verification._tail_walk
+
+    def spy(step, x, y, n):
+        sizes.append(np.size(x))
+        return tail_walk(step, x, y, n)
+
+    with patch.object(verification, "_tail_walk", spy):
+        report = paper_reproduction(RundConstants(c=204))
+    assert len(sizes) == 6 and sizes[2] <= 2
+    assert report == ReproductionReport(4194303, 4194302, 1, False)
+
+
 def closed(params, coupling, x, y, count):
     """A walk to seed: the coupled map's forward step, x -> a*x + b, with its closed-form jump."""
     cmap = verification._CoupledMap(params, coupling)
@@ -408,6 +426,13 @@ def test_array_seeding_matches_the_scalar_recurrences(walk, lanes):
     assert seeded._starts[1].tolist() == ys
 
 
+def lane_start_words(p, u, m, count):
+    """The start x words of the shipped lanes of a walk of count steps of x -> p*x + u from 0."""
+    span = -(-count // verification._LANES)
+    pt, _, ut, _ = generator._power((p, 0, u, 0), span, m)
+    return verification._affine_scan(pt, 0, np.full(-(-count // span) - 1, ut), m)
+
+
 @pytest.mark.parametrize(
     "xs, rows",
     [
@@ -418,7 +443,12 @@ def test_array_seeding_matches_the_scalar_recurrences(walk, lanes):
         ([1, 2, 3, 1, 2, 3, 1, 2], 3),  # a row of 2 lanes and padding
         ([1, 2, 3, 1, 2, 3], 6),  # period 3, but rows of 2
         ([0, 1, 3, 7, 7, 7, 7, 7, 7], 9),  # never back to the first word
-        ([1, 2, 1, 3] * 4 + [1], 4),  # 1 recurs at 2, before the period
+        # the reference forward walk, x period 2048 in lanes of 256 steps
+        (lane_start_words(1029, 1731, 2048, 1 << 22), 8),
+        # the c = 204 given walk: 0, then one word it never leaves
+        (lane_start_words(204, 1497, 2048, (1 << 22) - 1), verification._LANES),
+        # m = 1539 in lanes of 3 steps: period 513, but rows of 32
+        (lane_start_words(58, 5, 1539, 3 * verification._LANES), verification._LANES),
     ],
 )
 def test_grid_rows_are_the_smallest_lane_period_of_long_enough_rows(xs, rows):
