@@ -168,10 +168,10 @@ def _render(fmt: str, m: int, n0: int, zs: list[int]) -> str:
         return "".join([f"{n} {z % m} {z // m}\n" for n, z in enumerate(zs, n0)])
     if fmt == "z":
         return "".join([f"{z}\n" for z in zs])
-    # Same context, hence the same digits, as generator.real_decimal.
-    m2 = m * m
-    den, divide = Decimal(m2), REAL_CONTEXT.divide
-    return "".join([f"{n} {z}/{m2} {divide(Decimal(z), den)}\n" for n, z in enumerate(zs, n0)])
+    # Same context, hence the same digits, as generator.real_decimal; str()
+    # of a Decimal costs about half its empty-spec format().
+    tail, den, divide = f"/{m * m} ", Decimal(m * m), REAL_CONTEXT.divide
+    return "".join([f"{n} {z}{tail}{divide(z, den)!s}\n" for n, z in enumerate(zs, n0)])
 
 
 def _stream(args: argparse.Namespace, backward: bool) -> int:

@@ -295,7 +295,7 @@ REAL_CONTEXT = decimal.Context(prec=REAL_DIGITS)
 
 def real_decimal(state: CoupledState, m: int) -> str:
     """Decimal rendering of the real output, 17 significant digits."""
-    return str(REAL_CONTEXT.divide(decimal.Decimal(pack_state(state, m)), decimal.Decimal(m * m)))
+    return str(REAL_CONTEXT.divide(pack_state(state, m), decimal.Decimal(m * m)))
 
 
 def _walk(seed, n, params, coupling, inverse=None) -> list[CoupledState]:

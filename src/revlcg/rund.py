@@ -10,7 +10,13 @@ The step functions below keep the reference loop's arithmetic operation
 for operation, including the add-then-subtract of the increment inside
 the forward j accumulator; algebraically simplified forms live in
 :mod:`revlcg.generator`, and the test suite proves the two agree on all
-2**22 states.
+2**22 states. The forward step reduces with ``%``, as the loop does.
+The backward step, which ``verification.paper_reproduction`` applies to
+every state of the forward orbit on int64 arrays, reduces v mod m as
+v - (v // m)*m instead: the same integer, since both floor, but numpy
+runs ``//`` by a fixed m as a multiply by a precomputed reciprocal,
+where ``%`` divides each element. The forward orbit itself is stepped
+by ``generator._CoupledMap.forward``, the same function on every word.
 
 Packing z = x + m*y collapses the two-word map into the single-word LCG
 
@@ -86,10 +92,20 @@ def rund_backward_step(x, y, k: RundConstants = RUND):
     ``tests/test_rund.py::TestExhaustiveEquivalence::
     test_backward_carry_division_is_exact`` checks the zero remainder
     and the carry on all m**2 states.
+
+    Its two reductions mod m are written v - (v // m)*m, the form of
+    ``_CoupledMap.backward``; every other operation, and their order,
+    is the loop's. It is the step under test, which the reproduction
+    runs on int64 arrays, where that form is cheaper than ``%``. The
+    forward step keeps ``%``: the reproduction steps its orbit with the
+    map instead, and on the plain ints left to it ``%`` is the cheaper
+    form.
     """
-    x0 = (k.c * x + k.d) % k.m
+    u = k.c * x + k.d
+    x0 = u - u // k.m * k.m
     t = y + k.imax - k.s * x0 - (k.a * x0 + k.b - x) // k.m
-    return x0, (k.c * t) % k.m
+    v = k.c * t
+    return x0, v - v // k.m * k.m
 
 
 def packed_multiplier(k: RundConstants = RUND) -> int:

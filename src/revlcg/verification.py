@@ -683,9 +683,13 @@ def paper_reproduction(
 ) -> ReproductionReport:
     """Run the reference program's forward/backward/compare experiment.
 
-    Generates ``imax`` forward states from (0, 0) with the reference
-    arithmetic, then ``imax`` backward states, and verifies that
-    back(n) = forw(imax - n) for n = 1 .. imax - 1.
+    Generates ``imax`` forward states from (0, 0), then ``imax``
+    backward states with the reference arithmetic, and verifies that
+    back(n) = forw(imax - n) for n = 1 .. imax - 1. The forward orbit is
+    stepped by the coupled map, whose step equals the reference forward
+    step on every word (``tests/test_rund.py`` proves it on all 2**22
+    reference states and on drawn constants up to ``SWEEP_MAX_M``) and
+    reduces without numpy's per-element remainder.
 
     The backward walk starts from (0, 0) by default, exactly as the
     reference program does. That seeding is only correct because the
@@ -708,7 +712,7 @@ def paper_reproduction(
     bx, by = _require_state((0, 0) if backward_seed is None else backward_seed, k.m)
     inverse, count = derive_inverse(params), n - 1
     mismatches, first = 0, None
-    if count and not _retraces(k, count, bx, by, partial(rund_forward_step, k=k), cmap.jump):
+    if count and not _retraces(k, count, bx, by, cmap.forward, cmap.jump):
         true_k = RundConstants(k.a, k.b, k.m, k.s, inverse.c, inverse.d, k.imax)
         mismatches, first = _mismatches(k, true_k, n, (bx, by), cmap.jump(0, 0, n))
     return ReproductionReport(

@@ -23,7 +23,6 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import contextmanager
-from functools import partial
 from unittest.mock import patch
 
 import numpy as np
@@ -251,12 +250,11 @@ def corrupted_at(z, dx, dy):
 @pytest.mark.parametrize("z_index, dx, dy", [(4, 1, 0), (247, 0, 1)])
 def test_reproduction_check_sees_one_bad_word(z_index, dx, dy):
     k, cmap = TOY_K, verification._CoupledMap(LcgParams(5, 3, 16), CouplingSpec(2))
-    forward = partial(rund_forward_step, k=k)
-    z = walk_seq(forward, k.m, 0, z_index + 1)[-1]
+    z = walk_seq(cmap.forward, k.m, 0, z_index + 1)[-1]
     with engine_shape((64, 1 << 22, 1 << 15)):
-        assert verification._retraces(k, 255, 0, 0, forward, cmap.jump)
+        assert verification._retraces(k, 255, 0, 0, cmap.forward, cmap.jump)
         with patch.object(verification, "rund_backward_step", corrupted_at(z, dx, dy)):
-            assert not verification._retraces(k, 255, 0, 0, forward, cmap.jump)
+            assert not verification._retraces(k, 255, 0, 0, cmap.forward, cmap.jump)
 
 
 def backward(k):

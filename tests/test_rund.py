@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from revlcg import (
     RUND,
@@ -20,6 +22,7 @@ from revlcg import (
     unpack_state,
 )
 from revlcg.generator import _CoupledMap
+from revlcg.verification import SWEEP_MAX_M
 
 RUND_MAP = _CoupledMap(
     LcgParams(RUND.a, RUND.b, RUND.m), CouplingSpec(RUND.s), InverseParams(RUND.c, RUND.d)
@@ -126,6 +129,49 @@ class TestExhaustiveEquivalence:
         fx, fy = rund_forward_step(x, y)
         bx, by = rund_backward_step(fx, fy)
         assert np.array_equal(bx, x) and np.array_equal(by, y)
+
+
+@st.composite
+def constants_and_words(draw):
+    """Valid constants, with any (c, d) in [0, m), and a state (x, y)."""
+    m = draw(st.integers(2, SWEEP_MAX_M))
+    word = st.integers(0, m - 1)
+    a, b, s, c, d, x, y = (draw(word) for _ in range(7))
+    return RundConstants(a, b, m, s, c, d, m * m), x, y
+
+
+def remainder_backward_step(x, y, k):
+    # the reference loop's backward step as written, both reductions by %
+    x0 = (k.c * x + k.d) % k.m
+    t = y + k.imax - k.s * x0 - (k.a * x0 + k.b - x) // k.m
+    return x0, (k.c * t) % k.m
+
+
+TOP = SWEEP_MAX_M - 1
+
+
+class TestStepsOnDrawnConstants:
+    """The equalities the reproduction's walk rests on, beyond the reference constants:
+    the map's forward step is the reference one, and the backward step's floor-division
+    reductions give what ``%`` gives."""
+
+    @given(drawn=constants_and_words())
+    @example(drawn=(RundConstants(m=4096, c=3, d=7, imax=4096**2), 4095, 4095))
+    @example(drawn=(RundConstants(TOP, TOP, SWEEP_MAX_M, TOP, TOP, TOP, SWEEP_MAX_M**2), TOP, 0))
+    @settings(max_examples=300)
+    def test_forward_is_the_map_and_backward_is_the_remainder_form(self, drawn):
+        k, x, y = drawn
+        cmap = _CoupledMap(LcgParams(k.a, k.b, k.m), CouplingSpec(k.s))
+        assert rund_forward_step(x, y, k) == cmap.forward(x, y)
+        assert rund_backward_step(x, y, k) == remainder_backward_step(x, y, k)
+        top = k.m - 1
+        xs = np.array([0, top, 0, top, x, x], dtype=np.int64)
+        ys = np.array([0, 0, top, top, y, 0], dtype=np.int64)
+        for got, want in (
+            (rund_forward_step(xs, ys, k), cmap.forward(xs, ys)),
+            (rund_backward_step(xs, ys, k), remainder_backward_step(xs, ys, k)),
+        ):
+            assert all(g.dtype == np.int64 and np.array_equal(g, w) for g, w in zip(got, want))
 
 
 class TestParameterizedConstants:
