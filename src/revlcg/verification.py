@@ -12,40 +12,15 @@ the scalar steps use, on x = 0 .. m-1 as a row and blocks of y as a
 column, so numpy broadcasting computes the terms of x alone once per
 column and the y terms once per state of the (y, x) grid.
 
-The orbit walks run in lanes. An orbit of N states is cut into up to
-``_LANES`` consecutive stretches of T steps; lane l starts T*l steps
-along the orbit, and all lanes advance together through the unchanged
-step arithmetic, elementwise on int64 arrays. Every walk here, forward
-or backward with any (c, d), has a skew form: x -> p*x + u never reads
-y, and y -> p*y + g(x) mod m reads only x. So lane l + 1 starts at
-p**T*x_l + u_T and at p**T*y_l plus the y word T steps after (x_l, 0),
-all read off a jump of T steps. The forward walks jump in closed form,
-by ``_CoupledMap.jump``; the backward walks step T times. Both start
-words are first-order affine recurrences over the lanes, so a doubling
-scan over int64 arrays seeds every lane in O(log lanes) passes. This is
-the blocking split of L'Ecuyer et al. (2017, "Random numbers for
-parallel computers").
-
-The skew form also means that lanes which start on the same x word hold
-the same x word at every step and take the same y tail, so each
-distinct start word is jumped once. The start words are a first-order
-recurrence, so when they repeat, the lane grid has one row per distinct
-start word (k = 8 at the reference size, where T = 256 and x has period
-2048). A ``_LaneWalk`` seats lane l in row l % k, column l // k of a
-(k, cols) grid: x is a (k, 1) column and y a (k, cols) array, and numpy
-broadcasting steps each row's x word once and each lane's y word once,
-as the round-trip sweep does over its (y, x) grid. Start words that
-never come back to the first, or rows shorter than k, give one row per
-lane, cols = 1, through the same code. Neither the seeding nor the
-sharing is trusted: lane l must end exactly where lane l + 1 started, x
-word and y word (the stitch check, an explicit raise), and by induction
-from the seed the stitched walk is the sequential one. A ``_LaneWalk``
-yields the grid's words after each step with the cells that hold states
-of the walk, and makes the stitch check once the last step has been
-taken, so a check reads each step as it is made, never tests, marks or
-compares a cell past the walk, and gives a passing verdict only after a
-walk run out to its end. Any single state of the walk, such as its
-last, it steps in turn from the start of that state's lane.
+The orbit walks run in lanes, the blocking split of L'Ecuyer et al.
+(2017, "Random numbers for parallel computers"): an orbit is cut into
+up to ``_LANES`` consecutive stretches of T steps, and all lanes advance
+together through the unchanged step arithmetic, elementwise on int64
+arrays, exact because m <= ``MAX_MODULUS`` keeps every product below
+2**63. :class:`_LaneWalk` holds the detail: the skew form that every
+walk has, which seeds all lanes from jumps of T steps and lets lanes on
+the same x word share a grid row, and the stitch check, which trusts
+neither, so a check passes only after a walk run out to its end.
 
 No check holds an orbit table. The period walk tests each step's words
 against the seed, the equidistribution walk marks them in its coverage
@@ -314,34 +289,49 @@ class _LaneWalk:
     """A stitched walk of the states after 1 .. count steps of ``step`` from (x, y).
 
     The walk is cut into ``lanes`` lanes of ``span`` = T steps; lane l
-    starts at the state after l*T steps. ``step`` has the skew form
-    x -> p*x + u, y -> p*y + g(x) mod m, and ``jump(x, y, T)`` gives the
-    words T steps after (x, y), on ints and, with y = 0, on int64 arrays:
-    ``_CoupledMap.jump`` for a forward walk; without it,
-    :func:`_tail_walk` steps them. The x words T steps after x = 0 and
-    x = 1 give p**T and u_T.
+    starts at the state after l*T steps. Every walk here, forward or
+    backward with any (c, d), has the skew form x -> p*x + u, which never
+    reads y, and y -> p*y + g(x) mod m, which reads only x. So lane l + 1
+    starts at p**T*x_l + u_T and at p**T*y_l plus the y word T steps
+    after (x_l, 0), all read off ``jump(x, y, T)``, the words T steps
+    after (x, y), on ints and, with y = 0, on int64 arrays:
+    ``_CoupledMap.jump``, in closed form, for a forward walk; without it,
+    :func:`_tail_walk` steps them T times. The x words T steps after
+    x = 0 and x = 1 give p**T and u_T. Both start words are first-order
+    affine recurrences over the lanes, so :func:`_affine_scan`, a
+    doubling scan over int64 arrays, seeds every lane in O(log lanes)
+    passes; the y words of the padding continue the same recurrence.
 
-    The lanes sit in a grid of ``rows`` = k rows and ``cols`` columns,
-    lane l in row l % k and column l // k, one row per distinct start x
-    word (:func:`_grid_rows`), or one per lane, cols = 1, when the words
-    do not repeat or the rows would be shorter than k; the cells past the
-    last lane are padding. A row shares one x word, so the walk steps x
-    of shape (k, 1) and y of shape (k, cols). Each distinct start word is
-    jumped once for its tail. The start words of every lane, and the y
-    words of the padding, which continue the same recurrence, come from
-    :func:`_affine_scan` over int64 arrays.
+    The skew form also means that lanes which start on the same x word
+    hold the same x word at every step and take the same y tail, so each
+    distinct start word is jumped once for its tail. The start words are
+    a first-order recurrence, so when they repeat the lanes sit in a grid
+    of ``rows`` = k rows, one per distinct start x word
+    (:func:`_grid_rows`; k = 8 at the reference size, where T = 256 and
+    x has period 2048), and ``cols`` columns, lane l in row l % k and
+    column l // k; the cells past the last lane are padding. Words that
+    do not repeat, or rows that would be shorter than k, give one row per
+    lane, cols = 1, through the same code. A row shares one x word, so
+    the walk steps x of shape (k, 1) and y of shape (k, cols), and numpy
+    broadcasting steps each row's x word once and each lane's y word
+    once, as the round-trip sweep does over its (y, x) grid.
 
     Iterating yields, after each step t (from 0), the grid's words
     (x, y) and the blocks of :func:`_live` for the lanes whose state
     after that step lies in the walk: the cell of lane l holds the
     state after l*T + t + 1 steps, at index l*T + t of the orbit, and
     the last lane is left out of the steps that would take it to index
-    count or beyond. Once the last step has been yielded, each lane must
-    have ended, x word and y word, exactly where the next one started,
-    or :class:`InvariantError` is raised, so only a walk run out to its
-    end is proven to be the sequential one, shared x words included.
-    ``state(j)`` steps the state at index j from the start of its lane,
-    in at most T scalar steps; past lane 0 it rests on the same seeding.
+    count or beyond, so a check reads each step as it is made and never
+    tests, marks or compares a cell past the walk. Neither the seeding
+    nor the sharing is trusted: once the last step has been yielded,
+    each lane must have ended, x word and y word, exactly where the next
+    one started, or :class:`InvariantError` is raised (the stitch
+    check), and by induction from the seed the stitched walk is the
+    sequential one, shared x words included. So only a walk run out to
+    its end is proven, and a check gives a passing verdict only after
+    one. ``state(j)`` steps the state at index j, such as the walk's
+    last, from the start of its lane, in at most T scalar steps; past
+    lane 0 it rests on the same seeding.
     """
 
     def __init__(self, m, x, y, count, step, jump=None):
