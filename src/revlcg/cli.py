@@ -7,9 +7,11 @@ the exit code.
 
 ``generate`` and ``reverse`` share one loop. It validates the seed and
 builds the coupled map (``generator._CoupledMap``) once, takes
-``_BLOCK_LINES`` packed states at a time from the map's ``walk``, the
-kernel ``generate_sequence`` and ``reverse_sequence`` also wrap, and
-renders each block from those ints with a single ``write``. The walk
+``_BLOCK_LINES`` (1024) packed states at a time from the map's
+``walk``, the kernel ``generate_sequence`` and ``reverse_sequence``
+also wrap, and renders each block from those ints with a single
+``write``. A block that small keeps the process's peak memory near
+that of the bare import, and its text fits one pipe buffer. The walk
 steps the packed single-word LCG when the carry is on and going
 forward, and the map's own steps otherwise, so a backward stream still
 checks every step's non-negativity offset. Only ``verify`` imports
@@ -47,8 +49,14 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_BROKEN_PIPE = 141
 
-# generate/reverse write this many lines per write call.
-_BLOCK_LINES = 8192
+# generate/reverse write this many lines per write call. A block's ints,
+# its lines and its joined text are alive at once: a 50 000-line
+# `generate --format real` peaked about 1.9-2.0 MiB VmHWM above a bare
+# `import revlcg.cli` with 8192-line blocks, and about 0.5 MiB above it
+# with 1024. And a block of the widest lines, `real` at MAX_MODULUS, at
+# most len(str(n)) + 52 bytes each, fits one 64 KiB pipe buffer for
+# n < 10**10.
+_BLOCK_LINES = 1024
 
 
 def _add_params_args(p: argparse.ArgumentParser) -> None:

@@ -252,9 +252,10 @@ def _affine_scan(p, w0, c, m):
     w, h, ph = np.empty(len(c) + 1, dtype=np.int64), 1, p % m
     w[0], w[1:] = w0, c
     while h < w.size:
-        # w and p**h are below m, so every product is below m**2 < 2**63
+        # w and p**h are below m, so w + ph*w < m + m**2 < 2**63
         # (m <= MAX_MODULUS < 2**21): no int64 wraps
-        w[h:] = (w[h:] + ph * w[:-h]) % m
+        v = w[h:] + ph * w[:-h]
+        w[h:] = v - v // m * m
         h, ph = 2 * h, ph * ph % m
     return w
 

@@ -3,10 +3,12 @@ import shlex
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from revlcg import (
+    MAX_MODULUS,
     CoupledState,
     CouplingSpec,
     InvariantError,
@@ -418,20 +420,42 @@ class TestStreamBlocks:
         "params, coupling, seed", STREAM_CASES, ids=["reference", "odd-m", "odd-m-no-carry"]
     )
     def test_matches_library_sequences(self, monkeypatch, capsys, params, coupling, seed, fmt):
-        monkeypatch.setattr(cli, "_BLOCK_LINES", BLOCK)
         flags = [
             "--a", str(params.a), "--b", str(params.b), "--m", str(params.m),
             "--s", str(coupling.s), "--carry" if coupling.carry_enabled else "--no-carry",
             "--x0", str(seed.x), "--y0", str(seed.y), "--format", fmt,
         ]
         inverse = derive_inverse(params)
-        for n in (0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3):
-            assert cli.main(["generate", "--n", str(n), *flags]) == 0
-            forward = repeated(lambda s: forward_step(s, params, coupling), seed, n)
-            assert capsys.readouterr().out == expected_lines(forward, fmt, params.m)
-            assert cli.main(["reverse", "--n", str(n), *flags]) == 0
-            backward = repeated(lambda s: backward_step(s, params, inverse, coupling), seed, n)
-            assert capsys.readouterr().out == expected_lines(backward, fmt, params.m)
+        # a small block, then the shipped one
+        for block in (BLOCK, cli._BLOCK_LINES):
+            monkeypatch.setattr(cli, "_BLOCK_LINES", block)
+            for n in (0, 1, block - 1, block, block + 1, 2 * block + 3):
+                assert cli.main(["generate", "--n", str(n), *flags]) == 0
+                forward = repeated(lambda s: forward_step(s, params, coupling), seed, n)
+                assert capsys.readouterr().out == expected_lines(forward, fmt, params.m)
+                assert cli.main(["reverse", "--n", str(n), *flags]) == 0
+                backward = repeated(lambda s: backward_step(s, params, inverse, coupling), seed, n)
+                assert capsys.readouterr().out == expected_lines(backward, fmt, params.m)
+
+    def test_each_write_fits_a_pipe_buffer(self, monkeypatch):
+        # The widest lines, `real` at MAX_MODULUS: each write is one block
+        # of at most _BLOCK_LINES lines and one 64 KiB pipe buffer.
+        params, coupling, seed = LcgParams(5, 3, MAX_MODULUS), CouplingSpec(1), CoupledState(0, 0)
+        block = cli._BLOCK_LINES
+        n = 2 * block + 1
+        writes = []
+        monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+        flags = [
+            "--a", str(params.a), "--b", str(params.b), "--m", str(params.m),
+            "--s", str(coupling.s), "--format", "real",
+        ]
+        assert cli.main(["generate", "--n", str(n), *flags]) == 0
+        assert len(writes) == -(-n // block)
+        for text in writes:
+            assert text.count("\n") <= block
+            assert len(text.encode()) <= 65536
+        forward = repeated(lambda s: forward_step(s, params, coupling), seed, n)
+        assert "".join(writes) == expected_lines(forward, "real", MAX_MODULUS)
 
     def test_reverse_keeps_the_slack_check(self, monkeypatch):
         # A backward step whose offset goes negative is a defect and must
