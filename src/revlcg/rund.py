@@ -12,11 +12,14 @@ the forward j accumulator; algebraically simplified forms live in
 :mod:`revlcg.generator`, and the test suite proves the two agree on all
 2**22 states. The forward step reduces with ``%``, as the loop does.
 The backward step, which ``verification.paper_reproduction`` applies to
-every state of the forward orbit on int64 arrays, reduces v mod m as
-v - (v // m)*m instead: the same integer, since both floor, but numpy
-runs ``//`` by a fixed m as a multiply by a precomputed reciprocal,
-where ``%`` divides each element. The forward orbit itself is stepped
-by ``generator._CoupledMap.forward``, the same function on every word.
+every state of the forward orbit on int64 arrays, reduces v mod m by
+the mask v & (m - 1) when m is a power of two, as m = 2048 is, and as
+v - (v // m)*m otherwise: the same integer as ``%`` either way, but on
+int64 arrays the mask is one pass, about 0.3 ns per element, and the
+floor form, which numpy runs as a multiply by a precomputed reciprocal,
+about 1.4 ns, where ``%`` divides each element, about 3.7 ns (see
+:mod:`revlcg.generator`). The forward orbit itself is stepped by
+``generator._CoupledMap.forward``, the same function on every word.
 
 Packing z = x + m*y collapses the two-word map into the single-word LCG
 
@@ -34,6 +37,7 @@ anything relies on it.
 from __future__ import annotations
 
 from .congruence import ParameterError, _Record, _require_int
+from .generator import _mask
 
 
 class RundConstants(_Record):
@@ -93,19 +97,20 @@ def rund_backward_step(x, y, k: RundConstants = RUND):
     test_backward_carry_division_is_exact`` checks the zero remainder
     and the carry on all m**2 states.
 
-    Its two reductions mod m are written v - (v // m)*m, the form of
-    ``_CoupledMap.backward``; every other operation, and their order,
-    is the loop's. It is the step under test, which the reproduction
-    runs on int64 arrays, where that form is cheaper than ``%``. The
-    forward step keeps ``%``: the reproduction steps its orbit with the
-    map instead, and on the plain ints left to it ``%`` is the cheaper
-    form.
+    Its two reductions mod m take the form of ``_CoupledMap.backward``:
+    the mask v & (m - 1) when m is a power of two, and v - (v // m)*m
+    otherwise; every other operation, and their order, is the loop's.
+    It is the step under test, which the reproduction runs on int64
+    arrays, where both forms are cheaper than ``%``. The forward step
+    keeps ``%``: the reproduction steps its orbit with the map instead,
+    and on the plain ints left to it ``%`` is the cheaper form.
     """
+    mask = _mask(k.m)
     u = k.c * x + k.d
-    x0 = u - u // k.m * k.m
+    x0 = u & mask if mask else u - u // k.m * k.m
     t = y + k.imax - k.s * x0 - (k.a * x0 + k.b - x) // k.m
     v = k.c * t
-    return x0, v - v // k.m * k.m
+    return x0, v & mask if mask else v - v // k.m * k.m
 
 
 def packed_multiplier(k: RundConstants = RUND) -> int:

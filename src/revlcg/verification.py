@@ -58,7 +58,7 @@ from .congruence import (
     _require_int,
     derive_inverse,
 )
-from .generator import CoupledState, CouplingSpec, _CoupledMap, _require_state
+from .generator import CoupledState, CouplingSpec, _CoupledMap, _mask, _require_state
 from .rund import RUND, RundConstants, rund_backward_step, rund_forward_step
 
 # Exhaustive modes enumerate m**2 states; beyond this bound the table and
@@ -67,10 +67,12 @@ SWEEP_MAX_M = 4096
 
 # The round-trip sample steps this many states at a time, and the sweep
 # whole rows of the grid up to this many (at least one row), whatever m
-# or the sample count is. Their dozen
-# int64 temporaries take about 3 MiB: more than the 2 MiB L2 cache of one
-# core of the 2-vCPU Xeon VM this was timed on (lscpu: 4 MiB over 2
-# instances), yet chunks of 2**14 and 2**16 states were no faster there.
+# or the sample count is. A chunk's steps make ten int64 temporaries of
+# its size, 2.5 MiB, where m is no power of two, and six, 1.5 MiB, where
+# the reductions are masks; at most about 1.3 MiB of them are alive at
+# once. The 2-vCPU Xeon VM this was timed on has 2 MiB of L2 cache per
+# core (lscpu: 4 MiB over 2 instances), and chunks of 2**14 and 2**16
+# states were no faster there.
 _SWEEP_CHUNK = 1 << 15
 
 # Orbit walks step up to this many lanes at once, a grid of half as many
@@ -249,13 +251,13 @@ def _affine_scan(p, w0, c, m):
     the sum of p**(i-1-j)*c_j over the last 2h indices j < i, so
     O(log len(c)) array passes give every word.
     """
-    w, h, ph = np.empty(len(c) + 1, dtype=np.int64), 1, p % m
+    w, h, ph, mask = np.empty(len(c) + 1, dtype=np.int64), 1, p % m, _mask(m)
     w[0], w[1:] = w0, c
     while h < w.size:
         # w and p**h are below m, so w + ph*w < m + m**2 < 2**63
         # (m <= MAX_MODULUS < 2**21): no int64 wraps
         v = w[h:] + ph * w[:-h]
-        w[h:] = v - v // m * m
+        w[h:] = v & mask if mask else v - v // m * m
         h, ph = 2 * h, ph * ph % m
     return w
 

@@ -82,9 +82,14 @@ def engine_shape(shape):
         yield
 
 
+def moduli(max_m):
+    """m in [2, max_m], half the time a power of two, whose reductions are masks."""
+    return st.integers(2, max_m) | st.sampled_from([1 << k for k in range(1, max_m.bit_length())])
+
+
 @st.composite
 def coupled_maps(draw, max_m=24):
-    m = draw(st.integers(2, max_m))
+    m = draw(moduli(max_m))
     word = st.integers(0, m - 1)
     params = LcgParams(draw(word), draw(word), m)
     coupling = CouplingSpec(draw(word), carry_enabled=draw(st.booleans()))
@@ -431,6 +436,30 @@ def lane_start_words(p, u, m, count):
     return verification._affine_scan(pt, 0, np.full(-(-count // span) - 1, ut), m)
 
 
+@st.composite
+def power_of_two_scans(draw):
+    """(m, p, w0, c): m = 2**k up to 2**20, the largest power of two below
+    MAX_MODULUS, and words of the scan's recurrence."""
+    m = 1 << draw(st.integers(1, 20))
+    word = st.integers(0, m - 1)
+    return m, draw(word), draw(word), draw(st.lists(word, max_size=70))
+
+
+TOP = (1 << 20) - 1
+
+
+@settings(max_examples=100, deadline=None)
+@given(scan=power_of_two_scans())
+@example(scan=(1 << 20, TOP, TOP, [TOP] * 70))
+def test_affine_scan_at_a_power_of_two(scan):
+    # the masked scan against w_{i+1} = p*w_i + c_i mod m, one word at a time
+    m, p, w0, c = scan
+    expected = [w0]
+    for ci in c:
+        expected.append((p * expected[-1] + ci) % m)
+    assert verification._affine_scan(p, w0, np.array(c, dtype=np.int64), m).tolist() == expected
+
+
 @pytest.mark.parametrize(
     "xs, rows",
     [
@@ -582,8 +611,16 @@ def test_broken_jump_fails_the_stitch_check():
     assert f"expected {expected}, got {got}" in str(err.value)
 
 
-# f(x) far above m**2 drives the backward offset y + m**2 - f(x0) negative.
-HUGE_COUPLING = "revlcg.generator._CoupledMap.f = lambda cmap, x: 10 * cmap.m * cmap.m\n"
+# A slope of 10*m**2, set past the constructor's s < m check, puts f(x0)
+# far above m**2 at any x0 > 0 and drives the backward offset
+# y + m**2 - f(x0) negative.
+HUGE_COUPLING = (
+    "init = revlcg.generator._CoupledMap.__init__\n"
+    "def huge_slope(cmap, *args):\n"
+    "    init(cmap, *args)\n"
+    "    cmap.s = 10 * cmap.m * cmap.m\n"
+    "revlcg.generator._CoupledMap.__init__ = huge_slope\n"
+)
 
 # Each script breaks one invariant on purpose. Under -O an assert would
 # vanish and the call would return; the explicit raise must still fire.

@@ -1,11 +1,13 @@
-"""The array reductions v - (v // m)*m against ``%`` on plain ints, and the sweep's grid.
+"""The array reductions against ``%`` on plain ints, and the sweep's grid.
 
-The coupled map's steps reduce int64 arrays by floor division, which
-numpy runs as a multiply by a precomputed reciprocal; ``%`` would run
-``np.remainder``, a divide per element. These tests hold the arrays to a
-``%``-based reference on Python ints, exhaustively on toy grids and at
-the largest modulus, and check that ``np.remainder`` is not called on
-the array paths. ``roundtrip_sweep`` runs those steps on chunks of whole
+The coupled map's steps reduce int64 arrays by the mask v & (m - 1) when
+m is a power of two, and otherwise as v - (v // m)*m, whose floor
+division numpy runs as a multiply by a precomputed reciprocal; ``%``
+would run ``np.remainder``, a divide per element. These tests hold the
+arrays to a ``%``-based reference on Python ints, exhaustively on toy
+grids and at the largest moduli, and check which ufuncs the array paths
+call: a mask at a power of two, floor division otherwise, and never
+``np.remainder``. ``roundtrip_sweep`` runs those steps on chunks of whole
 rows of the (y, x) grid, x of shape (1, m) and y of shape (rows, 1):
 the chunks must broadcast to the states in z order, and the sweep must
 equal a state-by-state run of the reference, whatever the chunk size.
@@ -89,11 +91,14 @@ def test_toy_grids_match_the_remainder_reference(m):
                 check_against_reference(_CoupledMap(params, CouplingSpec(s, carry), inverse), x, y)
 
 
+# MAX_MODULUS, and 2**20, the largest power of two below it, whose
+# reductions are masks
+@pytest.mark.parametrize("m", [MAX_MODULUS, 1 << 20])
 @pytest.mark.parametrize("carry", [True, False])
-def test_largest_modulus_stays_inside_int64(carry):
+def test_largest_modulus_stays_inside_int64(carry, m):
     # a = b = s = c = d = m - 1 and words at both ends: the largest
     # products the map can form, c*slack near m**3, just below 2**63.
-    m, top = MAX_MODULUS, MAX_MODULUS - 1
+    top = m - 1
     ends = [0, 1, top - 1, top]
     x, y = (np.array(w, dtype=np.int64) for w in zip(*[(u, v) for u in ends for v in ends]))
     params = LcgParams(top, top, m)
@@ -158,25 +163,53 @@ def recorded():
     return Recorded.calls
 
 
-@pytest.mark.parametrize("carry", [True, False])
-def test_map_steps_call_no_remainder(recorded, carry):
-    params = LcgParams(1029, 1731, 2048)
-    cmap = _CoupledMap(params, CouplingSpec(1536, carry), derive_inverse(params))
-    x, y = (np.arange(0, 2048, 7, dtype=np.int64).view(Recorded) for _ in range(2))
-    cmap.backward(*cmap.forward(x, y))
-    assert "floor_divide" in recorded
+def assert_reductions(recorded, m, carry, steps=1):
+    """The ufuncs of ``steps`` forward and backward steps on arrays, by what they reduce.
+
+    Each pair of steps reduces three words mod m: the forward y word and
+    the backward x and y words, by a mask at a power of two and by floor
+    division otherwise. Its other floor divisions take carries: the
+    forward x word's quotient of a*x + b, which the carry reuses, and,
+    with the carry on, the backward f(x0)'s.
+    """
+    masked = 3 * steps if m & (m - 1) == 0 else 0
+    assert recorded.count("bitwise_and") == masked
+    assert recorded.count("floor_divide") == (1 + carry + 3) * steps - masked
     assert not {"remainder", "fmod", "divmod"} & set(recorded)
 
 
+@pytest.mark.parametrize(
+    "params, s",
+    [
+        pytest.param(LcgParams(1029, 1731, 2048), 1536, id="m=2048"),
+        pytest.param(LcgParams(58, 5, 1539), 700, id="m=1539"),
+    ],
+)
 @pytest.mark.parametrize("carry", [True, False])
-def test_sweep_calls_no_remainder(recorded, monkeypatch, carry):
+def test_map_steps_call_no_remainder(recorded, carry, params, s):
+    cmap = _CoupledMap(params, CouplingSpec(s, carry), derive_inverse(params))
+    x, y = (np.arange(0, params.m, 7, dtype=np.int64).view(Recorded) for _ in range(2))
+    cmap.backward(*cmap.forward(x, y))
+    assert_reductions(recorded, params.m, carry)
+
+
+# m = 16 and m = 15 in chunks of 4 rows, 4 chunks; d is one above the
+# derived one (9 and 6), so every state fails its round trip
+@pytest.mark.parametrize(
+    "params, inverse",
+    [
+        pytest.param(LcgParams(5, 3, 16), InverseParams(13, 10), id="m=16"),
+        pytest.param(LcgParams(7, 3, 15), InverseParams(13, 7), id="m=15"),
+    ],
+)
+@pytest.mark.parametrize("carry", [True, False])
+def test_sweep_calls_no_remainder(recorded, monkeypatch, carry, params, inverse):
     arange = np.arange
     monkeypatch.setattr(np, "arange", lambda *a, **k: arange(*a, **k).view(Recorded))
     monkeypatch.setattr(verification, "_SWEEP_CHUNK", 64)
-    report = roundtrip_sweep(LcgParams(5, 3, 16), CouplingSpec(2, carry), InverseParams(13, 10))
-    assert report.mismatches == 256
-    assert "floor_divide" in recorded
-    assert not {"remainder", "fmod", "divmod"} & set(recorded)
+    report = roundtrip_sweep(params, CouplingSpec(2, carry), inverse)
+    assert report.mismatches == params.m**2
+    assert_reductions(recorded, params.m, carry, steps=4)
 
 
 def sweep_reference(params, coupling, inverse):

@@ -133,8 +133,10 @@ class TestExhaustiveEquivalence:
 
 @st.composite
 def constants_and_words(draw):
-    """Valid constants, with any (c, d) in [0, m), and a state (x, y)."""
-    m = draw(st.integers(2, SWEEP_MAX_M))
+    """Valid constants, with any (c, d) in [0, m), and a state (x, y); m is
+    half the time a power of two, whose reductions are masks."""
+    powers = [1 << k for k in range(1, SWEEP_MAX_M.bit_length())]
+    m = draw(st.integers(2, SWEEP_MAX_M) | st.sampled_from(powers))
     word = st.integers(0, m - 1)
     a, b, s, c, d, x, y = (draw(word) for _ in range(7))
     return RundConstants(a, b, m, s, c, d, m * m), x, y
