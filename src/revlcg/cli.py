@@ -65,27 +65,19 @@ def _add_params_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--m", type=int, default=RUND.m, help="modulus (default %(default)s)")
 
 
-def _add_coupling_args(p: argparse.ArgumentParser, defaults: bool = True) -> None:
-    # verify passes defaults=False, to tell a flag it was given from one it
-    # was not, and applies the same defaults itself
-    p.add_argument(
-        "--s",
-        type=int,
-        default=RUND.s if defaults else None,
-        help=f"coupling slope (default {RUND.s})",
-    )
+def _add_coupling_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--s", type=int, default=RUND.s, help=f"coupling slope (default {RUND.s})")
     p.add_argument(
         "--carry",
         action=argparse.BooleanOptionalAction,
-        default=True if defaults else None,
+        default=True,
         help="feed the x-update carry into the y channel",
     )
 
 
-def _add_seed_args(p: argparse.ArgumentParser, default: Optional[int] = 0) -> None:
-    # verify passes None, to tell a seed it was given from one it was not; 0 either way
-    p.add_argument("--x0", type=int, default=default, help="seed x word (default 0)")
-    p.add_argument("--y0", type=int, default=default, help="seed y word (default 0)")
+def _add_seed_args(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--x0", type=int, default=0, help="seed x word (default 0)")
+    p.add_argument("--y0", type=int, default=0, help="seed y word (default 0)")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -125,8 +117,11 @@ def build_parser() -> argparse.ArgumentParser:
         help="which check to run",
     )
     _add_params_args(p_ver)
-    _add_coupling_args(p_ver, defaults=False)
-    _add_seed_args(p_ver, default=None)
+    _add_coupling_args(p_ver)
+    _add_seed_args(p_ver)
+    # None tells a flag that was not given from one that was; cmd_verify
+    # applies the same defaults itself
+    p_ver.set_defaults(s=None, carry=None, x0=None, y0=None)
     p_ver.add_argument("--c", type=int, default=None, help="override the derived inverse multiplier")
     p_ver.add_argument("--d", type=int, default=None, help="override the derived inverse increment")
     p_ver.add_argument("--limit", type=int, default=None, help="step limit for the period walk")

@@ -276,18 +276,6 @@ def _grid_rows(xs):
     return k if -(-n // k) >= k and (xs[k:] == xs[:-k]).all() else n
 
 
-def _live(rows, n):
-    """The cells of a lane grid of ``rows`` rows that hold lanes 0 .. n-1.
-
-    Lane j sits in row j % rows, column j // rows, so they are every row
-    of the whole columns, then the first rows of the next one: a list
-    of (row count, column slice) blocks, none of them empty.
-    """
-    full, part = divmod(n, rows)
-    blocks = [(rows, slice(0, full))] if full else []
-    return blocks + [(part, slice(full, full + 1))] if part else blocks
-
-
 class _LaneWalk:
     """A stitched walk of the states after 1 .. count steps of ``step`` from (x, y).
 
@@ -312,29 +300,32 @@ class _LaneWalk:
     of ``rows`` = k rows, one per distinct start x word
     (:func:`_grid_rows`; k = 8 at the reference size, where T = 256 and
     x has period 2048), and ``cols`` columns, lane l in row l % k and
-    column l // k; the cells past the last lane are padding. Words that
-    do not repeat, or rows that would be shorter than k, give one row per
-    lane, cols = 1, through the same code. A row shares one x word, so
-    the walk steps x of shape (k, 1) and y of shape (k, cols), and numpy
-    broadcasting steps each row's x word once and each lane's y word
-    once, as the round-trip sweep does over its (y, x) grid.
+    column l // k; the cells past the last lane are padding, lanes that
+    go on past the window. Words that do not repeat, or rows that would
+    be shorter than k, give one row per lane, cols = 1, through the same
+    code. A row shares one x word, so the walk steps x of shape (k, 1)
+    and y of shape (k, cols), and numpy broadcasting steps each row's x
+    word once and each lane's y word once, as the round-trip sweep does
+    over its (y, x) grid.
 
-    Iterating yields, after each step t (from 0), the grid's words
-    (x, y) and the blocks of :func:`_live` for the lanes whose state
-    after that step lies in the walk: the cell of lane l holds the
-    state after l*T + t + 1 steps, at index l*T + t of the orbit, and
-    the last lane is left out of the steps that would take it to index
-    count or beyond, so a check reads each step as it is made and never
-    tests, marks or compares a cell past the walk. Neither the seeding
-    nor the sharing is trusted: once the last step has been yielded,
-    each lane must have ended, x word and y word, exactly where the next
-    one started, or :class:`InvariantError` is raised (the stitch
-    check), and by induction from the seed the stitched walk is the
-    sequential one, shared x words included. So only a walk run out to
-    its end is proven, and a check gives a passing verdict only after
-    one. ``state(j)`` steps the state at index j, such as the walk's
-    last, from the start of its lane, in at most T scalar steps; past
-    lane 0 it rests on the same seeding.
+    Every cell of the grid is a lane, the padding too: the cell in
+    column c, row r is lane l = c*rows + r, and iterating yields the
+    grid's words (x, y) after each step t (from 0), when that cell holds
+    the state after l*T + t + 1 steps, at index l*T + t of the orbit.
+    The walk's window is the indices below count; the padding and the
+    last lane's steps past it hold later states of the same orbit, so a
+    check reads the whole grid as it is stepped, and only a check whose
+    result depends on the window drops the indices at count or beyond.
+    Neither the seeding nor the sharing is trusted: once the last step
+    has been yielded, each cell's lane must have ended, x word and y
+    word, exactly where the next one started, or :class:`InvariantError`
+    is raised (the stitch check, over every cell), and by induction from
+    the seed the stitched walk is the sequential one, shared x words and
+    padding included. So only a walk run out to its end is proven, and
+    a check gives a passing verdict only after one. ``state(j)`` steps
+    the state at index j, such as the walk's last, from the start of its
+    lane, in at most T scalar steps; past lane 0 it rests on the same
+    seeding.
     """
 
     def __init__(self, m, x, y, count, step, jump=None):
@@ -355,8 +346,8 @@ class _LaneWalk:
         self._starts = xs, _affine_scan(pt, y, np.resize(tails, cells - 1), m)
 
     def in_lanes(self, x, y):
-        """The grid's words (x, y) as two arrays in lane order, the padding left out."""
-        return (np.broadcast_to(x, y.shape).T.ravel()[: self.lanes], y.T.ravel()[: self.lanes])
+        """The grid's words (x, y) as two arrays in lane order, every cell, the padding included."""
+        return np.broadcast_to(x, y.shape).T.ravel(), y.T.ravel()
 
     def state(self, j):
         lane, t = divmod(j, self.span)
@@ -368,11 +359,10 @@ class _LaneWalk:
     def __iter__(self):
         sx = self._starts[0].reshape(self.rows, 1)
         sy = np.ascontiguousarray(self._starts[1].reshape(self.cols, self.rows).T)
-        ex, ey, end_t = sx, sy, (self.count - 1) % self.span
-        every, cut = _live(self.rows, self.lanes), _live(self.rows, self.lanes - 1)
-        for t in range(self.span):
+        ex, ey = sx, sy
+        for _ in range(self.span):
             ex, ey = self._step(ex, ey)
-            yield ex, ey, every if t <= end_t else cut
+            yield ex, ey
         (ex, ey), (sx, sy) = self.in_lanes(ex, ey), self.in_lanes(sx, sy)
         broken = np.flatnonzero((ex[:-1] != sx[1:]) | (ey[:-1] != sy[1:]))
         if broken.size:
@@ -421,17 +411,16 @@ def orbit_period(
         raise ParameterError(f"limit must be positive, got {limit}")
     for start, walk in _forward_blocks(cmap, x0, y0, limit):
         hits = []
-        for t, (ex, ey, live) in enumerate(walk):
-            for rows, cols in live:
-                # x is tested on the row words, y on the live cells of the rows it matched
-                match = np.flatnonzero(ex[:rows, 0] == x0)
-                if match.size:
-                    row, col = np.nonzero(ey[match, cols] == y0)
-                    if row.size:
-                        lanes = (cols.start + col) * walk.rows + match[row]
-                        hits.append(int(lanes.min()) * walk.span + t)
-        if hits:
-            period = start + min(hits) + 1
+        for t, (ex, ey) in enumerate(walk):
+            # x is tested on the row words, y on the cells of the rows it matched
+            match = np.flatnonzero(ex[:, 0] == x0)
+            if match.size:
+                row, col = np.nonzero(ey[match] == y0)
+                if row.size:
+                    hits.append(int((col * walk.rows + match[row]).min()) * walk.span + t)
+        # a recurrence at index count or past it is the next block's, or lies past the limit
+        if (first := min(hits, default=walk.count)) < walk.count:
+            period = start + first + 1
             return OrbitReport(
                 period=period,
                 reached_full_period=(period == m2),
@@ -463,9 +452,8 @@ def equidistribution_check(
     seen = np.zeros(total, dtype=bool)
     seen[y + m * x] = True
     for start, walk in _forward_blocks(cmap, x, y, total):
-        for ex, ey, live in walk:
-            for rows, cols in live:
-                seen[ey[:rows, cols] + m * ex[:rows]] = True
+        for ex, ey in walk:
+            seen[ey + m * ex] = True
         covered = int(np.count_nonzero(seen))
         if covered <= start + walk.count:
             break
@@ -606,14 +594,6 @@ def hull_dobell_check(params: LcgParams) -> HullDobellReport:
     )
 
 
-def _differ(x, y, qx, qy, live):
-    """Whether the grid words (x, y) differ from (qx, qy) in any of the ``live`` blocks."""
-    return any(
-        bool((x[:rows] != qx[:rows]).any() or (y[:rows, cols] != qy[:rows, cols]).any())
-        for rows, cols in live
-    )
-
-
 def _retraces(k, count, bx, by, forward, jump):
     """Whether back(i) = forw[count - i] for i = 1 .. count, from the backward seed (bx, by).
 
@@ -622,21 +602,24 @@ def _retraces(k, count, bx, by, forward, jump):
     so every comparison passes exactly when the seed steps back to
     forw[count - 1] and each forw[j], 0 < j < count, to forw[j - 1]. The
     seed's backward step is compared first, with forw[count - 1] stepped
-    from the start of its lane. Then the forward walk's grid steps back as
-    it is walked, onto its live words of the step before, and once the
+    from the start of its lane. Then the forward walk's whole grid steps
+    back as it is walked, onto its words of the step before, and once the
     walk is done and its lanes have stitched, a lane's first state is
     compared, in lane order, with the last state of the lane before it.
-    forw[0] never steps back onto the start (0, 0): the reference program
-    makes no such comparison.
+    The cells past the window hold later states of the same orbit, so a
+    pair there fails only when (c, d) are not the true inverse; a False
+    is then settled by the exact count of :func:`_mismatches`. forw[0]
+    never steps back onto the start (0, 0): the reference program makes
+    no such comparison.
     """
     walk = _LaneWalk(k.m, 0, 0, count, forward, jump)
     if rund_backward_step(bx, by, k) != walk.state(count - 1):
         return False
-    for t, (ex, ey, live) in enumerate(walk):
+    for t, (ex, ey) in enumerate(walk):
         px, py = rund_backward_step(ex, ey, k)
         if t == 0:
             hx, hy = walk.in_lanes(px, py)
-        elif _differ(px, py, qx, qy, live):
+        elif (px != qx).any() or (py != qy).any():
             return False
         qx, qy = ex, ey
     qx, qy = walk.in_lanes(qx, qy)
@@ -658,7 +641,7 @@ def _mismatches(k, true_k, n, seed, end):
 
     given, true = back(k, *seed), back(true_k, *end)
     # strict=True also steps the true walk past its last step, into its stitch check
-    for t, ((gx, gy, _), (tx, ty, _)) in enumerate(zip(given, true, strict=True)):
+    for t, ((gx, gy), (tx, ty)) in enumerate(zip(given, true, strict=True)):
         live = -(-(count - t) // given.span)  # lane l holds i = l*T + t + 1 <= count
         (gx, gy), (tx, ty) = given.in_lanes(gx, gy), true.in_lanes(tx, ty)
         bad = np.flatnonzero((gx[:live] != tx[:live]) | (gy[:live] != ty[:live]))

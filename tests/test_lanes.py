@@ -7,9 +7,11 @@ constants. The engine's lane count and block size are patched down so
 that small orbits still cross lane and block boundaries; the shapes
 also set the round-trip chunk, which no orbit walk may depend on. The
 lane walk seeded without a closed form, which a failing reproduction
-runs backward twice, must equal the plain step-by-step walk, whether
-its lanes share x words in a grid or take one row each; the lanes'
-start words, seeded by a scan over arrays, must equal the scalar
+runs backward twice, must equal the plain step-by-step walk on every
+cell of its grid, the padding included, whether its lanes share x words
+in a grid or take one row each, and its stitch check must cover every
+cell; a recurrence past the period walk's window is not its period; the
+lanes' start words, seeded by a scan over arrays, must equal the scalar
 recurrences, and each distinct start word is jumped once for its tail;
 a reproduction whose a has no inverse is refused; and no
 check at the reference size, passing or failing, may hold an orbit
@@ -313,24 +315,21 @@ def test_table_walk_matches_sequential(walk, lanes):
     with patch.object(verification, "_LANES", lanes):
         lane_walk = verification._LaneWalk(m, z % m, z // m, count, step)
         steps = list(lane_walk)
-    expected = walk_seq(step, m, z, count)
     span, rows, cols = lane_walk.span, lane_walk.rows, lane_walk.cols
+    expected = walk_seq(step, m, z, rows * cols * span)
     for j in {0, span - 1, count - 1}:
         x, y = lane_walk.state(j)
         assert x + m * y == expected[j]
     # lane l sits in row l % rows, column l // rows; rows share an x word
     assert rows * cols >= lane_walk.lanes > rows * (cols - 1)
-    # the cell of lane l at step t is orbit index l*span + t; the live
-    # blocks hold every such index below count, and none past the walk
+    # every cell is a lane: the cell of lane l at step t is orbit index
+    # l*span + t, the padding and the last lane's steps past count included
     walked = {}
-    for t, (xs, ys, live) in enumerate(steps):
+    for t, (xs, ys) in enumerate(steps):
         assert xs.shape == (rows, 1) and ys.shape == (rows, cols)
-        for live_rows, live_cols in live:
-            for row in range(live_rows):
-                for col in range(cols)[live_cols]:
-                    index = (col * rows + row) * span + t
-                    assert index not in walked
-                    walked[index] = int(xs[row, 0] + m * ys[row, col])
+        for row in range(rows):
+            for col in range(cols):
+                walked[(col * rows + row) * span + t] = int(xs[row, 0] + m * ys[row, col])
     assert walked == dict(enumerate(expected))
 
 
@@ -513,7 +512,7 @@ def test_lane_walk_at_the_shipped_shape():
     cmap = verification._CoupledMap(params, coupling)
     lane_walk = verification._LaneWalk(2048, 0, 0, count, cmap.forward, cmap.jump)
     cells = np.empty((lane_walk.span, lane_walk.lanes), dtype=np.int64)
-    for t, (xs, ys, _) in enumerate(lane_walk):
+    for t, (xs, ys) in enumerate(lane_walk):
         x, y = lane_walk.in_lanes(xs, ys)
         cells[t] = x + 2048 * y
     walk = generate_sequence(CoupledState(0, 0), count, params, coupling)
@@ -609,6 +608,31 @@ def test_broken_jump_fails_the_stitch_check():
         with pytest.raises(InvariantError, match="lane 1 should start where lane 0 ends") as err:
             orbit_period(seed, params, coupling)
     assert f"expected {expected}, got {got}" in str(err.value)
+
+
+def test_stitch_check_covers_the_padding():
+    # 300 lanes of one step in 16 rows of 19 columns: lanes 300 .. 303 are
+    # the padding, past the window, and lane 301's start is one y word off
+    params, coupling, seed = FULL_TOY
+    cmap = verification._CoupledMap(params, coupling)
+    with patch.object(verification, "_LANES", 300):
+        walk = verification._LaneWalk(params.m, *seed, 300, cmap.forward, cmap.jump)
+    assert (walk.rows, walk.cols, walk.lanes) == (16, 19, 300)
+    walk._starts[1][301] = (walk._starts[1][301] + 1) % params.m
+    with pytest.raises(InvariantError, match="lanes do not stitch: lane 301 should start"):
+        list(walk)
+
+
+def test_orbit_period_drops_a_recurrence_past_the_window():
+    # 214 states in 3 lanes of 72 steps, 2 rows of 2 columns: the padding
+    # cell holds indices 216 .. 287, and the seed recurs at index 255,
+    # after 256 steps, past the limit
+    params, coupling, seed = FULL_TOY
+    with patch.object(verification, "_LANES", 3):
+        report = orbit_period(seed, params, coupling, limit=214)
+    assert report == verification.OrbitReport(
+        period=None, reached_full_period=False, states_visited=214, first_repeat_state=None
+    )
 
 
 # A slope of 10*m**2, set past the constructor's s < m check, puts f(x0)
