@@ -5,12 +5,12 @@ triple, ``generate`` and ``reverse`` stream sequence records as plain
 text, ``verify`` runs one of the verification checks and reports via
 the exit code.
 
-``generate`` and ``reverse`` share one loop. It validates the seed and
-builds the coupled map (``generator._CoupledMap``) once, takes
-``_BLOCK_LINES`` (1024) packed states at a time from the map's
-``walk``, the kernel ``generate_sequence`` and ``reverse_sequence``
-also wrap, and renders each block from those ints with a single
-``write``. A block that small keeps the process's peak memory near
+``generate`` and ``reverse`` take the same flags and share one loop,
+``_stream``. It validates the seed and builds the coupled map
+(``generator._CoupledMap``) once, takes ``_BLOCK_LINES`` (1024) packed
+states at a time from the map's ``walk``, the kernel
+``generate_sequence`` and ``reverse_sequence`` also wrap, and renders
+each block from those ints with a single ``write``. A block that small keeps the process's peak memory near
 that of the bare import, and its text fits one pipe buffer. The walk
 steps the packed single-word LCG when the carry is on and going
 forward, and the map's own steps otherwise, so a backward stream still
@@ -32,6 +32,7 @@ import argparse
 import os
 import sys
 from decimal import Decimal
+from functools import partial
 from typing import Optional
 
 from .congruence import (
@@ -91,24 +92,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_derive = sub.add_parser("derive", help="derive the reversed-recursion constants (c, d)")
     _add_params_args(p_derive)
 
-    p_gen = sub.add_parser("generate", help="emit n forward steps, one record per line")
-    _add_params_args(p_gen)
-    _add_coupling_args(p_gen)
-    _add_seed_args(p_gen)
-    p_gen.add_argument("--n", type=int, required=True, help="number of steps")
-    p_gen.add_argument(
-        "--format",
-        choices=("state", "z", "real"),
-        default="state",
-        help="state: 'n x y'; z: packed value; real: 'n z/m**2 decimal'",
-    )
-
-    p_rev = sub.add_parser("reverse", help="emit n backward steps, one record per line")
-    _add_params_args(p_rev)
-    _add_coupling_args(p_rev)
-    _add_seed_args(p_rev)
-    p_rev.add_argument("--n", type=int, required=True, help="number of steps")
-    p_rev.add_argument("--format", choices=("state", "z", "real"), default="state")
+    for name, direction in (("generate", "forward"), ("reverse", "backward")):
+        p_walk = sub.add_parser(name, help=f"emit n {direction} steps, one record per line")
+        _add_params_args(p_walk)
+        _add_coupling_args(p_walk)
+        _add_seed_args(p_walk)
+        p_walk.add_argument("--n", type=int, required=True, help="number of steps")
+        p_walk.add_argument(
+            "--format",
+            choices=("state", "z", "real"),
+            default="state",
+            help="state: 'n x y'; z: packed value; real: 'n z/m**2 decimal'",
+        )
 
     p_ver = sub.add_parser("verify", help="run a verification check; exit 0 iff it passes")
     p_ver.add_argument(
@@ -192,14 +187,6 @@ def _stream(args: argparse.Namespace, backward: bool) -> int:
     return EXIT_OK
 
 
-def cmd_generate(args: argparse.Namespace) -> int:
-    return _stream(args, backward=False)
-
-
-def cmd_reverse(args: argparse.Namespace) -> int:
-    return _stream(args, backward=True)
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     from .verification import (
         SWEEP_MAX_M,
@@ -265,8 +252,8 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     handlers = {
         "derive": cmd_derive,
-        "generate": cmd_generate,
-        "reverse": cmd_reverse,
+        "generate": partial(_stream, backward=False),
+        "reverse": partial(_stream, backward=True),
         "verify": cmd_verify,
     }
     try:

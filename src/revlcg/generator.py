@@ -186,12 +186,6 @@ class _CoupledMap:
                 _require_word(self.c, self.m, "c")
                 _require_word(self.d, self.m, "d")
 
-    def f(self, x):
-        """The coupling at x: s*x, plus the carry out of a*x + b when enabled."""
-        if self.carry:
-            return self.s * x + (self.a * x + self.b) // self.m
-        return self.s * x
-
     def forward(self, x, y):
         # The quotient that reduces a*x + b is also its carry, so f is not
         # evaluated again here.
@@ -207,8 +201,6 @@ class _CoupledMap:
         m = self.m
         u = self.c * x + self.d
         x0 = u & self.mask if self.mask else u - u // m * m
-        # f(x0), written out: calling self.f here cost a scalar step more
-        # than both of its mask tests together
         f = self.s * x0 + (self.a * x0 + self.b) // m if self.carry else self.s * x0
         slack = y + self.m2 - f
         v = self.c * slack
@@ -262,7 +254,8 @@ class _CoupledMap:
 def carry_coupling(x: int, params: LcgParams, coupling: CouplingSpec) -> int:
     """Evaluate the coupling f at one x word; the result is below m**2."""
     x = _require_word(x, params.m, "x")
-    return _CoupledMap(params, coupling).f(x)
+    cmap = _CoupledMap(params, coupling)
+    return cmap.s * x + (cmap.a * x + cmap.b) // cmap.m if cmap.carry else cmap.s * x
 
 
 def forward_step(state: CoupledState, params: LcgParams, coupling: CouplingSpec) -> CoupledState:

@@ -26,10 +26,13 @@ No check holds an orbit table. The period walk tests each step's words
 against the seed, the equidistribution walk marks them in its coverage
 flags, and both walk in blocks of at most ``_BLOCK`` states, each
 continuing from the last state of the one before, and stop at the first
-block that closes the orbit. The reproduction steps each forward state
-back onto the one before as it is walked (:func:`_retraces`); a failing
-run then walks the derived inverse back from forw(imax) beside the given
-backward walk (:func:`_mismatches`), so it refuses an a with no inverse.
+block that closes the orbit. A reproduction passes on one rule: its
+backward seed is forw(imax), the closed-form jump, and each forward
+state steps back onto the one before, forw(1) onto (0, 0)
+(:func:`_retraces`). Any other run walks the derived inverse back from
+forw(imax) beside the given backward walk and counts the mismatches
+exactly (:func:`_mismatches`). Every run derives that inverse first, so
+it refuses an a with no inverse.
 
 Each report states every fact once, as a ``(key, value, line)`` row
 yielded in output order by its private ``_rows()``. Both renderings
@@ -309,9 +312,12 @@ class _LaneWalk:
     over its (y, x) grid.
 
     Every cell of the grid is a lane, the padding too: the cell in
-    column c, row r is lane l = c*rows + r, and iterating yields the
-    grid's words (x, y) after each step t (from 0), when that cell holds
-    the state after l*T + t + 1 steps, at index l*T + t of the orbit.
+    column c, row r is lane l = c*rows + r. ``start`` is the grid before
+    the first step, built once in the shapes the steps take, the rows' x
+    words (rows, 1) and every cell's y word (rows, cols); its cell of
+    lane l holds the state after l*T steps. Iterating yields the grid's
+    words (x, y) after each step t (from 0), when that cell holds the
+    state after l*T + t + 1 steps, at index l*T + t of the orbit.
     The walk's window is the indices below count; the padding and the
     last lane's steps past it hold later states of the same orbit, so a
     check reads the whole grid as it is stepped, and only a check whose
@@ -322,10 +328,10 @@ class _LaneWalk:
     is raised (the stitch check, over every cell), and by induction from
     the seed the stitched walk is the sequential one, shared x words and
     padding included. So only a walk run out to its end is proven, and
-    a check gives a passing verdict only after one. ``state(j)`` steps
-    the state at index j, such as the walk's last, from the start of its
-    lane, in at most T scalar steps; past lane 0 it rests on the same
-    seeding.
+    a check gives a passing verdict only after one. ``state(j)`` reads
+    the start of lane l = j // T at row l % rows, column l // rows, and
+    steps the state at index j, such as the walk's last, from there in
+    at most T scalar steps; past lane 0 it rests on the same seeding.
     """
 
     def __init__(self, m, x, y, count, step, jump=None):
@@ -343,7 +349,8 @@ class _LaneWalk:
         xs = xs[: self.rows]
         words, inverse = np.unique(xs[: cells - 1], return_inverse=True)
         tails = jump(words, 0, self.span)[1][inverse]
-        self._starts = xs, _affine_scan(pt, y, np.resize(tails, cells - 1), m)
+        ys = _affine_scan(pt, y, np.resize(tails, cells - 1), m).reshape(self.cols, self.rows)
+        self.start = xs.reshape(self.rows, 1), np.ascontiguousarray(ys.T)
 
     def in_lanes(self, x, y):
         """The grid's words (x, y) as two arrays in lane order, every cell, the padding included."""
@@ -351,15 +358,14 @@ class _LaneWalk:
 
     def state(self, j):
         lane, t = divmod(j, self.span)
-        x, y = int(self._starts[0][lane % self.rows]), int(self._starts[1][lane])
+        col, row = divmod(lane, self.rows)
+        x, y = int(self.start[0][row, 0]), int(self.start[1][row, col])
         for _ in range(t + 1):
             x, y = self._step(x, y)
         return x, y
 
     def __iter__(self):
-        sx = self._starts[0].reshape(self.rows, 1)
-        sy = np.ascontiguousarray(self._starts[1].reshape(self.cols, self.rows).T)
-        ex, ey = sx, sy
+        sx, sy = ex, ey = self.start
         for _ in range(self.span):
             ex, ey = self._step(ex, ey)
             yield ex, ey
@@ -594,36 +600,35 @@ def hull_dobell_check(params: LcgParams) -> HullDobellReport:
     )
 
 
-def _retraces(k, count, bx, by, forward, jump):
-    """Whether back(i) = forw[count - i] for i = 1 .. count, from the backward seed (bx, by).
+def _retraces(k, cmap, n):
+    """Whether every state of the forward walk of n states steps back onto the one before.
 
-    forw[j] is the state j + 1 steps of ``forward`` after (0, 0). back(1)
-    is one backward step from the seed and back(i + 1) one from back(i),
-    so every comparison passes exactly when the seed steps back to
-    forw[count - 1] and each forw[j], 0 < j < count, to forw[j - 1]. The
-    seed's backward step is compared first, with forw[count - 1] stepped
-    from the start of its lane. Then the forward walk's whole grid steps
-    back as it is walked, onto its words of the step before, and once the
-    walk is done and its lanes have stitched, a lane's first state is
-    compared, in lane order, with the last state of the lane before it.
-    The cells past the window hold later states of the same orbit, so a
-    pair there fails only when (c, d) are not the true inverse; a False
-    is then settled by the exact count of :func:`_mismatches`. forw[0]
-    never steps back onto the start (0, 0): the reference program makes
-    no such comparison.
+    forw(j) is the state j steps of ``cmap`` after (0, 0). The one rule:
+    each grid of the walk, stepped back by ``rund_backward_step`` with
+    the (c, d) of ``k``, equals the grid before it, the walk's start grid
+    first, so forw(j) steps back onto forw(j - 1) for every j the grid
+    holds, from forw(1) onto (0, 0) to the cells past the window. True
+    comes only once the walk has run out, past its stitch check.
+
+    The reference program compares back(i) with forw(n - i), i = 1 ..
+    n - 1, where back(1) steps back from the backward seed. With the
+    seed forw(n), which the caller checks, they all pass exactly when
+    forw(j) steps back onto forw(j - 1) for j = 2 .. n, a part of the
+    rule, so a True is a passing report. A False hands the report to the
+    exact count of :func:`_mismatches`, so the rest of the rule, forw(1)
+    onto (0, 0) and the cells past the window, changes no report. With
+    the true (c, d) the rule always holds, since their backward step
+    inverts the forward map on every state (its carry division is
+    exact), so a run with them and the endpoint seed is never counted.
     """
-    walk = _LaneWalk(k.m, 0, 0, count, forward, jump)
-    if rund_backward_step(bx, by, k) != walk.state(count - 1):
-        return False
-    for t, (ex, ey) in enumerate(walk):
+    walk = _LaneWalk(k.m, 0, 0, n, cmap.forward, cmap.jump)
+    qx, qy = walk.start
+    for ex, ey in walk:
         px, py = rund_backward_step(ex, ey, k)
-        if t == 0:
-            hx, hy = walk.in_lanes(px, py)
-        elif (px != qx).any() or (py != qy).any():
+        if (px != qx).any() or (py != qy).any():
             return False
         qx, qy = ex, ey
-    qx, qy = walk.in_lanes(qx, qy)
-    return not bool(((hx[1:] != qx[:-1]) | (hy[1:] != qy[:-1])).any())
+    return True
 
 
 def _mismatches(k, true_k, n, seed, end):
@@ -686,11 +691,11 @@ def paper_reproduction(
     if not 1 <= n <= k.imax:
         raise ParameterError(f"imax must lie in [1, {k.imax}], got {n}")
     bx, by = _require_state((0, 0) if backward_seed is None else backward_seed, k.m)
-    inverse, count = derive_inverse(params), n - 1
+    inverse, count, end = derive_inverse(params), n - 1, cmap.jump(0, 0, n)
     mismatches, first = 0, None
-    if count and not _retraces(k, count, bx, by, cmap.forward, cmap.jump):
+    if count and ((bx, by) != end or not _retraces(k, cmap, n)):
         true_k = RundConstants(k.a, k.b, k.m, k.s, inverse.c, inverse.d, k.imax)
-        mismatches, first = _mismatches(k, true_k, n, (bx, by), cmap.jump(0, 0, n))
+        mismatches, first = _mismatches(k, true_k, n, (bx, by), end)
     return ReproductionReport(
         comparisons=count,
         mismatches=mismatches,

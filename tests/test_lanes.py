@@ -154,14 +154,15 @@ def endpoint(k, n):
 
 
 # Examples: a corrupted d; the `verify paper --m 16 --a 5 --b 3 --s 2 --c 7`
-# control; a truncated window; a seed whose first mismatch is at n = 2, and
-# whose seed step and pair forw[1] -> forw[0] pass, while the pair
-# forw[2] -> forw[1] fails; a corrupted c whose first mismatch is at n = 9,
-# where the same two pairs pass and fail; true constants from a seed that
-# is not the forward endpoint, where only the seed step fails; the identity
-# map; the corrupted d at the shipped lane count, 255 lanes of one step,
-# both backward walks in 16 rows of 16; a failing window of 10, whose
-# backward walks run in 3 lanes of 3 steps. A draw whose a has no inverse
+# control; a truncated window; a seed that is not forw(256), whose first
+# mismatch is at n = 2; a corrupted c whose first mismatch is at n = 9,
+# where forw(1) and forw(2) step back and forw(3) does not; true constants
+# from a seed that is not the forward endpoint; the identity map; the
+# corrupted d at the shipped lane count, 255 lanes of one step, both
+# backward walks in 16 rows of 16; a failing window of 10, whose backward
+# walks run in 3 lanes of 3 steps; a seed that steps back onto forw(9)
+# but is not forw(10); wrong constants that pass the window of 2, though
+# forw(1) does not step back onto (0, 0). A draw whose a has no inverse
 # mod m is refused.
 @settings(max_examples=300, deadline=None)
 @given(run=reproduction_runs(), reseed=st.booleans(), shape=SHAPES)
@@ -174,6 +175,8 @@ def endpoint(k, n):
 @example(run=(RundConstants(1, 0, 8, 0, 1, 0, 64), 64, (3, 5)), reseed=False, shape=(3, 7, 1))
 @example(run=(RundConstants(5, 3, 16, 2, 13, 1, 256), 256, None), reseed=False, shape=SHIPPED)
 @example(run=(RundConstants(5, 3, 16, 2, 7, 9, 256), 10, None), reseed=True, shape=(3, 7, 1))
+@example(run=(RundConstants(5, 3, 16, 2, 1, 0, 256), 10, (11, 0)), reseed=False, shape=(3, 7, 1))
+@example(run=(RundConstants(5, 3, 16, 2, 0, 3, 256), 2, (2, 7)), reseed=False, shape=(3, 7, 1))
 def test_paper_reproduction_matches_sequential(run, reseed, shape):
     k, n, seed = run
     if reseed:
@@ -197,19 +200,19 @@ def test_reproduction_refuses_an_a_with_no_inverse():
 @pytest.mark.parametrize(
     "k, n, seed, steps",
     [
-        (RundConstants(5, 3, 16, 2, 5, 9, 256), 256, (0, 8), 3),
+        (RundConstants(5, 3, 16, 2, 5, 9, 256), 256, (0, 8), 0),
         (RundConstants(17, 14, 32, 1, 1, 18, 1024), 1024, None, 3),
         (RundConstants(5, 3, 16, 2, 13, 9, 256), 100, (0, 0), 0),
     ],
 )
 def test_reproduction_check_fails_where_the_examples_say(k, n, seed, steps):
-    # In one lane the check is sequential: it steps the seed back (a scalar)
-    # and compares that with the last state, then steps back each forward
-    # state as it is walked, forw[0] with no comparison, and stops at the
-    # first failing pair. In the first two examples the seed's step and the
-    # pair forw[1] -> forw[0] pass and forw[2] -> forw[1] fails; in the
-    # last only the seed's comparison fails, before any forward state is
-    # stepped back. Then the failing run counts its mismatches.
+    # In one lane the check is sequential: it compares the seed with
+    # forw(n), then steps back each forward state as it is walked, forw(1)
+    # onto (0, 0), and stops at the first that does not step back onto the
+    # state before it. In the first and last examples the seed is not
+    # forw(n), so nothing is stepped back; in the second forw(1) and
+    # forw(2) step back and forw(3) does not. Then the failing run counts
+    # its mismatches.
     calls = []
     mismatches = verification._mismatches
 
@@ -227,9 +230,8 @@ def test_reproduction_check_fails_where_the_examples_say(k, n, seed, steps):
         patch.object(verification, "_mismatches", count),
     ):
         assert not paper_reproduction(k, imax=n, backward_seed=seed).passed
-    x, y = (0, 0) if seed is None else seed
     forw = walk_seq(lambda x, y: rund_forward_step(x, y, k), k.m, 0, steps)
-    assert calls[: steps + 2] == [[x + k.m * y]] + [[z] for z in forw] + ["count"]
+    assert calls[: steps + 1] == [[z] for z in forw] + ["count"]
 
 
 TOY_K = RundConstants(5, 3, 16, 2, 13, 9, 256)  # the true toy inverse
@@ -246,22 +248,22 @@ def corrupted_at(z, dx, dy):
     return step
 
 
-# The check of the true toy inverse over 255 comparisons, in 64 lanes of 4
-# steps, 4 rows of 16; the last lane ends after 3 steps. One state's
-# backward step is off in one word: the x word of forw[4], which starts
-# lane 1, so that only the comparison across the lanes' boundary sees it,
-# or the y word of forw[247], lane 61's last state, in the last column at
-# the step the last lane has left (an x word is compared for a whole row).
-# A failing run's backward walk of such a step cannot be seeded, since
-# it is no longer affine, and the stitch check would refuse it.
-@pytest.mark.parametrize("z_index, dx, dy", [(4, 1, 0), (247, 0, 1)])
+# The check of the true toy inverse over a walk of 256 states, in 64 lanes
+# of 4 steps, 4 rows of 16. One state's backward step is off in one word:
+# the x word of forw(1), which steps back onto the start (0, 0); the x
+# word of forw(5), which starts lane 1 and steps back onto the start grid;
+# or the y word of forw(248), lane 61's last state, in the last column
+# (an x word is compared for a whole row). A failing run's backward walk
+# of such a step cannot be seeded, since it is no longer affine, and the
+# stitch check would refuse it.
+@pytest.mark.parametrize("z_index, dx, dy", [(0, 1, 0), (4, 1, 0), (247, 0, 1)])
 def test_reproduction_check_sees_one_bad_word(z_index, dx, dy):
     k, cmap = TOY_K, verification._CoupledMap(LcgParams(5, 3, 16), CouplingSpec(2))
     z = walk_seq(cmap.forward, k.m, 0, z_index + 1)[-1]
     with engine_shape((64, 1 << 22, 1 << 15)):
-        assert verification._retraces(k, 255, 0, 0, cmap.forward, cmap.jump)
+        assert verification._retraces(k, cmap, 256)
         with patch.object(verification, "rund_backward_step", corrupted_at(z, dx, dy)):
-            assert not verification._retraces(k, 255, 0, 0, cmap.forward, cmap.jump)
+            assert not verification._retraces(k, cmap, 256)
 
 
 def backward(k):
@@ -424,8 +426,11 @@ def test_array_seeding_matches_the_scalar_recurrences(walk, lanes):
     rows, cols, xs, ys = lane_starts_seq(step, p, u, m, x, y, seeded.lanes, seeded.span)
     assert seeded.span == -(-count // lanes) and seeded.lanes == -(-count // seeded.span)
     assert (seeded.rows, seeded.cols) == (rows, cols)
-    assert seeded._starts[0].tolist() == xs
-    assert seeded._starts[1].tolist() == ys
+    sx, sy = seeded.start
+    assert sx.shape == (rows, 1) and sy.shape == (rows, cols)
+    assert sx.ravel().tolist() == xs
+    # lane l starts in row l % rows, column l // rows
+    assert sy.T.ravel().tolist() == ys
 
 
 def lane_start_words(p, u, m, count):
@@ -612,13 +617,14 @@ def test_broken_jump_fails_the_stitch_check():
 
 def test_stitch_check_covers_the_padding():
     # 300 lanes of one step in 16 rows of 19 columns: lanes 300 .. 303 are
-    # the padding, past the window, and lane 301's start is one y word off
+    # the padding, past the window, and lane 301's start, in row 13 and
+    # column 18, is one y word off
     params, coupling, seed = FULL_TOY
     cmap = verification._CoupledMap(params, coupling)
     with patch.object(verification, "_LANES", 300):
         walk = verification._LaneWalk(params.m, *seed, 300, cmap.forward, cmap.jump)
     assert (walk.rows, walk.cols, walk.lanes) == (16, 19, 300)
-    walk._starts[1][301] = (walk._starts[1][301] + 1) % params.m
+    walk.start[1][13, 18] = (walk.start[1][13, 18] + 1) % params.m
     with pytest.raises(InvariantError, match="lanes do not stitch: lane 301 should start"):
         list(walk)
 
@@ -663,8 +669,8 @@ BROKEN_UNDER_O = {
         "v.equidistribution_check(revlcg.LcgParams(5, 3, 16), C, revlcg.CoupledState(0, 0))\n",
         "lanes do not stitch",
     ),
-    # The broken jump misplaces the last lane, so the seed's comparison
-    # fails; the failing path's true walk then starts at the broken forw(256).
+    # The broken jump gives forw(257) as forw(256), which the seed is not;
+    # the failing path's true walk then starts there.
     "passing reproduction lanes": (
         "v, g = revlcg.verification, revlcg.generator\n"
         "power = g._power\n"
