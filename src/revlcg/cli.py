@@ -139,14 +139,6 @@ def _params(args: argparse.Namespace) -> LcgParams:
     return LcgParams(args.a, args.b, args.m)
 
 
-def _coupling(args: argparse.Namespace) -> CouplingSpec:
-    return CouplingSpec(args.s, args.carry)
-
-
-def _seed(args: argparse.Namespace) -> CoupledState:
-    return CoupledState(args.x0, args.y0)
-
-
 def _inverse(args: argparse.Namespace, params: LcgParams) -> InverseParams:
     derived = derive_inverse(params)
     c = derived.c if args.c is None else args.c
@@ -174,11 +166,11 @@ def _render(fmt: str, m: int, n0: int, zs: list[int]) -> str:
 
 def _stream(args: argparse.Namespace, backward: bool) -> int:
     """Write the states after 1 .. n steps from the seed, in blocks."""
-    params, coupling = _params(args), _coupling(args)
+    params, coupling = _params(args), CouplingSpec(args.s, args.carry)
     if args.n < 0:
         raise ParameterError(f"--n must be non-negative, got {args.n}")
     inverse = derive_inverse(params) if backward else None
-    x, y = _require_state(_seed(args), params.m)
+    x, y = _require_state((args.x0, args.y0), params.m)
     cmap, m = _CoupledMap(params, coupling, inverse), params.m
     for n0 in range(1, args.n + 1, _BLOCK_LINES):
         zs = cmap.walk(x, y, min(_BLOCK_LINES, args.n + 1 - n0), backward)

@@ -22,13 +22,13 @@ walk has, which seeds all lanes from jumps of T steps and lets lanes on
 the same x word share a grid row, and the stitch check, which trusts
 neither, so a check passes only after a walk run out to its end.
 
-No check holds an orbit table. The period walk tests each step's words
-against the seed, the equidistribution walk marks them in its coverage
-flags, and both walk in blocks of at most ``_BLOCK`` states, each
-continuing from the last state of the one before, and stop at the first
-block that closes the orbit. A reproduction passes on one rule: its
-backward seed is forw(imax), the closed-form jump, and each forward
-state steps back onto the one before, forw(1) onto (0, 0)
+No check holds an orbit table. An orbit check walks, in one lane walk,
+exactly the states its orbit's closed-form shape (:func:`_rho`) decides,
+and raises :class:`InvariantError` where the walk disagrees: the period
+walk tests each step's words against the seed, the equidistribution
+walk marks them in its coverage flags. A reproduction passes on one
+rule: its backward seed is forw(imax), the closed-form jump, and each
+forward state steps back onto the one before, forw(1) onto (0, 0)
 (:func:`_retraces`). Any other run walks the derived inverse back from
 forw(imax) beside the given backward walk and counts the mismatches
 exactly (:func:`_mismatches`). Every run derives that inverse first, so
@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import partial
 from typing import Optional
@@ -82,11 +83,8 @@ _SWEEP_CHUNK = 1 << 15
 # cells as the sweep's chunk: at m = 2048, 8 rows of 2048 lanes of 256
 # steps. On the same VM, in process, the reference orbit_period took a
 # median of 29, 23 and 33 ms at 8192, 16384 and 32768 lanes, and no other
-# orbit check was more than 1% faster at either. The period and
-# equidistribution walks take an orbit _BLOCK states at a time, so they
-# stop within _BLOCK states of where it closes.
+# orbit check was more than 1% faster at either.
 _LANES = _SWEEP_CHUNK // 2
-_BLOCK = 1 << 22
 
 
 class _Report:
@@ -379,35 +377,20 @@ class _LaneWalk:
             )
 
 
-def _forward_blocks(cmap, x, y, total):
-    """Yield (start, walk): the total states after (x, y) in stitched forward walks.
-
-    Each walk covers up to ``_BLOCK`` states, from orbit index start, in
-    lanes seeded by the map's jump, and continues from the last state of the
-    one before; the caller runs each walk out before it takes the next.
-    """
-    for start in range(0, total, _BLOCK):
-        count = min(_BLOCK, total - start)
-        walk = _LaneWalk(cmap.m, x, y, count, cmap.forward, cmap.jump)
-        yield start, walk
-        x, y = walk.state(count - 1)
-
-
 def orbit_period(
     seed: CoupledState,
     params: LcgParams,
     coupling: CouplingSpec,
     limit: Optional[int] = None,
 ) -> OrbitReport:
-    """Walk forward from the seed until it recurs and report the exact period.
+    """Walk forward from the seed and report the exact period of its orbit.
 
-    The coupled map is a bijection whenever gcd(a, m) = 1, so every
-    orbit is a pure cycle through its seed and the first return in the
-    walked orbit is the exact period; no cycle-finding machinery is
-    needed. A seed that has not recurred within ``limit`` steps
-    (default m**2 + 1) is reported as undetermined, which can only
-    happen when the map is not bijective or the limit is below the
-    true period.
+    The orbit's closed form (:func:`_rho`), a tail of t states onto a
+    cycle of P, sizes one walk of min(t + P, limit) states (default
+    limit m**2 + 1), which is the verdict: the seed must first recur
+    after P steps when t = 0 and P <= limit, and not at all otherwise,
+    or :class:`InvariantError` is raised. A seed that does not recur (no
+    bijection, or a limit below the period) is reported as undetermined.
     """
     x0, y0 = _require_state(seed, params.m)
     cmap = _CoupledMap(params, coupling)
@@ -415,26 +398,28 @@ def orbit_period(
     limit = m2 + 1 if limit is None else _require_int(limit, "limit")
     if limit < 1:
         raise ParameterError(f"limit must be positive, got {limit}")
-    for start, walk in _forward_blocks(cmap, x0, y0, limit):
-        hits = []
-        for t, (ex, ey) in enumerate(walk):
-            # x is tested on the row words, y on the cells of the rows it matched
-            match = np.flatnonzero(ex[:, 0] == x0)
-            if match.size:
-                row, col = np.nonzero(ey[match] == y0)
-                if row.size:
-                    hits.append(int((col * walk.rows + match[row]).min()) * walk.span + t)
-        # a recurrence at index count or past it is the next block's, or lies past the limit
-        if (first := min(hits, default=walk.count)) < walk.count:
-            period = start + first + 1
-            return OrbitReport(
-                period=period,
-                reached_full_period=(period == m2),
-                states_visited=period,
-                first_repeat_state=CoupledState(x0, y0),
-            )
+    tail, period = _rho(cmap, x0, y0)
+    count, closes = min(tail + period, limit), tail == 0 and period <= limit
+    walk = _LaneWalk(params.m, x0, y0, count, cmap.forward, cmap.jump)
+    first = count  # a recurrence at index count or past it lies past the walk
+    for t, (ex, ey) in enumerate(walk):
+        # x is tested on the row words, y on the cells of the rows it matched
+        match = np.flatnonzero(ex[:, 0] == x0)
+        if match.size:
+            row, col = np.nonzero(ey[match] == y0)
+            if row.size:
+                first = min(first, int((col * walk.rows + match[row]).min()) * walk.span + t)
+    # a walk that stops short of the limit off the cycle must end on the
+    # state after tail steps: the orbit closes without the seed
+    if first != (period - 1 if closes else count) or (
+        tail and count < limit and walk.state(count - 1) != walk.state(tail - 1)
+    ):
+        raise InvariantError(f"the orbit walk disagrees with the closed form {(tail, period)}")
     return OrbitReport(
-        period=None, reached_full_period=False, states_visited=limit, first_repeat_state=None
+        period=period if closes else None,
+        reached_full_period=closes and period == m2,
+        states_visited=period if closes else limit,
+        first_repeat_state=CoupledState(x0, y0) if closes else None,
     )
 
 
@@ -443,32 +428,30 @@ def equidistribution_check(
 ) -> EquidistributionReport:
     """Check that one period of the seed's orbit hits each packed value once.
 
-    Marks the walked orbit in a one-flag-per-state table. A full-period
-    orbit marks all m**2 entries exactly once; a shorter cycle leaves
-    gaps; a non-bijective map revisits a marked state before closing,
-    which is reported as a duplicate. The flags are held x-major, the
-    flag of (x, y) at y + m*x, so the stores of one row of a lane grid,
-    which shares its x word, stay within m flags.
+    Marks the walked tail + period states of the orbit's closed form
+    (:func:`_rho`) in one flag per state. A full-period orbit marks all
+    m**2 flags once; a shorter cycle leaves gaps; a non-bijective map
+    revisits a marked state before closing, reported as a duplicate. The
+    flags are x-major, the flag of (x, y) at y + m*x, so the stores of
+    one lane-grid row, which shares its x word, stay within m flags.
     """
     x, y = _require_state(seed, params.m)
     cmap = _CoupledMap(params, coupling)
     _require_sweepable(params.m, "equidistribution_check")
     m, total = params.m, params.m * params.m
-    z0 = x + m * y
+    tail, period = _rho(cmap, x, y)
     seen = np.zeros(total, dtype=bool)
     seen[y + m * x] = True
-    for start, walk in _forward_blocks(cmap, x, y, total):
-        for ex, ey in walk:
-            seen[ey + m * ex] = True
-        covered = int(np.count_nonzero(seen))
-        if covered <= start + walk.count:
-            break
-    # The map is deterministic, so the states after 0 .. covered - 1 steps
-    # are distinct and the state after `covered` steps is the first repeat;
-    # with total + 1 states in total slots that happens by step total, in
-    # the last block walked.
-    x, y = walk.state(covered - start - 1)
-    repeat = x + m * y
+    walk = _LaneWalk(m, x, y, tail + period, cmap.forward, cmap.jump)
+    for ex, ey in walk:
+        seen[ey + m * ex] = True
+    covered = int(np.count_nonzero(seen))
+    # The map is deterministic, so the states after 0 .. tail + period - 1
+    # steps are distinct and the state after tail + period steps, the
+    # walk's last, is the first repeat: the seed exactly when the tail is 0.
+    repeat = walk.state(tail + period - 1)
+    if covered != tail + period or (repeat == (x, y)) != (tail == 0):
+        raise InvariantError(f"the walk covers {covered} states, the closed form {(tail, period)}")
     missing = None
     if covered < total:
         # the smallest missing z = x + m*y: the lowest y with a gap, then
@@ -480,7 +463,7 @@ def equidistribution_check(
         covered=covered,
         total=total,
         complete=(covered == total),
-        first_duplicate=None if repeat == z0 else repeat,
+        first_duplicate=None if tail == 0 else repeat[0] + m * repeat[1],
         first_missing=missing,
     )
 
@@ -579,6 +562,34 @@ def _prime_factors(n: int) -> list[int]:
     if n > 1:
         factors.append(n)
     return factors
+
+
+def _rho(cmap, x, y):
+    """(tail, period): the orbit of (x, y) runs through tail states onto a cycle of period.
+
+    From jumps of the map: the period is the least divisor of
+    L = m**3*phi(m) that returns the state after L steps to itself, and
+    the tail, bisected, the first t after which one period does.
+    """
+    # Why L works (Knuth, TAOCP vol. 2, 3.2.1): by CRT each prime power
+    # p**e of m stands alone. Where p does not divide a the map is
+    # invertible there: the order of its linear part divides phi(p**e)*p**e
+    # and the translation adds a factor p**e, so every cycle length divides
+    # L. Where p divides a the linear part is nilpotent, and every orbit
+    # falls onto one fixed point. Every tail is below m**2 <= L, so the
+    # jump of L lands on the cycle.
+    m, jump, primes = cmap.m, cmap.jump, _prime_factors(cmap.m)
+    phi = m // math.prod(primes) * math.prod(p - 1 for p in primes)
+    period = m**3 * phi
+    on = jump(x, y, period)
+    for p in set(primes + _prime_factors(phi)):
+        while period % p == 0 and jump(*on, period // p) == on:
+            period //= p
+
+    def on_cycle(t):
+        return jump(*(state := jump(x, y, t)), period) == state
+
+    return (0 if on_cycle(0) else bisect_left(range(m * m), True, 1, key=on_cycle)), period
 
 
 def hull_dobell_check(params: LcgParams) -> HullDobellReport:

@@ -7,8 +7,9 @@ to return reports equal to these field for field, and the lane walk
 seeded without a closed form, which a failing reproduction runs
 backward, to equal ``walk_seq``. ``lane_starts_seq`` is the lane
 seeding in scalar recurrences, as the lane walk made it before its
-array scan. Inputs are assumed valid: the library functions do the
-validation.
+array scan, and ``rho_seq`` the orbit's shape, its tail and period, from
+a walk that indexes every state until one repeats. Inputs are assumed
+valid: the library functions do the validation.
 """
 
 from array import array
@@ -81,6 +82,16 @@ def equidistribution_seq(params, coupling, seed):
         first_duplicate=first_duplicate,
         first_missing=first_missing,
     )
+
+
+def rho_seq(seed, params, coupling):
+    """(tail, period): the seed's orbit runs through tail states onto a cycle of period."""
+    forward = _CoupledMap(params, coupling).forward
+    index, state = {}, tuple(seed)
+    while state not in index:
+        index[state] = len(index)
+        state = forward(*state)
+    return index[state], len(index) - index[state]
 
 
 def paper_reproduction_seq(k, n, backward_seed=(0, 0)):

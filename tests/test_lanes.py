@@ -3,9 +3,12 @@
 Every report must equal the sequential one field for field, over small
 random coupled maps, including maps that are not bijections, step
 limits below the period, the identity map and corrupted reversal
-constants. The engine's lane count and block size are patched down so
-that small orbits still cross lane and block boundaries; the shapes
-also set the round-trip chunk, which no orbit walk may depend on. The
+constants. The engine's lane count is patched down so that small
+orbits still cross lane boundaries; the shapes also set the round-trip
+chunk, which no orbit walk may depend on. The orbit's closed-form
+shape, its tail and period, must equal the one walked state by state,
+and each orbit check walks exactly the states that shape decides, in
+one lane walk; a shape one off must raise, also under ``python -O``. The
 lane walk seeded without a closed form, which a failing reproduction
 runs backward twice, must equal the plain step-by-step walk on every
 cell of its grid, the padding included, whether its lanes share x words
@@ -56,13 +59,14 @@ from sequential_walks import (
     lane_starts_seq,
     orbit_period_seq,
     paper_reproduction_seq,
+    rho_seq,
     walk_seq,
 )
 
-# (lanes, block, chunk): the shipped shape, one lane, and shapes whose
-# lanes and blocks end inside small orbits.
-SHIPPED = (verification._LANES, verification._BLOCK, verification._SWEEP_CHUNK)
-SHAPES = st.sampled_from([SHIPPED, (1, 1 << 22, 7), (3, 7, 1), (5, 64, 7), (64, 1000, 1 << 15)])
+# (lanes, chunk): the shipped shape, one lane, and shapes whose lanes end
+# inside small orbits.
+SHIPPED = (verification._LANES, verification._SWEEP_CHUNK)
+SHAPES = st.sampled_from([SHIPPED, (1, 7), (3, 1), (5, 7), (64, 1 << 15)])
 
 IDENTITY = (LcgParams(1, 0, 8), CouplingSpec(0, carry_enabled=False), CoupledState(3, 5))
 NOT_INVERTIBLE = (LcgParams(2, 1, 8), CouplingSpec(3), CoupledState(0, 0))
@@ -71,14 +75,16 @@ FULL_TOY = (LcgParams(5, 3, 16), CouplingSpec(2), CoupledState(0, 0))
 # coverage flags, held x-major at y + m*x, hold them at 4 and 1.
 Z_BEFORE_X = (LcgParams(1, 3, 4), CouplingSpec(1, carry_enabled=False), CoupledState(1, 1))
 REFERENCE = (LcgParams(1029, 1731, 2048), CouplingSpec(1536), CoupledState(0, 0))
+SHORT_CYCLE = (LcgParams(58, 5, 1539), CouplingSpec(7, carry_enabled=False), CoupledState(0, 0))
+# gcd(2, 4096) > 1: 24 states fall onto a fixed point
+ONTO_A_FIXED_POINT = (LcgParams(2, 1, 4096), CouplingSpec(3), CoupledState(0, 0))
 
 
 @contextmanager
 def engine_shape(shape):
-    lanes, block, chunk = shape
+    lanes, chunk = shape
     with (
         patch.object(verification, "_LANES", lanes),
-        patch.object(verification, "_BLOCK", block),
         patch.object(verification, "_SWEEP_CHUNK", chunk),
     ):
         yield
@@ -100,11 +106,11 @@ def coupled_maps(draw, max_m=24):
 
 @settings(max_examples=300, deadline=None)
 @given(maps=coupled_maps(), limit=st.none() | st.integers(1, 700), shape=SHAPES)
-@example(maps=IDENTITY, limit=None, shape=(3, 7, 1))
-@example(maps=NOT_INVERTIBLE, limit=None, shape=(5, 64, 7))
-@example(maps=FULL_TOY, limit=100, shape=(3, 7, 1))
-@example(maps=NOT_INVERTIBLE, limit=70, shape=(3, 7, 1))
-@example(maps=FULL_TOY, limit=None, shape=(3, 1000, 1))  # lanes of 86 steps
+@example(maps=IDENTITY, limit=None, shape=(3, 1))
+@example(maps=NOT_INVERTIBLE, limit=None, shape=(5, 7))
+@example(maps=FULL_TOY, limit=100, shape=(3, 1))
+@example(maps=NOT_INVERTIBLE, limit=70, shape=(3, 1))
+@example(maps=FULL_TOY, limit=None, shape=(3, 1))  # lanes of 86 steps
 # 255 lanes of one step in 16 rows of 16; the padding cell holds the seed,
 # one step past the limit
 @example(maps=FULL_TOY, limit=255, shape=SHIPPED)
@@ -117,16 +123,69 @@ def test_orbit_period_matches_sequential(maps, limit, shape):
 
 @settings(max_examples=300, deadline=None)
 @given(maps=coupled_maps(), shape=SHAPES)
-@example(maps=IDENTITY, shape=(3, 7, 1))
-@example(maps=NOT_INVERTIBLE, shape=(5, 64, 7))
-@example(maps=FULL_TOY, shape=(3, 7, 1))
-@example(maps=FULL_TOY, shape=(3, 1000, 1))  # lanes of 86 steps
+@example(maps=IDENTITY, shape=(3, 1))
+@example(maps=NOT_INVERTIBLE, shape=(5, 7))
+@example(maps=FULL_TOY, shape=(3, 1))  # lanes of 86 steps
 @example(maps=Z_BEFORE_X, shape=SHIPPED)
 def test_equidistribution_matches_sequential(maps, shape):
     params, coupling, seed = maps
     with engine_shape(shape):
         lanes = equidistribution_check(params, coupling, seed)
     assert lanes == equidistribution_seq(params, coupling, seed)
+
+
+def closed_form_shape(maps):
+    params, coupling, seed = maps
+    return verification._rho(verification._CoupledMap(params, coupling), *seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(maps=coupled_maps(), shape=st.none())
+@example(maps=REFERENCE, shape=(0, 1 << 22))
+@example(maps=SHORT_CYCLE, shape=(0, 1539))
+@example(maps=NOT_INVERTIBLE, shape=(6, 1))
+@example(maps=IDENTITY, shape=(0, 1))
+@example(maps=ONTO_A_FIXED_POINT, shape=(24, 1))
+def test_closed_form_shape_matches_sequential(maps, shape):
+    # each example also against its known shape; the reference's cycle of
+    # 2**22 states is not walked state by state
+    params, coupling, seed = maps
+    closed = closed_form_shape(maps)
+    assert shape is None or closed == shape
+    if maps is not REFERENCE:
+        assert closed == rho_seq(seed, params, coupling)
+
+
+@pytest.mark.parametrize(
+    "maps, limit",
+    [
+        (REFERENCE, None),
+        (SHORT_CYCLE, None),
+        (SHORT_CYCLE, 100),
+        (FULL_TOY, 255),
+        (NOT_INVERTIBLE, 10**7),  # a limit far past the orbit's 7 states
+        (NOT_INVERTIBLE, 3),
+        (ONTO_A_FIXED_POINT, None),
+        (IDENTITY, None),
+    ],
+)
+def test_each_orbit_check_walks_its_closed_form_shape_once(maps, limit):
+    # one lane walk each: min(tail + period, limit) states for the period,
+    # tail + period for equidistribution
+    params, coupling, seed = maps
+    tail, period = closed_form_shape(maps)
+    counts = []
+
+    class Recorded(verification._LaneWalk):
+        def __init__(self, m, x, y, count, *args):
+            super().__init__(m, x, y, count, *args)
+            counts.append(count)
+
+    with patch.object(verification, "_LaneWalk", Recorded):
+        orbit_period(seed, params, coupling, limit=limit)
+        equidistribution_check(params, coupling, seed)
+    default = params.m**2 + 1
+    assert counts == [min(tail + period, default if limit is None else limit), tail + period]
 
 
 @st.composite
@@ -166,17 +225,17 @@ def endpoint(k, n):
 # mod m is refused.
 @settings(max_examples=300, deadline=None)
 @given(run=reproduction_runs(), reseed=st.booleans(), shape=SHAPES)
-@example(run=(RundConstants(5, 3, 16, 2, 13, 1, 256), 256, None), reseed=False, shape=(3, 7, 1))
-@example(run=(RundConstants(5, 3, 16, 2, 7, 9, 256), 256, None), reseed=False, shape=(5, 64, 7))
-@example(run=(RundConstants(5, 3, 16, 2, 13, 2, 256), 100, None), reseed=True, shape=(3, 7, 1))
-@example(run=(RundConstants(5, 3, 16, 2, 5, 9, 256), 256, (0, 8)), reseed=False, shape=(3, 7, 1))
-@example(run=(RundConstants(17, 14, 32, 1, 1, 18, 1024), 1024, None), reseed=False, shape=(3, 7, 1))
-@example(run=(RundConstants(5, 3, 16, 2, 13, 9, 256), 100, (0, 0)), reseed=False, shape=(3, 7, 1))
-@example(run=(RundConstants(1, 0, 8, 0, 1, 0, 64), 64, (3, 5)), reseed=False, shape=(3, 7, 1))
+@example(run=(RundConstants(5, 3, 16, 2, 13, 1, 256), 256, None), reseed=False, shape=(3, 1))
+@example(run=(RundConstants(5, 3, 16, 2, 7, 9, 256), 256, None), reseed=False, shape=(5, 7))
+@example(run=(RundConstants(5, 3, 16, 2, 13, 2, 256), 100, None), reseed=True, shape=(3, 1))
+@example(run=(RundConstants(5, 3, 16, 2, 5, 9, 256), 256, (0, 8)), reseed=False, shape=(3, 1))
+@example(run=(RundConstants(17, 14, 32, 1, 1, 18, 1024), 1024, None), reseed=False, shape=(3, 1))
+@example(run=(RundConstants(5, 3, 16, 2, 13, 9, 256), 100, (0, 0)), reseed=False, shape=(3, 1))
+@example(run=(RundConstants(1, 0, 8, 0, 1, 0, 64), 64, (3, 5)), reseed=False, shape=(3, 1))
 @example(run=(RundConstants(5, 3, 16, 2, 13, 1, 256), 256, None), reseed=False, shape=SHIPPED)
-@example(run=(RundConstants(5, 3, 16, 2, 7, 9, 256), 10, None), reseed=True, shape=(3, 7, 1))
-@example(run=(RundConstants(5, 3, 16, 2, 1, 0, 256), 10, (11, 0)), reseed=False, shape=(3, 7, 1))
-@example(run=(RundConstants(5, 3, 16, 2, 0, 3, 256), 2, (2, 7)), reseed=False, shape=(3, 7, 1))
+@example(run=(RundConstants(5, 3, 16, 2, 7, 9, 256), 10, None), reseed=True, shape=(3, 1))
+@example(run=(RundConstants(5, 3, 16, 2, 1, 0, 256), 10, (11, 0)), reseed=False, shape=(3, 1))
+@example(run=(RundConstants(5, 3, 16, 2, 0, 3, 256), 2, (2, 7)), reseed=False, shape=(3, 1))
 def test_paper_reproduction_matches_sequential(run, reseed, shape):
     k, n, seed = run
     if reseed:
@@ -225,7 +284,7 @@ def test_reproduction_check_fails_where_the_examples_say(k, n, seed, steps):
         return mismatches(*args)
 
     with (
-        engine_shape((1, 7, 1)),
+        engine_shape((1, 1)),
         patch.object(verification, "rund_backward_step", spy),
         patch.object(verification, "_mismatches", count),
     ):
@@ -260,7 +319,7 @@ def corrupted_at(z, dx, dy):
 def test_reproduction_check_sees_one_bad_word(z_index, dx, dy):
     k, cmap = TOY_K, verification._CoupledMap(LcgParams(5, 3, 16), CouplingSpec(2))
     z = walk_seq(cmap.forward, k.m, 0, z_index + 1)[-1]
-    with engine_shape((64, 1 << 22, 1 << 15)):
+    with engine_shape((64, 1 << 15)):
         assert verification._retraces(k, cmap, 256)
         with patch.object(verification, "rund_backward_step", corrupted_at(z, dx, dy)):
             assert not verification._retraces(k, cmap, 256)
@@ -347,7 +406,7 @@ def test_failing_run_stitches_both_backward_walks():
         return x, y + (len(calls) == 6)
 
     with (
-        engine_shape((7, 1 << 22, 1 << 15)),
+        engine_shape((7, 1 << 15)),
         patch.object(verification, "_tail_walk", second_off),
         pytest.raises(InvariantError, match="lanes do not stitch"),
     ):
@@ -605,11 +664,13 @@ def off_by_one_power(f, n, mod):
 
 def test_broken_jump_fails_the_stitch_check():
     params, coupling, seed = FULL_TOY
-    # 257 states in 4 lanes of 65 steps: lane 0 ends after 65 steps, and the
-    # broken power seeds lane 1, x and y words, one step further on
+    # The broken power puts no state on a cycle, so the closed-form tail is
+    # m**2 and the walk takes the default limit: 257 states in 4 lanes of
+    # 65 steps. Lane 0 ends after 65 steps, and the broken power seeds
+    # lane 1, x and y words, one step further on
     walk = generate_sequence(seed, 66, params, coupling)
     expected, got = tuple(walk[64]), tuple(walk[65])
-    with engine_shape((4, 1 << 22, 1 << 15)), patch.object(generator, "_power", off_by_one_power):
+    with engine_shape((4, 1 << 15)), patch.object(generator, "_power", off_by_one_power):
         with pytest.raises(InvariantError, match="lane 1 should start where lane 0 ends") as err:
             orbit_period(seed, params, coupling)
     assert f"expected {expected}, got {got}" in str(err.value)
@@ -711,6 +772,50 @@ BROKEN_UNDER_O = {
     "reverse sequence": (HUGE_COUPLING + "revlcg.reverse_sequence(S, 3, P, I, C)\n", "exceeded"),
     "roundtrip sweep": (HUGE_COUPLING + "revlcg.roundtrip_sweep(P, C)\n", "went negative"),
 }
+
+# A closed-form shape one off: the period one too long or one too short,
+# or the tail one too long. Both checks of the full-period toy, with the
+# carry on and off, must refuse each, and so must the equidistribution
+# check of the map that is not a bijection. Its period walk ends on the
+# fixed point whatever the period, which proves its verdict; only a tail
+# one short, which stops the walk before the fixed point, must raise there.
+SHAPE_CHECKS = {
+    "toy period": "v.orbit_period(revlcg.CoupledState(0, 0), revlcg.LcgParams(5, 3, 16), {})",
+    "toy equidistribution": (
+        "v.equidistribution_check(revlcg.LcgParams(5, 3, 16), {}, revlcg.CoupledState(0, 0))"
+    ),
+}
+SHAPE_CALLS = {
+    f"{check}{twin}": call.format(coupling)
+    for check, call in SHAPE_CHECKS.items()
+    for twin, coupling in (("", "C"), (", carry off", "revlcg.CouplingSpec(2, False)"))
+}
+SHAPE_CALLS["not a bijection, equidistribution"] = (
+    "v.equidistribution_check(revlcg.LcgParams(2, 1, 8), revlcg.CouplingSpec(3), "
+    "revlcg.CoupledState(0, 0))"
+)
+
+
+def off_shape(shift, call):
+    """A body that runs ``call`` with the closed-form (tail, period) off by ``shift``."""
+    return (
+        "v = revlcg.verification\n"
+        "rho = v._rho\n"
+        f"v._rho = lambda cmap, x, y: tuple(w + d for w, d in zip(rho(cmap, x, y), {shift}))\n"
+        f"{call}\n",
+        "closed form",
+    )
+
+
+BROKEN_UNDER_O |= {
+    f"closed form {off}: {name}": off_shape(shift, call)
+    for off, shift in (("period + 1", (0, 1)), ("period - 1", (0, -1)), ("tail + 1", (1, 0)))
+    for name, call in SHAPE_CALLS.items()
+}
+BROKEN_UNDER_O["closed form tail - 1: not a bijection, period"] = off_shape(
+    (-1, 0),
+    "v.orbit_period(revlcg.CoupledState(0, 0), revlcg.LcgParams(2, 1, 8), revlcg.CouplingSpec(3))",
+)
 
 
 # Runs each body in one python -O process, restoring every attribute a body
