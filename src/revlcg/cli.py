@@ -181,8 +181,6 @@ def _stream(args: argparse.Namespace, backward: bool) -> int:
 
 def cmd_verify(args: argparse.Namespace) -> int:
     from .verification import (
-        SWEEP_MAX_M,
-        _require_sweepable,
         equidistribution_check,
         hull_dobell_check,
         orbit_period,
@@ -218,17 +216,12 @@ def cmd_verify(args: argparse.Namespace) -> int:
         else:
             report = roundtrip_sweep(params, coupling, inverse=inverse)
     elif args.which == "period":
-        if args.limit is None and params.m > SWEEP_MAX_M:
-            raise ParameterError(
-                f"verify period walks up to m**2 steps; pass --limit or keep m <= {SWEEP_MAX_M}"
-            )
         report = orbit_period(seed, params, coupling, limit=args.limit)
     elif args.which == "equidist":
         report = equidistribution_check(params, coupling, seed)
     elif args.which == "hulldobell":
         report = hull_dobell_check(params)
     else:  # paper
-        _require_sweepable(params.m, "paper_reproduction")
         if not coupling.carry_enabled:
             raise ParameterError("the reproduction run always couples the carry; drop --no-carry")
         cmap = _CoupledMap(params, coupling)  # the slope is reported before the inverse

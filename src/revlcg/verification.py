@@ -65,8 +65,13 @@ from .congruence import (
 from .generator import CoupledState, CouplingSpec, _CoupledMap, _mask, _require_state
 from .rund import RUND, RundConstants, rund_backward_step, rund_forward_step
 
-# Exhaustive modes enumerate m**2 states; beyond this bound the table and
-# the walk stop being desk-scale.
+# The desk-scale rule: without a bound from the caller, no check walks or
+# enumerates more than SWEEP_MAX_M**2 states. roundtrip_sweep,
+# equidistribution_check and an unbounded paper_reproduction refuse
+# m > SWEEP_MAX_M, and an unbounded orbit_period an orbit of more than
+# SWEEP_MAX_M**2 states. The caller opts in to any size with orbit_period's
+# limit or paper_reproduction's imax, or checks drawn states with
+# roundtrip_sample's samples.
 SWEEP_MAX_M = 4096
 
 # The round-trip sample steps this many states at a time, and the sweep
@@ -385,21 +390,25 @@ def orbit_period(
 ) -> OrbitReport:
     """Walk forward from the seed and report the exact period of its orbit.
 
-    The orbit's closed form (:func:`_rho`), a tail of t states onto a
-    cycle of P, sizes one walk of min(t + P, limit) states (default
-    limit m**2 + 1), which is the verdict: the seed must first recur
-    after P steps when t = 0 and P <= limit, and not at all otherwise,
-    or :class:`InvariantError` is raised. A seed that does not recur (no
-    bijection, or a limit below the period) is reported as undetermined.
+    The orbit's closed form (:func:`_rho`), a tail of t states onto a cycle
+    of P, sizes one walk of min(t + P, limit) states, by default t + P up to
+    ``SWEEP_MAX_M**2``, and more is refused. The walk is the verdict: the
+    seed must first recur after P steps when t = 0 and P <= limit, and not
+    at all otherwise, or :class:`InvariantError` is raised. A seed that does
+    not recur (no bijection, or a limit below the period) is undetermined.
     """
     x0, y0 = _require_state(seed, params.m)
     cmap = _CoupledMap(params, coupling)
-    m2 = params.m * params.m
-    limit = m2 + 1 if limit is None else _require_int(limit, "limit")
+    m2, bounded = params.m * params.m, limit is not None
+    limit = _require_int(limit, "limit") if bounded else m2 + 1
     if limit < 1:
         raise ParameterError(f"limit must be positive, got {limit}")
     tail, period = _rho(cmap, x0, y0)
     count, closes = min(tail + period, limit), tail == 0 and period <= limit
+    if not bounded and count > SWEEP_MAX_M**2:
+        raise ParameterError(
+            f"orbit_period walks {count} states, more than {SWEEP_MAX_M**2}; pass limit (--limit)"
+        )
     walk = _LaneWalk(params.m, x0, y0, count, cmap.forward, cmap.jump)
     first = count  # a recurrence at index count or past it lies past the walk
     for t, (ex, ey) in enumerate(walk):
@@ -683,11 +692,11 @@ def paper_reproduction(
     reference states and on drawn constants up to ``SWEEP_MAX_M``) and
     reduces without numpy's per-element remainder.
 
-    The backward walk starts from (0, 0) by default, exactly as the
-    reference program does. That seeding is only correct because the
-    (0, 0) orbit has full period m**2, making (0, 0) also the state
-    after imax forward steps; for a truncated window pass ``imax``
-    together with ``backward_seed`` set to the forward endpoint.
+    By default ``imax`` is m**2, refused for m > ``SWEEP_MAX_M``, and the
+    backward walk starts from (0, 0), as the reference program does. That
+    seeding is only correct because the (0, 0) orbit has full period m**2,
+    making (0, 0) also the state after imax forward steps; for a truncated
+    window pass ``imax`` with ``backward_seed`` set to the forward endpoint.
 
     Every field of ``constants`` is checked as the CLI checks its flags,
     by building the coupled map from them: (a, b, m) as
@@ -698,6 +707,8 @@ def paper_reproduction(
     """
     k, params = constants, LcgParams(constants.a, constants.b, constants.m)
     cmap = _CoupledMap(params, CouplingSpec(k.s), InverseParams(k.c, k.d))
+    if imax is None:
+        _require_sweepable(k.m, "paper_reproduction")
     n = k.imax if imax is None else _require_int(imax, "imax")
     if not 1 <= n <= k.imax:
         raise ParameterError(f"imax must lie in [1, {k.imax}], got {n}")

@@ -203,11 +203,30 @@ class TestVerify:
         res = run_cli("verify", "period", "--m", "1000003", "--a", "999983",
                       "--b", "17", "--s", "55")
         assert res.returncode == 2
-        assert "--limit" in res.stderr
+        assert res.stdout == ""
+        assert res.stderr == (
+            "error: orbit_period walks 500002500003 states, more than 16777216; "
+            "pass limit (--limit)\n"
+        )
         limited = run_cli("verify", "period", "--m", "1000003", "--a", "999983",
                           "--b", "17", "--s", "55", "--limit", "1000")
         assert limited.returncode == 1
         assert limited.stdout == "period=unknown full=false\n"
+
+    @pytest.mark.parametrize(
+        "report, out",
+        [
+            ("kv", "period=2097151 full=false\n"),
+            ("text", "orbit period: 2097151\nfull period (m**2): no\nstates visited: 2097151\n"),
+        ],
+    )
+    def test_period_above_desk_scale_answers_a_short_orbit(self, run_cli, report, out):
+        # m = MAX_MODULUS with no --limit: the orbit, not m, sets the walk
+        res = run_cli("verify", "period", "--m", "2097151", "--a", "1", "--b", "1",
+                      "--s", "0", "--no-carry", "--report", report)
+        assert res.returncode == 1
+        assert res.stdout == out
+        assert res.stderr == ""
 
     def test_equidist_toy(self, run_cli):
         res = run_cli(

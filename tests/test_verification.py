@@ -100,6 +100,34 @@ class TestOrbitPeriod:
         assert rep.kv_line() == "period=4 full=false"
         assert "orbit period: 4" in rep.as_text()
 
+    def test_unbounded_walk_is_held_to_desk_scale(self):
+        # Without a limit the walk may hold 4096**2 states, whatever m is.
+        # At m = 8192 the packed map is z -> (1029 + 1536*8192)*z + b mod
+        # 2**26: b = 4 keeps the orbit of 0 in 4Z, a cycle of exactly 2**24
+        # states, b = 2 one of 2**25, and b = 1731 the full 2**26.
+        seed, coupling = CoupledState(0, 0), CouplingSpec(1536)
+        rep = orbit_period(seed, LcgParams(1029, 4, 8192), coupling)
+        assert rep == OrbitReport(4096**2, False, 4096**2, seed)
+        for b, states in ((2, 2**25), (1731, 8192**2)):
+            with pytest.raises(ParameterError) as refused:
+                orbit_period(seed, LcgParams(1029, b, 8192), coupling)
+            assert str(refused.value) == (
+                f"orbit_period walks {states} states, more than 16777216; pass limit (--limit)"
+            )
+        rep = orbit_period(seed, LcgParams(1029, 1731, 8192), coupling, limit=8192**2 + 1)
+        assert rep == OrbitReport(8192**2, True, 8192**2, seed)
+
+    def test_unbounded_walk_at_the_largest_modulus(self, monkeypatch):
+        # the orbit's closed form decides, not m: with the carry off, a = b = 1
+        # and s = 0 the orbit of (0, 0) is the x cycle of m states, walked;
+        # a = 299594 with s = 0 gives (0, 0) a cycle of 4398042316801 states
+        seed, m = CoupledState(0, 0), MAX_MODULUS
+        rep = orbit_period(seed, LcgParams(1, 1, m), CouplingSpec(0, carry_enabled=False))
+        assert rep == OrbitReport(m, False, m, seed)
+        monkeypatch.setattr(verification, "_LaneWalk", None)  # a walk fails here, not in hours
+        with pytest.raises(ParameterError, match="walks 4398042316801 states"):
+            orbit_period(seed, LcgParams(299594, 1, m), CouplingSpec(0))
+
 
 class TestEquidistribution:
     def test_identity_covers_only_seed(self):
@@ -405,6 +433,20 @@ class TestPaperReproduction:
         rep = paper_reproduction(k)
         assert rep.passed
         assert rep.comparisons == 255
+
+    def test_default_window_is_held_to_desk_scale(self):
+        # the default window is all m**2 states; an explicit imax walks any m
+        params, coupling = LcgParams(1029, 1731, 8192), CouplingSpec(1536)
+        inv = derive_inverse(params)  # (2253, 7641)
+        k = RundConstants(1029, 1731, 8192, 1536, inv.c, inv.d, 8192**2)
+        with pytest.raises(ParameterError) as refused:
+            paper_reproduction(k)
+        assert str(refused.value) == (
+            "paper_reproduction enumerates m**2 = 67108864 states, too large for m > 4096"
+        )
+        end = generate_sequence(CoupledState(0, 0), 100, params, coupling)[-1]
+        rep = paper_reproduction(k, imax=100, backward_seed=tuple(end))
+        assert rep == ReproductionReport(99, 0, None, True)
 
     def test_report_rendering(self):
         rep = paper_reproduction(imax=50, backward_seed=tuple(
