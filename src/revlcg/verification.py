@@ -23,16 +23,18 @@ the same x word share a grid row, and the stitch check, which trusts
 neither, so a check passes only after a walk run out to its end.
 
 No check holds an orbit table. An orbit check walks, in one lane walk,
-exactly the states its orbit's closed-form shape (:func:`_rho`) decides,
-and raises :class:`InvariantError` where the walk disagrees: the period
-walk tests each step's words against the seed, the equidistribution
-walk marks them in its coverage flags. A reproduction passes on one
-rule: its backward seed is forw(imax), the closed-form jump, and each
-forward state steps back onto the one before, forw(1) onto (0, 0)
-(:func:`_retraces`). Any other run walks the derived inverse back from
-forw(imax) beside the given backward walk and counts the mismatches
-exactly (:func:`_mismatches`). Every run derives that inverse first, so
-it refuses an a with no inverse.
+exactly the states its orbit's closed-form shape (:func:`_rho`) decides:
+the period walk tests each step's words against the seed, the
+equidistribution walk marks them in its coverage flags. A reproduction
+passes on one rule: its backward seed is forw(imax), the closed-form
+jump, and each forward state steps back onto the one before, forw(1)
+onto (0, 0) (:func:`_retraces`). Any other run walks the derived inverse
+back from forw(imax) beside the given backward walk and counts the
+mismatches exactly (:func:`_mismatches`). Every walk must agree with
+the closed form and end where it says, read from the last state it
+records, or :class:`InvariantError` is raised: an orbit walk on its
+first repeat (a period walk if it stops before its limit), the passing
+reproduction's forward walk on forw(imax), the true one back on forw(1).
 
 Each report states every fact once, as a ``(key, value, line)`` row
 yielded in output order by its private ``_rows()``. Both renderings
@@ -314,27 +316,25 @@ class _LaneWalk:
     word once and each lane's y word once, as the round-trip sweep does
     over its (y, x) grid.
 
-    Every cell of the grid is a lane, the padding too: the cell in
-    column c, row r is lane l = c*rows + r. ``start`` is the grid before
-    the first step, built once in the shapes the steps take, the rows' x
-    words (rows, 1) and every cell's y word (rows, cols); its cell of
-    lane l holds the state after l*T steps. Iterating yields the grid's
-    words (x, y) after each step t (from 0), when that cell holds the
-    state after l*T + t + 1 steps, at index l*T + t of the orbit.
-    The walk's window is the indices below count; the padding and the
-    last lane's steps past it hold later states of the same orbit, so a
-    check reads the whole grid as it is stepped, and only a check whose
-    result depends on the window drops the indices at count or beyond.
-    Neither the seeding nor the sharing is trusted: once the last step
-    has been yielded, each cell's lane must have ended, x word and y
-    word, exactly where the next one started, or :class:`InvariantError`
-    is raised (the stitch check, over every cell), and by induction from
-    the seed the stitched walk is the sequential one, shared x words and
-    padding included. So only a walk run out to its end is proven, and
-    a check gives a passing verdict only after one. ``state(j)`` reads
-    the start of lane l = j // T at row l % rows, column l // rows, and
-    steps the state at index j, such as the walk's last, from there in
-    at most T scalar steps; past lane 0 it rests on the same seeding.
+    Every cell of the grid is a lane, the padding too. ``start`` is the
+    grid before the first step, built once in the shapes the steps take,
+    the rows' x words (rows, 1) and every cell's y word (rows, cols); its
+    cell of lane l holds the state after l*T steps. Iterating yields the
+    grid's words (x, y) after each step t (from 0), when that cell holds
+    the state after l*T + t + 1 steps, at index l*T + t of the orbit. The
+    walk's window is the indices below count; the padding and the last
+    lane's steps past it hold later states of the same orbit, so a check
+    reads the whole grid as it is stepped, and only a check whose result
+    depends on the window drops the indices at count or beyond. Neither
+    the seeding nor the sharing is trusted: once the last step has been
+    yielded, each cell's lane must have ended, x word and y word, exactly
+    where the next one started, or :class:`InvariantError` is raised (the
+    stitch check, over every cell), and by induction from the seed the
+    stitched walk is the sequential one, shared x words and padding
+    included. So only a walk run out to its end is proven, and a check
+    gives a passing verdict only after one. ``last`` is the walk's last
+    state, index count - 1, as two ints, read off its cell as the grid is
+    stepped: no state is stepped again after the walk.
     """
 
     def __init__(self, m, x, y, count, step, jump=None):
@@ -359,18 +359,15 @@ class _LaneWalk:
         """The grid's words (x, y) as two arrays in lane order, every cell, the padding included."""
         return np.broadcast_to(x, y.shape).T.ravel(), y.T.ravel()
 
-    def state(self, j):
-        lane, t = divmod(j, self.span)
-        col, row = divmod(lane, self.rows)
-        x, y = int(self.start[0][row, 0]), int(self.start[1][row, col])
-        for _ in range(t + 1):
-            x, y = self._step(x, y)
-        return x, y
-
     def __iter__(self):
+        # index count - 1 = lane*T + end: the last state is lane's cell after step end
+        lane, end = divmod(self.count - 1, self.span)
+        col, row = divmod(lane, self.rows)
         sx, sy = ex, ey = self.start
-        for _ in range(self.span):
+        for t in range(self.span):
             ex, ey = self._step(ex, ey)
+            if t == end:
+                self.last = int(ex[row, 0]), int(ey[row, col])
             yield ex, ey
         (ex, ey), (sx, sy) = self.in_lanes(ex, ey), self.in_lanes(sx, sy)
         broken = np.flatnonzero((ex[:-1] != sx[1:]) | (ey[:-1] != sy[1:]))
@@ -394,8 +391,10 @@ def orbit_period(
     of P, sizes one walk of min(t + P, limit) states, by default t + P up to
     ``SWEEP_MAX_M**2``, and more is refused. The walk is the verdict: the
     seed must first recur after P steps when t = 0 and P <= limit, and not
-    at all otherwise, or :class:`InvariantError` is raised. A seed that does
-    not recur (no bijection, or a limit below the period) is undetermined.
+    at all otherwise, and a walk that stops before the limit must end on
+    the state after t steps, or :class:`InvariantError` is raised. A seed
+    that does not recur (no bijection, or a limit below the period) is
+    undetermined after ``limit`` states (m**2 + 1 by default), not t + P.
     """
     x0, y0 = _require_state(seed, params.m)
     cmap = _CoupledMap(params, coupling)
@@ -418,10 +417,10 @@ def orbit_period(
             row, col = np.nonzero(ey[match] == y0)
             if row.size:
                 first = min(first, int((col * walk.rows + match[row]).min()) * walk.span + t)
-    # a walk that stops short of the limit off the cycle must end on the
-    # state after tail steps: the orbit closes without the seed
+    # a walk that stops short of the limit ends on its first repeat, the
+    # state after tail steps: the seed only when the tail is 0
     if first != (period - 1 if closes else count) or (
-        tail and count < limit and walk.state(count - 1) != walk.state(tail - 1)
+        count < limit and walk.last != cmap.jump(x0, y0, tail)
     ):
         raise InvariantError(f"the orbit walk disagrees with the closed form {(tail, period)}")
     return OrbitReport(
@@ -456,10 +455,9 @@ def equidistribution_check(
         seen[ey + m * ex] = True
     covered = int(np.count_nonzero(seen))
     # The map is deterministic, so the states after 0 .. tail + period - 1
-    # steps are distinct and the state after tail + period steps, the
-    # walk's last, is the first repeat: the seed exactly when the tail is 0.
-    repeat = walk.state(tail + period - 1)
-    if covered != tail + period or (repeat == (x, y)) != (tail == 0):
+    # steps are distinct and the walk's last, after tail + period steps,
+    # is the first repeat, the state after tail steps: the seed when tail = 0.
+    if covered != tail + period or walk.last != cmap.jump(x, y, tail):
         raise InvariantError(f"the walk covers {covered} states, the closed form {(tail, period)}")
     missing = None
     if covered < total:
@@ -472,7 +470,7 @@ def equidistribution_check(
         covered=covered,
         total=total,
         complete=(covered == total),
-        first_duplicate=None if tail == 0 else repeat[0] + m * repeat[1],
+        first_duplicate=None if tail == 0 else walk.last[0] + m * walk.last[1],
         first_missing=missing,
     )
 
@@ -620,26 +618,27 @@ def hull_dobell_check(params: LcgParams) -> HullDobellReport:
     )
 
 
-def _retraces(k, cmap, n):
+def _retraces(k, cmap, n, end):
     """Whether every state of the forward walk of n states steps back onto the one before.
 
     forw(j) is the state j steps of ``cmap`` after (0, 0). The one rule:
     each grid of the walk, stepped back by ``rund_backward_step`` with
     the (c, d) of ``k``, equals the grid before it, the walk's start grid
     first, so forw(j) steps back onto forw(j - 1) for every j the grid
-    holds, from forw(1) onto (0, 0) to the cells past the window. True
-    comes only once the walk has run out, past its stitch check.
+    holds, from forw(1) onto (0, 0) to the cells past the window, and the
+    walk ends on ``end``, the closed-form forw(n). True comes only once
+    the walk has run out, past its stitch check.
 
-    The reference program compares back(i) with forw(n - i), i = 1 ..
-    n - 1, where back(1) steps back from the backward seed. With the
-    seed forw(n), which the caller checks, they all pass exactly when
+    The reference program compares back(i) with forw(n - i),
+    i = 1 .. n - 1, where back(1) steps back from the backward seed. With
+    the seed forw(n), which the caller checks, they all pass exactly when
     forw(j) steps back onto forw(j - 1) for j = 2 .. n, a part of the
     rule, so a True is a passing report. A False hands the report to the
-    exact count of :func:`_mismatches`, so the rest of the rule, forw(1)
-    onto (0, 0) and the cells past the window, changes no report. With
-    the true (c, d) the rule always holds, since their backward step
-    inverts the forward map on every state (its carry division is
-    exact), so a run with them and the endpoint seed is never counted.
+    exact count of :func:`_mismatches`, whose true walk starts from the
+    same ``end``, so the rest of the rule changes no report. With the
+    true (c, d) the rule always holds, since their backward step inverts
+    the forward map on every state (its carry division is exact), so a
+    run with them and the endpoint seed is never counted.
     """
     walk = _LaneWalk(k.m, 0, 0, n, cmap.forward, cmap.jump)
     qx, qy = walk.start
@@ -648,7 +647,7 @@ def _retraces(k, cmap, n):
         if (px != qx).any() or (py != qy).any():
             return False
         qx, qy = ex, ey
-    return True
+    return walk.last == end
 
 
 def _mismatches(k, true_k, n, seed, end):
@@ -657,7 +656,7 @@ def _mismatches(k, true_k, n, seed, end):
     back(i) is i steps of ``k`` from the backward seed, and forw(n - i) i
     steps of the true inverse ``true_k`` from ``end`` = forw(n). The two
     backward walks share their lanes but not always their grid: they meet
-    in lane order.
+    in lane order, and the true walk must end on forw(1).
     """
     count, mismatches, first = n - 1, 0, n
 
@@ -672,7 +671,7 @@ def _mismatches(k, true_k, n, seed, end):
         bad = np.flatnonzero((gx[:live] != tx[:live]) | (gy[:live] != ty[:live]))
         if bad.size:
             mismatches, first = mismatches + bad.size, min(first, int(bad[0]) * given.span + t + 1)
-    if (end := true.state(count - 1)) != rund_forward_step(0, 0, k):
+    if (end := true.last) != rund_forward_step(0, 0, k):
         raise InvariantError(f"the true walk back from forw({n}) ends at {end}, not at forw(1)")
     return mismatches, first if mismatches else None
 
@@ -715,7 +714,7 @@ def paper_reproduction(
     bx, by = _require_state((0, 0) if backward_seed is None else backward_seed, k.m)
     inverse, count, end = derive_inverse(params), n - 1, cmap.jump(0, 0, n)
     mismatches, first = 0, None
-    if count and ((bx, by) != end or not _retraces(k, cmap, n)):
+    if count and ((bx, by) != end or not _retraces(k, cmap, n, end)):
         true_k = RundConstants(k.a, k.b, k.m, k.s, inverse.c, inverse.d, k.imax)
         mismatches, first = _mismatches(k, true_k, n, (bx, by), end)
     return ReproductionReport(

@@ -8,7 +8,10 @@ orbits still cross lane boundaries; the shapes also set the round-trip
 chunk, which no orbit walk may depend on. The orbit's closed-form
 shape, its tail and period, must equal the one walked state by state,
 and each orbit check walks exactly the states that shape decides, in
-one lane walk; a shape one off must raise, also under ``python -O``. The
+one lane walk, which must end where that shape says; a shape one off,
+or a walk's end read one step early, must raise, also under
+``python -O``, and so must a passing reproduction whose forward walk
+misses the closed-form forw(imax). No check may import ``numpy.ma``. The
 lane walk seeded without a closed form, which a failing reproduction
 runs backward twice, must equal the plain step-by-step walk on every
 cell of its grid, the padding included, whether its lanes share x words
@@ -319,10 +322,11 @@ def corrupted_at(z, dx, dy):
 def test_reproduction_check_sees_one_bad_word(z_index, dx, dy):
     k, cmap = TOY_K, verification._CoupledMap(LcgParams(5, 3, 16), CouplingSpec(2))
     z = walk_seq(cmap.forward, k.m, 0, z_index + 1)[-1]
+    end = cmap.jump(0, 0, 256)
     with engine_shape((64, 1 << 15)):
-        assert verification._retraces(k, cmap, 256)
+        assert verification._retraces(k, cmap, 256, end)
         with patch.object(verification, "rund_backward_step", corrupted_at(z, dx, dy)):
-            assert not verification._retraces(k, cmap, 256)
+            assert not verification._retraces(k, cmap, 256, end)
 
 
 def backward(k):
@@ -378,9 +382,9 @@ def test_table_walk_matches_sequential(walk, lanes):
         steps = list(lane_walk)
     span, rows, cols = lane_walk.span, lane_walk.rows, lane_walk.cols
     expected = walk_seq(step, m, z, rows * cols * span)
-    for j in {0, span - 1, count - 1}:
-        x, y = lane_walk.state(j)
-        assert x + m * y == expected[j]
+    # the walk records its last state, index count - 1
+    x, y = lane_walk.last
+    assert x + m * y == expected[count - 1]
     # lane l sits in row l % rows, column l // rows; rows share an x word
     assert rows * cols >= lane_walk.lanes > rows * (cols - 1)
     # every cell is a lane: the cell of lane l at step t is orbit index
@@ -655,6 +659,36 @@ def test_failing_reproductions_hold_no_orbit_table():
     assert max(peaks) < 16 << 20, peaks
 
 
+# The reference checks, passing and failing, and the m = 1539 period walk,
+# whose 16335 lanes take one row each, so that it jumps the tails of
+# 16335 start words through np.unique's inverse index.
+CHECKS_WITHOUT_MASKED_ARRAYS = """
+import sys
+import revlcg
+from revlcg import CoupledState, CouplingSpec, LcgParams, RundConstants
+params, coupling, seed = LcgParams(1029, 1731, 2048), CouplingSpec(1536), CoupledState(0, 0)
+assert revlcg.orbit_period(seed, params, coupling).passed
+assert revlcg.equidistribution_check(params, coupling, seed).passed
+assert revlcg.roundtrip_sweep(params, coupling).passed
+assert revlcg.paper_reproduction().passed
+assert not revlcg.paper_reproduction(RundConstants(c=204)).passed
+assert not revlcg.paper_reproduction(RundConstants(d=1498)).passed
+assert revlcg.orbit_period(seed, LcgParams(58, 5, 1539), CouplingSpec(700)).passed
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_no_check_imports_masked_arrays():
+    # np.unique without an inverse index imports numpy.ma on first use,
+    # about 14 ms and 1.5 MiB in a fresh interpreter; _grid_rows counts
+    # its rows in sorted words instead
+    res = subprocess.run(
+        [sys.executable, "-c", CHECKS_WITHOUT_MASKED_ARRAYS], capture_output=True, text=True
+    )
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"
+
+
 POWER = generator._power
 
 
@@ -816,6 +850,51 @@ BROKEN_UNDER_O["closed form tail - 1: not a bijection, period"] = off_shape(
     (-1, 0),
     "v.orbit_period(revlcg.CoupledState(0, 0), revlcg.LcgParams(2, 1, 8), revlcg.CouplingSpec(3))",
 )
+
+# A walk whose end is read one step early: its last state is replaced by
+# the state one step before, walked from the walk's start.
+EARLY_END = (
+    "v = revlcg.verification\n"
+    "class EarlyEnd(v._LaneWalk):\n"
+    "    def __init__(self, m, x, y, count, step, jump=None):\n"
+    "        super().__init__(m, x, y, count, step, jump)\n"
+    "        self.early = v._tail_walk(step, x, y, count - 1)\n"
+    "    def __iter__(self):\n"
+    "        yield from super().__iter__()\n"
+    "        self.last = self.early\n"
+    "v._LaneWalk = EarlyEnd\n"
+)
+# A tail of 4 onto a cycle of 6: the walk of 10 states ends on the state
+# after 4 steps, the first duplicate, z = 15; one step early it reads the
+# state after 3 steps, which is not the seed either.
+TAIL_ORBIT = "revlcg.LcgParams(2, 1, 12), revlcg.CouplingSpec(0)"
+BROKEN_UNDER_O |= {
+    "early end: tail equidistribution": (
+        EARLY_END + f"v.equidistribution_check({TAIL_ORBIT}, revlcg.CoupledState(0, 0))\n",
+        "closed form",
+    ),
+    "early end: tail period": (
+        EARLY_END + f"v.orbit_period(revlcg.CoupledState(0, 0), {TAIL_ORBIT})\n",
+        "closed form",
+    ),
+    "early end: failing walk": (
+        EARLY_END + "v.paper_reproduction(revlcg.RundConstants(5, 3, 16, 2, 7, 9, 256))\n",
+        "not at forw(1)",
+    ),
+    # A jump one step too long only past 64 steps still seeds the window
+    # of 100 states, lanes of one step, correctly, but its closed-form
+    # forw(100) is forw(101), the seed given: the forward walk ends one
+    # step short of it, and the true walk back from it misses forw(1).
+    "passing reproduction end": (
+        "v, g = revlcg.verification, revlcg.generator\n"
+        "k = revlcg.RundConstants(5, 3, 16, 2, 13, 9, 256)\n"
+        "seed = v._tail_walk(lambda x, y: v.rund_forward_step(x, y, k), 0, 0, 101)\n"
+        "power = g._power\n"
+        "g._power = lambda f, n, mod: power(f, n + (n > 64), mod)\n"
+        "v.paper_reproduction(k, imax=100, backward_seed=seed)\n",
+        "not at forw(1)",
+    ),
+}
 
 
 # Runs each body in one python -O process, restoring every attribute a body
