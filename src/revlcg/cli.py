@@ -16,8 +16,9 @@ steps the packed single-word LCG when the carry is on and going
 forward, and the map's own steps otherwise, so a backward stream still
 checks every step's non-negativity offset. Only ``verify`` imports
 :mod:`revlcg.verification`, so ``derive``, ``generate`` and
-``reverse`` start without loading numpy, and the parameter records are
-not dataclasses, so they start without ``dataclasses`` and ``inspect``.
+``reverse`` start without loading numpy, and neither the parameter
+records nor the reports are dataclasses, so no command loads
+``dataclasses``, and only ``verify``, through numpy, loads ``inspect``.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 usage or parameter error, 141 stdout closed by its reader (as in

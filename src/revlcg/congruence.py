@@ -80,9 +80,10 @@ class _Record:
     field, ``==`` holds only between records of the same type, the hash
     is that of the field tuple, and assigning or deleting a field raises
     ``AttributeError``. ``copy`` and ``pickle`` rebuild a record through
-    its constructor, so a copy is checked like the original. It is not
-    a dataclass because importing ``dataclasses`` loads ``inspect`` and
-    its dependencies into every process, the streaming CLI included.
+    its constructor, so a copy is checked like the original. The
+    parameter records here and the verification reports are built on
+    it, not on ``dataclasses``, whose import loads ``inspect`` and its
+    dependencies into every process, the streaming CLI included.
     """
 
     __slots__ = ()

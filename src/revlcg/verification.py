@@ -50,7 +50,6 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
@@ -61,6 +60,7 @@ from .congruence import (
     InvariantError,
     LcgParams,
     ParameterError,
+    _Record,
     _require_int,
     derive_inverse,
 )
@@ -94,8 +94,19 @@ _SWEEP_CHUNK = 1 << 15
 _LANES = _SWEEP_CHUNK // 2
 
 
-class _Report:
-    """A verification result, rendered from the ``(key, value, line)`` rows of ``_rows()``."""
+class _Report(_Record):
+    """A verification result, rendered from the ``(key, value, line)`` rows of ``_rows()``.
+
+    A read-only record, built from its fields by position, by name or both.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, *values, **named):
+        fields = dict(zip(self._fields, values), **named)
+        if len(fields) != len(values) + len(named) or fields.keys() != set(self._fields):
+            raise TypeError(f"{type(self).__name__} takes each of {', '.join(self._fields)} once")
+        super().__init__(*[fields[name] for name in self._fields])
 
     def as_kv(self) -> dict:
         return {key: value for key, value, _ in self._rows() if key is not None}
@@ -109,14 +120,10 @@ class _Report:
         return "\n".join(line for _, _, line in self._rows() if line is not None)
 
 
-@dataclass(frozen=True)
 class OrbitReport(_Report):
     """Exact period of one seed's orbit, or undetermined if it never recurs."""
 
-    period: Optional[int]
-    reached_full_period: bool
-    states_visited: int
-    first_repeat_state: Optional[CoupledState]
+    __slots__ = _fields = ("period", "reached_full_period", "states_visited", "first_repeat_state")
 
     @property
     def passed(self) -> bool:
@@ -136,15 +143,10 @@ class OrbitReport(_Report):
         yield None, None, f"states visited: {self.states_visited}"
 
 
-@dataclass(frozen=True)
 class EquidistributionReport(_Report):
     """Coverage of the packed state space over one period of a seed's orbit."""
 
-    covered: int
-    total: int
-    complete: bool
-    first_duplicate: Optional[int]
-    first_missing: Optional[int]
+    __slots__ = _fields = ("covered", "total", "complete", "first_duplicate", "first_missing")
 
     @property
     def passed(self) -> bool:
@@ -165,13 +167,10 @@ class EquidistributionReport(_Report):
         yield None, None, "equidistribution: " + ("exact" if self.complete else "FAILED")
 
 
-@dataclass(frozen=True)
 class RoundTripReport(_Report):
     """Result of checking backward(forward(state)) = state over many states."""
 
-    states_checked: int
-    mismatches: int
-    first_mismatch: Optional[CoupledState]
+    __slots__ = _fields = ("states_checked", "mismatches", "first_mismatch")
 
     @property
     def passed(self) -> bool:
@@ -186,14 +185,13 @@ class RoundTripReport(_Report):
             yield "first_mismatch_y", y, None
 
 
-@dataclass(frozen=True)
 class HullDobellReport(_Report):
     """The three classical full-period conditions for the x-channel recursion."""
 
-    b_coprime_m: bool
-    a_minus_1_divisible_by_prime_factors: bool
-    a_minus_1_divisible_by_4_when_m_is: bool
-    all_satisfied: bool
+    __slots__ = _fields = (
+        "b_coprime_m", "a_minus_1_divisible_by_prime_factors",
+        "a_minus_1_divisible_by_4_when_m_is", "all_satisfied",
+    )
 
     @property
     def passed(self) -> bool:
@@ -217,14 +215,10 @@ class HullDobellReport(_Report):
             yield key, flag, f"{condition}: {'satisfied' if flag else 'VIOLATED'}"
 
 
-@dataclass(frozen=True)
 class ReproductionReport(_Report):
     """Outcome of the forward/backward/compare run of the reference program."""
 
-    comparisons: int
-    mismatches: int
-    first_mismatch_n: Optional[int]
-    passed: bool
+    __slots__ = _fields = ("comparisons", "mismatches", "first_mismatch_n", "passed")
 
     def _rows(self):
         yield "comparisons", self.comparisons, f"comparisons: {self.comparisons}"
@@ -417,12 +411,16 @@ def orbit_period(
             row, col = np.nonzero(ey[match] == y0)
             if row.size:
                 first = min(first, int((col * walk.rows + match[row]).min()) * walk.span + t)
+    if first != (repeat := period - 1 if closes else count):
+        raise InvariantError(
+            f"the seed first recurs at index {first}, the closed form {(tail, period)} at {repeat}"
+        )
     # a walk that stops short of the limit ends on its first repeat, the
     # state after tail steps: the seed only when the tail is 0
-    if first != (period - 1 if closes else count) or (
-        count < limit and walk.last != cmap.jump(x0, y0, tail)
-    ):
-        raise InvariantError(f"the orbit walk disagrees with the closed form {(tail, period)}")
+    if count < limit and walk.last != (end := cmap.jump(x0, y0, tail)):
+        raise InvariantError(
+            f"the orbit walk ends at {walk.last}, the closed form {(tail, period)} at {end}"
+        )
     return OrbitReport(
         period=period if closes else None,
         reached_full_period=closes and period == m2,
@@ -457,8 +455,12 @@ def equidistribution_check(
     # The map is deterministic, so the states after 0 .. tail + period - 1
     # steps are distinct and the walk's last, after tail + period steps,
     # is the first repeat, the state after tail steps: the seed when tail = 0.
-    if covered != tail + period or walk.last != cmap.jump(x, y, tail):
+    if covered != tail + period:
         raise InvariantError(f"the walk covers {covered} states, the closed form {(tail, period)}")
+    if walk.last != (end := cmap.jump(x, y, tail)):
+        raise InvariantError(
+            f"the walk ends at {walk.last}, the closed form {(tail, period)} at {end}"
+        )
     missing = None
     if covered < total:
         # the smallest missing z = x + m*y: the lowest y with a gap, then
@@ -543,7 +545,7 @@ def roundtrip_sample(
     the samples go through the same array check as the sweep, so the
     first mismatch reported is the first drawn.
     """
-    samples = _require_int(samples, "sample count")
+    samples, rng_seed = _require_int(samples, "sample count"), _require_int(rng_seed, "rng seed")
     if samples < 1:
         raise ParameterError(f"sample count must be positive, got {samples}")
     cmap = _reversible(params, coupling, inverse)
@@ -610,12 +612,7 @@ def hull_dobell_check(params: LcgParams) -> HullDobellReport:
     b_ok = math.gcd(b, m) == 1
     primes_ok = all((a - 1) % p == 0 for p in _prime_factors(m))
     four_ok = (m % 4 != 0) or ((a - 1) % 4 == 0)
-    return HullDobellReport(
-        b_coprime_m=b_ok,
-        a_minus_1_divisible_by_prime_factors=primes_ok,
-        a_minus_1_divisible_by_4_when_m_is=four_ok,
-        all_satisfied=b_ok and primes_ok and four_ok,
-    )
+    return HullDobellReport(b_ok, primes_ok, four_ok, b_ok and primes_ok and four_ok)
 
 
 def _retraces(k, cmap, n, end):

@@ -1,11 +1,15 @@
+import io
 import json
 import shlex
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from revlcg import (
     MAX_MODULUS,
@@ -296,6 +300,76 @@ class TestUsageErrors:
         assert res.returncode == 2
 
 
+# Argument lists over every subcommand and flag. Words reach the int64
+# edges; --n, --limit and --samples stay at or below 1000 and --m at or
+# below 64 unless out of range, so no check walks a desk-scale orbit.
+# Each value is mostly in range, so that most runs get past the parser.
+NOT_AN_INT = st.sampled_from(["", "x", "1.5", "0x10"])
+NEGATIVE = [-(2**63) - 1, -(2**63), -1]
+EDGES = NEGATIVE + [2**63 - 1, 2**63, MAX_MODULUS, MAX_MODULUS + 1]
+BAD_MODULI = NEGATIVE + [0, 1, MAX_MODULUS + 1, 2**63 - 1, 2**63]
+WORDS = ("--a", "--b", "--s", "--x0", "--y0")
+# each command's flags: None for a word, the largest count, or the choices
+FLAGS = {
+    "derive": {"--a": None, "--b": None},
+    "generate": {**dict.fromkeys(WORDS), "--n": 1000, "--format": ["state", "z", "real", "kv"]},
+    "verify": {
+        **dict.fromkeys(WORDS + ("--c", "--d")), "--limit": 1000, "--samples": 1000,
+        "--report": ["kv", "text", "json"],
+    },
+}
+FLAGS["reverse"] = FLAGS["generate"]
+CHECKS = ["roundtrip", "period", "equidist", "hulldobell", "paper"]
+USUAL = ("--a", "--b", "--s", "--n")
+
+
+@st.composite
+def cli_args(draw):
+    def value(stop, edges):
+        # in [0, stop) nine times in ten, else an edge or not an int
+        kind = draw(st.integers(0, 19))
+        if kind == 19:
+            return draw(NOT_AN_INT)
+        return str(draw(st.sampled_from(edges) if kind == 18 else st.integers(0, stop - 1)))
+
+    out_of_range = draw(st.integers(0, 9)) == 9
+    m = draw(st.sampled_from(BAD_MODULI) if out_of_range else st.integers(2, 64))
+    command = draw(st.sampled_from(sorted(FLAGS)))
+    args = [command, "--m", str(m)]
+    if command == "verify":
+        args.append(draw(st.sampled_from(CHECKS)))
+    if command != "derive":
+        args += draw(st.sampled_from([[], [], ["--carry"], ["--no-carry"]]))
+    # the defaults of --a, --b and --s lie past m, and --n is required, so
+    # each is given nine times in ten; of the rest, at most two, since a
+    # verify check refuses a flag it does not read
+    flags = [flag for flag in USUAL if flag in FLAGS[command] and draw(st.integers(0, 9)) < 9]
+    rest = [flag for flag in FLAGS[command] if flag not in USUAL]
+    flags += draw(st.lists(st.sampled_from(rest), max_size=2, unique=True)) if rest else []
+    for flag in flags:
+        kind = FLAGS[command][flag]
+        if isinstance(kind, list):
+            args += [flag, draw(st.sampled_from(kind))]
+        elif kind is None:
+            args += [flag, value(64 if out_of_range else m, [m, *EDGES])]
+        else:
+            args += [flag, value(kind + 1, NEGATIVE)]
+    return args
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_args())
+def test_generated_arguments_exit_0_1_or_2(args):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:  # argparse's usage errors
+            code = exc.code
+    assert code in (0, 1, 2)
+    assert code != 2 or err.getvalue()
+
+
 TOY_FLAGS = ["--m", "16", "--a", "5", "--b", "3", "--s", "2"]
 
 
@@ -519,9 +593,10 @@ class TestStartWithoutNumpy:
         assert numpy_probe(*args) == [0, []]
 
     def test_verify_loads_numpy(self):
-        # control: the probe does see numpy when a command needs it
+        # control: the probe does see numpy when a command needs it; the
+        # reports are records, so not even verify loads dataclasses
         status, heavy = numpy_probe("verify", "hulldobell")
-        assert status == 0 and "numpy" in heavy
+        assert status == 0 and "numpy" in heavy and "dataclasses" not in heavy
 
 
 TOY = ["--m", "16", "--a", "5", "--b", "3", "--s", "2"]

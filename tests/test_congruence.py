@@ -8,11 +8,17 @@ from hypothesis import strategies as st
 
 from revlcg import (
     MAX_MODULUS,
+    CoupledState,
     CouplingSpec,
+    EquidistributionReport,
+    HullDobellReport,
     InverseParams,
     LcgParams,
     NotInvertibleError,
+    OrbitReport,
     ParameterError,
+    ReproductionReport,
+    RoundTripReport,
     RundConstants,
     derive_inverse,
     ext_gcd,
@@ -285,11 +291,62 @@ RECORDS = [
     ),
 ]
 
+# (report, its repr, its fields in order), each report built by keyword;
+# the reports check no field
+REPORTS = [
+    (kind(**fields), text, fields)
+    for kind, text, fields in [
+        (
+            OrbitReport,
+            "OrbitReport(period=256, reached_full_period=True, states_visited=256, "
+            "first_repeat_state=CoupledState(x=0, y=0))",
+            {
+                "period": 256, "reached_full_period": True, "states_visited": 256,
+                "first_repeat_state": CoupledState(0, 0),
+            },
+        ),
+        (
+            EquidistributionReport,
+            "EquidistributionReport(covered=4, total=64, complete=False, first_duplicate=60, "
+            "first_missing=1)",
+            {
+                "covered": 4, "total": 64, "complete": False, "first_duplicate": 60,
+                "first_missing": 1,
+            },
+        ),
+        (
+            RoundTripReport,
+            "RoundTripReport(states_checked=256, mismatches=256, "
+            "first_mismatch=CoupledState(x=0, y=0))",
+            {"states_checked": 256, "mismatches": 256, "first_mismatch": CoupledState(0, 0)},
+        ),
+        (
+            HullDobellReport,
+            "HullDobellReport(b_coprime_m=True, a_minus_1_divisible_by_prime_factors=False, "
+            "a_minus_1_divisible_by_4_when_m_is=True, all_satisfied=False)",
+            {
+                "b_coprime_m": True, "a_minus_1_divisible_by_prime_factors": False,
+                "a_minus_1_divisible_by_4_when_m_is": True, "all_satisfied": False,
+            },
+        ),
+        (
+            ReproductionReport,
+            "ReproductionReport(comparisons=255, mismatches=254, first_mismatch_n=1, passed=False)",
+            {"comparisons": 255, "mismatches": 254, "first_mismatch_n": 1, "passed": False},
+        ),
+    ]
+]
+RECORD_IDS = [type(record).__name__ for record, *_ in RECORDS]
+REPORT_IDS = [type(report).__name__ for report, *_ in REPORTS]
+
 
 class TestRecords:
-    """The parameter records are read-only values, with the behaviour of frozen dataclasses."""
+    """The parameter records and the reports are read-only values, as frozen dataclasses are."""
 
-    @pytest.fixture(params=RECORDS, ids=["LcgParams", "InverseParams", "CouplingSpec", "RundConstants"])
+    @pytest.fixture(
+        params=RECORDS + [(*report, None) for report in REPORTS],
+        ids=RECORD_IDS + REPORT_IDS,
+    )
     def case(self, request):
         return request.param
 
@@ -305,7 +362,7 @@ class TestRecords:
         assert record != tuple(fields.values())
         subclass = type("Sub", (kind,), {"__slots__": ()})
         assert record != subclass(**fields)
-        assert all(record != other for other, *_ in RECORDS if type(other) is not kind)
+        assert all(record != other for other, *_ in RECORDS + REPORTS if type(other) is not kind)
 
     def test_hash_is_the_field_tuple_hash(self, case):
         record, _, fields, _ = case
@@ -333,6 +390,22 @@ class TestRecords:
         twin = duplicate(record)
         assert type(twin) is type(record) and twin == record
 
-    def test_bad_field_is_refused(self, case):
+    @pytest.mark.parametrize("refused", [bad for *_, bad in RECORDS], ids=RECORD_IDS)
+    def test_bad_field_is_refused(self, refused):
         with pytest.raises(ParameterError):
-            case[3]()
+            refused()
+
+    @pytest.mark.parametrize("report, fields", [(r, f) for r, _, f in REPORTS], ids=REPORT_IDS)
+    def test_report_takes_each_field_once(self, report, fields):
+        kind, values = type(report), list(fields.values())
+        first, *rest = fields
+        assert kind(values[0], **{name: fields[name] for name in rest}) == report
+        for call in (
+            lambda: kind(**{name: fields[name] for name in rest}),  # the first field missing
+            lambda: kind(*values[:-1]),  # the last field missing
+            lambda: kind(**fields, extra=1),  # an unknown keyword
+            lambda: kind(*values, **{first: values[0]}),  # the first field twice
+            lambda: kind(*values, None),  # one value too many
+        ):
+            with pytest.raises(TypeError):
+                call()

@@ -865,17 +865,19 @@ EARLY_END = (
     "v._LaneWalk = EarlyEnd\n"
 )
 # A tail of 4 onto a cycle of 6: the walk of 10 states ends on the state
-# after 4 steps, the first duplicate, z = 15; one step early it reads the
-# state after 3 steps, which is not the seed either.
+# after 4 steps, (3, 1), the first duplicate, z = 15; one step early it
+# reads (7, 6), the state after 3 steps, which is not the seed either. The
+# walk covers its 10 states, so the end, not the coverage, must be named.
 TAIL_ORBIT = "revlcg.LcgParams(2, 1, 12), revlcg.CouplingSpec(0)"
+TAIL_END = "ends at (7, 6), the closed form (4, 6) at (3, 1)"
 BROKEN_UNDER_O |= {
     "early end: tail equidistribution": (
         EARLY_END + f"v.equidistribution_check({TAIL_ORBIT}, revlcg.CoupledState(0, 0))\n",
-        "closed form",
+        f"the walk {TAIL_END}",
     ),
     "early end: tail period": (
         EARLY_END + f"v.orbit_period(revlcg.CoupledState(0, 0), {TAIL_ORBIT})\n",
-        "closed form",
+        f"the orbit walk {TAIL_END}",
     ),
     "early end: failing walk": (
         EARLY_END + "v.paper_reproduction(revlcg.RundConstants(5, 3, 16, 2, 7, 9, 256))\n",

@@ -287,6 +287,12 @@ class TestIntegerCounts:
         with pytest.raises(ParameterError, match="sample count must be an integer"):
             roundtrip_sample(RUND_PARAMS, RUND_COUPLING, samples=2.5)
 
+    # None would seed from OS entropy: a sample no run could reproduce
+    @pytest.mark.parametrize("rng_seed", [None, True, 1.5, "abc", [1]])
+    def test_sample_seed(self, rng_seed):
+        with pytest.raises(ParameterError, match="rng seed must be an integer"):
+            roundtrip_sample(RUND_PARAMS, RUND_COUPLING, samples=10, rng_seed=rng_seed)
+
     def test_reproduction_window(self):
         with pytest.raises(ParameterError, match="imax must be an integer"):
             paper_reproduction(imax=2.5)
