@@ -10,15 +10,15 @@ the exit code.
 (``generator._CoupledMap``) once, takes ``_BLOCK_LINES`` (1024) packed
 states at a time from the map's ``walk``, the kernel
 ``generate_sequence`` and ``reverse_sequence`` also wrap, and renders
-each block from those ints with a single ``write``. A block that small keeps the process's peak memory near
-that of the bare import, and its text fits one pipe buffer. The walk
-steps the packed single-word LCG when the carry is on and going
-forward, and the map's own steps otherwise, so a backward stream still
-checks every step's non-negativity offset. Only ``verify`` imports
-:mod:`revlcg.verification`, so ``derive``, ``generate`` and
-``reverse`` start without loading numpy, and neither the parameter
-records nor the reports are dataclasses, so no command loads
-``dataclasses``, and only ``verify``, through numpy, loads ``inspect``.
+each block from those ints with a single ``write``. A block that small
+keeps the peak memory near that of the bare import, and its text fits
+one pipe buffer. The walk steps the packed single-word LCG when the
+carry is on and going forward, and the map's own steps otherwise, so a
+backward stream still checks every step's non-negativity offset. Only
+``verify`` imports :mod:`revlcg.verification`, so ``derive``,
+``generate`` and ``reverse`` start without loading numpy. No record
+or report is a dataclass, so no command loads ``dataclasses``, and
+only ``verify``, through numpy, loads ``inspect``.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 usage or parameter error, 141 stdout closed by its reader (as in

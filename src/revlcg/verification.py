@@ -30,11 +30,11 @@ passes on one rule: its backward seed is forw(imax), the closed-form
 jump, and each forward state steps back onto the one before, forw(1)
 onto (0, 0) (:func:`_retraces`). Any other run walks the derived inverse
 back from forw(imax) beside the given backward walk and counts the
-mismatches exactly (:func:`_mismatches`). Every walk must agree with
-the closed form and end where it says, read from the last state it
-records, or :class:`InvariantError` is raised: an orbit walk on its
-first repeat (a period walk if it stops before its limit), the passing
-reproduction's forward walk on forw(imax), the true one back on forw(1).
+mismatches exactly (:func:`_mismatches`). A walk with a closed form
+proves its end beside its stitch: an orbit walk ends on its first repeat
+(a period walk only if it stops before its limit), the reproduction's
+forward walk on forw(imax), the true walk back on forw(1); the given
+backward walk, the one under test, has no closed form.
 
 Each report states every fact once, as a ``(key, value, line)`` row
 yielded in output order by its private ``_rows()``. Both renderings
@@ -325,14 +325,15 @@ class _LaneWalk:
     where the next one started, or :class:`InvariantError` is raised (the
     stitch check, over every cell), and by induction from the seed the
     stitched walk is the sequential one, shared x words and padding
-    included. So only a walk run out to its end is proven, and a check
-    gives a passing verdict only after one. ``last`` is the walk's last
-    state, index count - 1, as two ints, read off its cell as the grid is
-    stepped: no state is stepped again after the walk.
+    included. Then the end check: ``last``, the state at index count - 1
+    as two ints, read off its cell as the grid is stepped, must equal
+    ``end``, the state a check's closed form puts there, if it passes one,
+    or :class:`InvariantError` is raised. So only a walk run out to its
+    end is proven, and a check gives a passing verdict only after one.
     """
 
-    def __init__(self, m, x, y, count, step, jump=None):
-        self.count, self.span = count, -(-count // _LANES)
+    def __init__(self, m, x, y, count, step, jump=None, end=None):
+        self.count, self.span, self.end = count, -(-count // _LANES), end
         self.lanes, self._step = -(-count // self.span), step
         jump = jump or partial(_tail_walk, step)
         ut = jump(0, 0, self.span)[0]
@@ -371,6 +372,11 @@ class _LaneWalk:
                 f"orbit lanes do not stitch: lane {lane + 1} should start where lane {lane} "
                 f"ends, expected ({ex[lane]}, {ey[lane]}), got ({sx[lane + 1]}, {sy[lane + 1]})"
             )
+        if self.end is not None and self.last != self.end:
+            raise InvariantError(
+                f"the walk of {self.count} steps from ({sx[0]}, {sy[0]}) ends at {self.last}, "
+                f"the closed form at {self.end}"
+            )
 
 
 def orbit_period(
@@ -402,7 +408,8 @@ def orbit_period(
         raise ParameterError(
             f"orbit_period walks {count} states, more than {SWEEP_MAX_M**2}; pass limit (--limit)"
         )
-    walk = _LaneWalk(params.m, x0, y0, count, cmap.forward, cmap.jump)
+    end = cmap.jump(x0, y0, tail) if count < limit else None
+    walk = _LaneWalk(params.m, x0, y0, count, cmap.forward, cmap.jump, end)
     first = count  # a recurrence at index count or past it lies past the walk
     for t, (ex, ey) in enumerate(walk):
         # x is tested on the row words, y on the cells of the rows it matched
@@ -414,12 +421,6 @@ def orbit_period(
     if first != (repeat := period - 1 if closes else count):
         raise InvariantError(
             f"the seed first recurs at index {first}, the closed form {(tail, period)} at {repeat}"
-        )
-    # a walk that stops short of the limit ends on its first repeat, the
-    # state after tail steps: the seed only when the tail is 0
-    if count < limit and walk.last != (end := cmap.jump(x0, y0, tail)):
-        raise InvariantError(
-            f"the orbit walk ends at {walk.last}, the closed form {(tail, period)} at {end}"
         )
     return OrbitReport(
         period=period if closes else None,
@@ -448,19 +449,15 @@ def equidistribution_check(
     tail, period = _rho(cmap, x, y)
     seen = np.zeros(total, dtype=bool)
     seen[y + m * x] = True
-    walk = _LaneWalk(m, x, y, tail + period, cmap.forward, cmap.jump)
-    for ex, ey in walk:
-        seen[ey + m * ex] = True
-    covered = int(np.count_nonzero(seen))
     # The map is deterministic, so the states after 0 .. tail + period - 1
     # steps are distinct and the walk's last, after tail + period steps,
     # is the first repeat, the state after tail steps: the seed when tail = 0.
+    end = cmap.jump(x, y, tail)
+    for ex, ey in _LaneWalk(m, x, y, tail + period, cmap.forward, cmap.jump, end):
+        seen[ey + m * ex] = True
+    covered = int(np.count_nonzero(seen))
     if covered != tail + period:
         raise InvariantError(f"the walk covers {covered} states, the closed form {(tail, period)}")
-    if walk.last != (end := cmap.jump(x, y, tail)):
-        raise InvariantError(
-            f"the walk ends at {walk.last}, the closed form {(tail, period)} at {end}"
-        )
     missing = None
     if covered < total:
         # the smallest missing z = x + m*y: the lowest y with a gap, then
@@ -472,7 +469,7 @@ def equidistribution_check(
         covered=covered,
         total=total,
         complete=(covered == total),
-        first_duplicate=None if tail == 0 else walk.last[0] + m * walk.last[1],
+        first_duplicate=None if tail == 0 else end[0] + m * end[1],
         first_missing=missing,
     )
 
@@ -622,29 +619,29 @@ def _retraces(k, cmap, n, end):
     each grid of the walk, stepped back by ``rund_backward_step`` with
     the (c, d) of ``k``, equals the grid before it, the walk's start grid
     first, so forw(j) steps back onto forw(j - 1) for every j the grid
-    holds, from forw(1) onto (0, 0) to the cells past the window, and the
-    walk ends on ``end``, the closed-form forw(n). True comes only once
-    the walk has run out, past its stitch check.
+    holds, from forw(1) onto (0, 0) to the cells past the window. True
+    comes only once the walk has run out, past its stitch check and its
+    end check against ``end``, the closed-form forw(n).
 
     The reference program compares back(i) with forw(n - i),
     i = 1 .. n - 1, where back(1) steps back from the backward seed. With
     the seed forw(n), which the caller checks, they all pass exactly when
     forw(j) steps back onto forw(j - 1) for j = 2 .. n, a part of the
     rule, so a True is a passing report. A False hands the report to the
-    exact count of :func:`_mismatches`, whose true walk starts from the
-    same ``end``, so the rest of the rule changes no report. With the
-    true (c, d) the rule always holds, since their backward step inverts
-    the forward map on every state (its carry division is exact), so a
-    run with them and the endpoint seed is never counted.
+    exact count of :func:`_mismatches`, so the rest of the rule changes no
+    report. With the true (c, d) the rule always holds, since their
+    backward step inverts the forward map on every state (its carry
+    division is exact), so a run with them and the endpoint seed is never
+    counted.
     """
-    walk = _LaneWalk(k.m, 0, 0, n, cmap.forward, cmap.jump)
+    walk = _LaneWalk(k.m, 0, 0, n, cmap.forward, cmap.jump, end)
     qx, qy = walk.start
     for ex, ey in walk:
         px, py = rund_backward_step(ex, ey, k)
         if (px != qx).any() or (py != qy).any():
             return False
         qx, qy = ex, ey
-    return walk.last == end
+    return True
 
 
 def _mismatches(k, true_k, n, seed, end):
@@ -653,23 +650,21 @@ def _mismatches(k, true_k, n, seed, end):
     back(i) is i steps of ``k`` from the backward seed, and forw(n - i) i
     steps of the true inverse ``true_k`` from ``end`` = forw(n). The two
     backward walks share their lanes but not always their grid: they meet
-    in lane order, and the true walk must end on forw(1).
+    in lane order, and only the true walk has an end to prove, forw(1).
     """
     count, mismatches, first = n - 1, 0, n
 
-    def back(q, x, y):
-        return _LaneWalk(q.m, x, y, count, partial(rund_backward_step, k=q))
+    def back(q, x, y, end=None):
+        return _LaneWalk(q.m, x, y, count, partial(rund_backward_step, k=q), end=end)
 
-    given, true = back(k, *seed), back(true_k, *end)
-    # strict=True also steps the true walk past its last step, into its stitch check
+    given, true = back(k, *seed), back(true_k, *end, rund_forward_step(0, 0, k))
+    # strict=True also steps the true walk past its last step, into its end checks
     for t, ((gx, gy), (tx, ty)) in enumerate(zip(given, true, strict=True)):
         live = -(-(count - t) // given.span)  # lane l holds i = l*T + t + 1 <= count
         (gx, gy), (tx, ty) = given.in_lanes(gx, gy), true.in_lanes(tx, ty)
         bad = np.flatnonzero((gx[:live] != tx[:live]) | (gy[:live] != ty[:live]))
         if bad.size:
             mismatches, first = mismatches + bad.size, min(first, int(bad[0]) * given.span + t + 1)
-    if (end := true.last) != rund_forward_step(0, 0, k):
-        raise InvariantError(f"the true walk back from forw({n}) ends at {end}, not at forw(1)")
     return mismatches, first if mismatches else None
 
 

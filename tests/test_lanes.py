@@ -11,7 +11,9 @@ and each orbit check walks exactly the states that shape decides, in
 one lane walk, which must end where that shape says; a shape one off,
 or a walk's end read one step early, must raise, also under
 ``python -O``, and so must a passing reproduction whose forward walk
-misses the closed-form forw(imax). No check may import ``numpy.ma``. The
+misses the closed-form forw(imax). A lane walk handed the end its
+closed form names walks out, and one handed any other end raises,
+naming both states. No check may import ``numpy.ma``. The
 lane walk seeded without a closed form, which a failing reproduction
 runs backward twice, must equal the plain step-by-step walk on every
 cell of its grid, the padding included, whether its lanes share x words
@@ -350,7 +352,8 @@ def table_walks(draw):
 
 
 ODD_M = verification._CoupledMap(LcgParams(58, 5, 1539), CouplingSpec(700))
-TOY_FORWARD = verification._CoupledMap(*FULL_TOY[:2]).forward
+TOY_MAP = verification._CoupledMap(*FULL_TOY[:2])
+TOY_FORWARD = TOY_MAP.forward
 NOT_INVERTIBLE_FORWARD = verification._CoupledMap(*NOT_INVERTIBLE[:2]).forward
 
 
@@ -396,6 +399,39 @@ def test_table_walk_matches_sequential(walk, lanes):
             for col in range(cols):
                 walked[(col * rows + row) * span + t] = int(xs[row, 0] + m * ys[row, col])
     assert walked == dict(enumerate(expected))
+
+
+@st.composite
+def walk_ends(draw):
+    """(cmap, x, y, count, wrong): a toy coupled map up to m = 64, carry on
+    or off, a walk of count states from (x, y) that runs past m**2, and a
+    state that is not the one count steps on."""
+    params, coupling, (x, y) = draw(coupled_maps(max_m=64))
+    cmap, m = verification._CoupledMap(params, coupling), params.m
+    count = draw(st.integers(1, 2 * m * m + 3))
+    word = st.integers(0, m - 1)
+    wrong = draw(st.tuples(word, word).filter(lambda state: state != cmap.jump(x, y, count)))
+    return cmap, x, y, count, wrong
+
+
+# Up to 64 lanes put the walk's last state in any lane, with padding after
+# it or not; one lane puts it at the end of the only lane.
+@settings(max_examples=300, deadline=None)
+@given(walk=walk_ends(), lanes=st.sampled_from([1, 3, 7, 64]))
+@example(walk=(TOY_MAP, 0, 0, 300, (0, 0)), lanes=64)
+@example(walk=(TOY_MAP, 0, 0, 1, (0, 0)), lanes=7)
+def test_lane_walk_proves_its_closed_form_end(walk, lanes):
+    cmap, x, y, count, wrong = walk
+    end = cmap.jump(x, y, count)
+    with patch.object(verification, "_LANES", lanes):
+        walked = verification._LaneWalk(cmap.m, x, y, count, cmap.forward, cmap.jump, end=end)
+        assert sum(1 for _ in walked) == walked.span and walked.last == end
+        refused = verification._LaneWalk(cmap.m, x, y, count, cmap.forward, cmap.jump, end=wrong)
+        with pytest.raises(InvariantError) as err:
+            list(refused)
+    assert f"{count} steps from {(x, y)} ends at {end}, the closed form at {wrong}" in str(
+        err.value
+    )
 
 
 def test_failing_run_stitches_both_backward_walks():
@@ -605,17 +641,22 @@ def test_reference_walks_share_x_words_and_match_flat_lanes():
     # backward walk. The given backward walk of c = 204, whose x map is not
     # a bijection, takes one row per lane; that of d = 1498, whose x word
     # has period 1024, 4 rows of 4096 lanes. With one row per lane
-    # everywhere, every report is the same.
-    shapes = []
+    # everywhere, every report is the same. Each forward walk is handed its
+    # closed-form end, the seed (0, 0) of the full period, and each true
+    # backward walk forw(1); the given backward walks, under test, none.
+    shapes, ends = [], []
 
     class Recorded(verification._LaneWalk):
-        def __init__(self, *args):
-            super().__init__(*args)
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
             shapes.append((self.rows, self.cols))
+            ends.append(self.end)
 
     with patch.object(verification, "_LaneWalk", Recorded):
         shared = reference_reports()
         assert shapes == [(8, 2048)] * 4 + [(16384, 1), (8, 2048), (8, 2048), (4, 4096), (8, 2048)]
+        forw1 = rund_forward_step(0, 0)
+        assert ends == [(0, 0)] * 4 + [None, forw1, (0, 0), None, forw1]
         shapes.clear()
         with patch.object(verification, "_grid_rows", len):
             assert reference_reports() == shared
@@ -747,6 +788,10 @@ HUGE_COUPLING = (
     "revlcg.generator._CoupledMap.__init__ = huge_slope\n"
 )
 
+# A true walk back of 255 steps on the (5, 3, 16, 2) toy that ends one step
+# short, on forw(2), where its closed form puts forw(1)
+MISSES_FORW1 = "ends at (2, 7), the closed form at (3, 0)"
+
 # Each script breaks one invariant on purpose. Under -O an assert would
 # vanish and the call would return; the explicit raise must still fire.
 BROKEN_UNDER_O = {
@@ -764,14 +809,15 @@ BROKEN_UNDER_O = {
         "v.equidistribution_check(revlcg.LcgParams(5, 3, 16), C, revlcg.CoupledState(0, 0))\n",
         "lanes do not stitch",
     ),
-    # The broken jump gives forw(257) as forw(256), which the seed is not;
-    # the failing path's true walk then starts there.
+    # The broken jump gives forw(257) = forw(1) = (3, 0) as forw(256), which
+    # the seed is not; the failing path's true walk then starts there and
+    # ends on forw(2) = (2, 7).
     "passing reproduction lanes": (
         "v, g = revlcg.verification, revlcg.generator\n"
         "power = g._power\n"
         "g._power = lambda f, n, mod: power(f, n + 1, mod)\n"
         "v.paper_reproduction(revlcg.RundConstants(5, 3, 16, 2, 13, 9, 256))\n",
-        "not at forw(1)",
+        f"the walk of 255 steps from (3, 0) {MISSES_FORW1}",
     ),
     "shared lane x words": (
         "v = revlcg.verification\n"
@@ -787,13 +833,14 @@ BROKEN_UNDER_O = {
         "v.paper_reproduction(revlcg.RundConstants(5, 3, 16, 2, 7, 9, 256))\n",
         "lanes do not stitch",
     ),
+    # The true walk back from forw(257) = forw(1) instead of forw(256)
     "failing walk end": (
         "v = revlcg.verification\n"
         "mismatches = v._mismatches\n"
         "v._mismatches = lambda k, true_k, n, seed, end: "
         "mismatches(k, true_k, n, seed, v.rund_forward_step(*end, k))\n"
         "v.paper_reproduction(revlcg.RundConstants(5, 3, 16, 2, 7, 9, 256))\n",
-        "not at forw(1)",
+        f"the walk of 255 steps from (3, 0) {MISSES_FORW1}",
     ),
     "derived inverse": (
         "c = revlcg.congruence\n"
@@ -851,17 +898,16 @@ BROKEN_UNDER_O["closed form tail - 1: not a bijection, period"] = off_shape(
     "v.orbit_period(revlcg.CoupledState(0, 0), revlcg.LcgParams(2, 1, 8), revlcg.CouplingSpec(3))",
 )
 
-# A walk whose end is read one step early: its last state is replaced by
-# the state one step before, walked from the walk's start.
+# A walk whose end is read one step early: the state the walk reads as its
+# last, where its end check reads it, is the state one step before, walked
+# from the walk's start; the walk's own store of its last state is dropped.
 EARLY_END = (
     "v = revlcg.verification\n"
     "class EarlyEnd(v._LaneWalk):\n"
-    "    def __init__(self, m, x, y, count, step, jump=None):\n"
-    "        super().__init__(m, x, y, count, step, jump)\n"
+    "    def __init__(self, m, x, y, count, step, jump=None, end=None):\n"
+    "        super().__init__(m, x, y, count, step, jump, end)\n"
     "        self.early = v._tail_walk(step, x, y, count - 1)\n"
-    "    def __iter__(self):\n"
-    "        yield from super().__iter__()\n"
-    "        self.last = self.early\n"
+    "    last = property(lambda self: self.early, lambda self, state: None)\n"
     "v._LaneWalk = EarlyEnd\n"
 )
 # A tail of 4 onto a cycle of 6: the walk of 10 states ends on the state
@@ -869,24 +915,27 @@ EARLY_END = (
 # reads (7, 6), the state after 3 steps, which is not the seed either. The
 # walk covers its 10 states, so the end, not the coverage, must be named.
 TAIL_ORBIT = "revlcg.LcgParams(2, 1, 12), revlcg.CouplingSpec(0)"
-TAIL_END = "ends at (7, 6), the closed form (4, 6) at (3, 1)"
+TAIL_END = "the walk of 10 steps from (0, 0) ends at (7, 6), the closed form at (3, 1)"
 BROKEN_UNDER_O |= {
     "early end: tail equidistribution": (
         EARLY_END + f"v.equidistribution_check({TAIL_ORBIT}, revlcg.CoupledState(0, 0))\n",
-        f"the walk {TAIL_END}",
+        TAIL_END,
     ),
     "early end: tail period": (
         EARLY_END + f"v.orbit_period(revlcg.CoupledState(0, 0), {TAIL_ORBIT})\n",
-        f"the orbit walk {TAIL_END}",
+        TAIL_END,
     ),
+    # The passing check's forward walk stops at its first bad step, before
+    # its end check; the true walk back from forw(256) = (0, 0) is read one
+    # step early, on forw(2).
     "early end: failing walk": (
         EARLY_END + "v.paper_reproduction(revlcg.RundConstants(5, 3, 16, 2, 7, 9, 256))\n",
-        "not at forw(1)",
+        f"the walk of 255 steps from (0, 0) {MISSES_FORW1}",
     ),
     # A jump one step too long only past 64 steps still seeds the window
     # of 100 states, lanes of one step, correctly, but its closed-form
-    # forw(100) is forw(101), the seed given: the forward walk ends one
-    # step short of it, and the true walk back from it misses forw(1).
+    # forw(100) is forw(101) = (7, 4), the seed given: the forward walk
+    # ends one step short of it, on forw(100) = (4, 15).
     "passing reproduction end": (
         "v, g = revlcg.verification, revlcg.generator\n"
         "k = revlcg.RundConstants(5, 3, 16, 2, 13, 9, 256)\n"
@@ -894,7 +943,7 @@ BROKEN_UNDER_O |= {
         "power = g._power\n"
         "g._power = lambda f, n, mod: power(f, n + (n > 64), mod)\n"
         "v.paper_reproduction(k, imax=100, backward_seed=seed)\n",
-        "not at forw(1)",
+        "the walk of 100 steps from (0, 0) ends at (4, 15), the closed form at (7, 4)",
     ),
 }
 
