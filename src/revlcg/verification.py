@@ -22,6 +22,19 @@ walk has, which seeds all lanes from jumps of T steps and lets lanes on
 the same x word share a grid row, and the stitch check, which trusts
 neither, so a check passes only after a walk run out to its end.
 
+Every grid these checks step broadcasts one word per row against a row
+of words: a lane walk's (rows, 1) x words against its (rows, cols) y
+words, the sweep's (1, m) x row against its (rows, 1) y column. When
+numpy's ufunc buffer spans more than one row, as its default of 8192
+elements does over the reference grids' rows of 2048, numpy copies the
+broadcast operand into the buffer, which made an add of (8, 2048) and
+(8, 1) words cost twice one without a broadcast. So each array check
+runs with the buffer at ``_ROW_BUFFER`` = 1024 elements
+(:func:`_row_buffers`), which fits in a row of the sweep at m >= 1024
+and of the reference walks, and restores the caller's size when it
+returns or raises. The size changes how numpy moves the words, never
+the arithmetic: every result is the same at any size.
+
 No check holds an orbit table. An orbit check walks, in one lane walk,
 exactly the states its orbit's closed-form shape (:func:`_rho`) decides:
 the period walk tests each step's words against the seed, the
@@ -50,7 +63,7 @@ from __future__ import annotations
 import math
 import random
 from bisect import bisect_left
-from functools import partial
+from functools import partial, wraps
 from typing import Optional
 
 import numpy as np
@@ -88,10 +101,36 @@ _SWEEP_CHUNK = 1 << 15
 
 # Orbit walks step up to this many lanes at once, a grid of half as many
 # cells as the sweep's chunk: at m = 2048, 8 rows of 2048 lanes of 256
-# steps. On the same VM, in process, the reference orbit_period took a
-# median of 29, 23 and 33 ms at 8192, 16384 and 32768 lanes, and no other
-# orbit check was more than 1% faster at either.
+# steps. On the same VM, in process with the row-sized buffers, the
+# reference orbit_period took a median of 11, 9 and 8 ms at 8192, 16384
+# and 32768 lanes (best of 7, three runs), equidistribution_check 21, 18
+# and 17 ms, and paper_reproduction 26, 19 and 17 ms. At 32768 lanes,
+# four alternating 10-second runs of the benchmark's verify-reference
+# read 62-64 ms a unit against 63-65 ms at 16384 (and one run of 88 ms),
+# no clear gain, with 1 MiB more peak RSS.
 _LANES = _SWEEP_CHUNK // 2
+
+# numpy's ufunc buffer size in elements while an array check runs (see the
+# module docstring): a multiple of 16, as numpy requires.
+_ROW_BUFFER = 1024
+
+
+def _row_buffers(check):
+    """``check`` run with numpy's ufunc buffer size at ``_ROW_BUFFER``.
+
+    The caller's size is restored when the check returns or raises. It is
+    per thread on numpy 1.x and context-local on numpy 2.x.
+    """
+
+    @wraps(check)
+    def run(*args, **kwargs):
+        saved = np.setbufsize(_ROW_BUFFER)
+        try:
+            return check(*args, **kwargs)
+        finally:
+            np.setbufsize(saved)
+
+    return run
 
 
 class _Report(_Record):
@@ -379,6 +418,7 @@ class _LaneWalk:
             )
 
 
+@_row_buffers
 def orbit_period(
     seed: CoupledState,
     params: LcgParams,
@@ -430,6 +470,7 @@ def orbit_period(
     )
 
 
+@_row_buffers
 def equidistribution_check(
     params: LcgParams, coupling: CouplingSpec, seed: CoupledState
 ) -> EquidistributionReport:
@@ -485,6 +526,7 @@ def _grid(m):
     return ((x, x.T[r : r + rows]) for r in range(0, m, rows))
 
 
+@_row_buffers
 def _roundtrip(cmap, chunks) -> RoundTripReport:
     """Check backward(forward(state)) = state on the states of ``chunks``.
 
@@ -668,6 +710,7 @@ def _mismatches(k, true_k, n, seed, end):
     return mismatches, first if mismatches else None
 
 
+@_row_buffers
 def paper_reproduction(
     constants: RundConstants = RUND,
     imax: Optional[int] = None,

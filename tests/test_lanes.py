@@ -24,7 +24,10 @@ recurrences, and each distinct start word is jumped once for its tail;
 a reproduction whose a has no inverse is refused; and no
 check at the reference size, passing or failing, may hold an orbit
 table. There the walks run in a grid of 8 rows, and every report equals
-the one with one row per lane.
+the one with one row per lane. Every array check steps its grids with
+numpy's ufunc buffer at the row-sized ``_ROW_BUFFER``, and leaves the
+caller's buffer size as it found it after a pass, a failing verdict, a
+refusal and an error raised mid-walk.
 """
 
 import json
@@ -47,6 +50,7 @@ from revlcg import (
     InvariantError,
     LcgParams,
     NotInvertibleError,
+    ParameterError,
     ReproductionReport,
     RundConstants,
     derive_inverse,
@@ -55,6 +59,8 @@ from revlcg import (
     generator,
     orbit_period,
     paper_reproduction,
+    roundtrip_sample,
+    roundtrip_sweep,
     rund_backward_step,
     rund_forward_step,
     verification,
@@ -749,6 +755,86 @@ def test_broken_jump_fails_the_stitch_check():
         with pytest.raises(InvariantError, match="lane 1 should start where lane 0 ends") as err:
             orbit_period(seed, params, coupling)
     assert f"expected {expected}, got {got}" in str(err.value)
+
+
+# The caller's ufunc buffer size, which no check may keep.
+CALLER_BUFSIZE = 4096
+
+
+@pytest.fixture
+def caller_bufsize():
+    saved = np.setbufsize(CALLER_BUFSIZE)
+    try:
+        yield
+    finally:
+        np.setbufsize(saved)
+
+
+BROKEN_TOY_K = RundConstants(5, 3, 16, 2, 13, 1, 256)  # d = 1, the derived d is 9
+# Each check on FULL_TOY and its verdict: the sweep steps rows of 16
+# states, the walks 16 rows of 16 lanes, and the failing reproduction
+# also walks backward twice.
+BUFFERED_CHECKS = {
+    "sweep": (lambda: roundtrip_sweep(*FULL_TOY[:2]), True),
+    "period": (lambda: orbit_period(FULL_TOY[2], *FULL_TOY[:2]), True),
+    "equidistribution": (lambda: equidistribution_check(*FULL_TOY), True),
+    "passing reproduction": (lambda: paper_reproduction(TOY_K), True),
+    "failing reproduction": (lambda: paper_reproduction(BROKEN_TOY_K), False),
+}
+
+
+@pytest.mark.parametrize("check, passes", BUFFERED_CHECKS.values(), ids=BUFFERED_CHECKS)
+def test_checks_step_their_grids_with_row_sized_buffers(caller_bufsize, check, passes):
+    # a spy on each step records the buffer size and the rows of the grid
+    # it steps, its y words' (0 for a scalar or a flat array)
+    seen = set()
+
+    def spy(step, y_at):
+        def recording(*args, **kwargs):
+            y = args[y_at]
+            seen.add((np.getbufsize(), y.shape[0] if np.ndim(y) == 2 else 0))
+            return step(*args, **kwargs)
+
+        return recording
+
+    forward = generator._CoupledMap.forward
+    with (
+        patch.object(generator._CoupledMap, "forward", spy(forward, 2)),
+        patch.object(verification, "rund_backward_step", spy(rund_backward_step, 1)),
+    ):
+        assert check().passed == passes
+    assert {size for size, _ in seen} == {verification._ROW_BUFFER}
+    assert max(rows for _, rows in seen) > 1
+    assert np.getbufsize() == CALLER_BUFSIZE
+
+
+def broken_jump_period():
+    # the walk of test_broken_jump_fails_the_stitch_check, raising mid-walk
+    with engine_shape((4, 1 << 15)), patch.object(generator, "_power", off_by_one_power):
+        return orbit_period(FULL_TOY[2], *FULL_TOY[:2])
+
+
+# A pass, a failing verdict, a refusal before any walk and an error raised
+# mid-walk: each leaves the caller's buffer size as it found it.
+RESTORING_RUNS = {
+    "pass": (lambda: roundtrip_sample(*FULL_TOY[:2], samples=100), True),
+    "failing verdict": (lambda: paper_reproduction(RundConstants(c=204)), False),
+    "refusal": (
+        lambda: roundtrip_sweep(LcgParams(1029, 1731, 8192), CouplingSpec(1536)),
+        ParameterError,
+    ),
+    "invariant error": (broken_jump_period, InvariantError),
+}
+
+
+@pytest.mark.parametrize("run, outcome", RESTORING_RUNS.values(), ids=RESTORING_RUNS)
+def test_checks_restore_the_callers_buffer_size(caller_bufsize, run, outcome):
+    if isinstance(outcome, bool):
+        assert run().passed == outcome
+    else:
+        with pytest.raises(outcome):
+            run()
+    assert np.getbufsize() == CALLER_BUFSIZE
 
 
 def test_stitch_check_covers_the_padding():
