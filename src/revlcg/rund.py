@@ -12,7 +12,8 @@ the forward j accumulator; algebraically simplified forms live in
 :mod:`revlcg.generator`, and the test suite proves the two agree on all
 2**22 states. The forward step reduces with ``%``, as the loop does.
 The backward step, which ``verification.paper_reproduction`` applies to
-every state of the forward orbit on int64 arrays, reduces v mod m by
+every state of the forward orbit on arrays, int32 ones at these
+constants and int64 ones where the words need them, reduces v mod m by
 the mask v & (m - 1) when m is a power of two, as m = 2048 is, and as
 v - (v // m)*m otherwise: the same integer as ``%`` either way, but on
 int64 arrays the mask is one pass, about 0.3 ns per element, and the
@@ -100,8 +101,8 @@ def rund_backward_step(x, y, k: RundConstants = RUND):
     Its two reductions mod m take the form of ``_CoupledMap.backward``:
     the mask v & (m - 1) when m is a power of two, and v - (v // m)*m
     otherwise; every other operation, and their order, is the loop's.
-    It is the step under test, which the reproduction runs on int64
-    arrays, where both forms are cheaper than ``%``. The forward step
+    It is the step under test, which the reproduction runs on int32 or
+    int64 arrays, where both forms are cheaper than ``%``. The forward step
     keeps ``%``: the reproduction steps its orbit with the map instead,
     and on the plain ints left to it ``%`` is the cheaper form.
     """

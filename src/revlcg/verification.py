@@ -15,12 +15,17 @@ column and the y terms once per state of the (y, x) grid.
 The orbit walks run in lanes, the blocking split of L'Ecuyer et al.
 (2017, "Random numbers for parallel computers"): an orbit is cut into
 up to ``_LANES`` consecutive stretches of T steps, and all lanes advance
-together through the unchanged step arithmetic, elementwise on int64
-arrays, exact because m <= ``MAX_MODULUS`` keeps every product below
-2**63. :class:`_LaneWalk` holds the detail: the skew form that every
-walk has, which seeds all lanes from jumps of T steps and lets lanes on
-the same x word share a grid row, and the stitch check, which trusts
-neither, so a check passes only after a walk run out to its end.
+together through the unchanged step arithmetic, elementwise on arrays.
+Each check steps words of one type, :func:`_words` of m and the c it
+steps back with: int32 where max(2*m**2 + m, c*(m**2 + m)), the bound of
+every intermediate of the steps, lies below 2**31, as it does at the
+reference m = 2048 for every forward walk and for backward ones with
+c <= 511, and int64 otherwise, exact because m <= ``MAX_MODULUS`` keeps
+every product below 2**63. :class:`_LaneWalk` holds the detail: the skew
+form that every walk has, which seeds all lanes from jumps of T steps
+and lets lanes on the same x word share a grid row, and the stitch
+check, which trusts neither, so a check passes only after a walk run out
+to its end.
 
 Every grid these checks step broadcasts one word per row against a row
 of words: a lane walk's (rows, 1) x words against its (rows, cols) y
@@ -96,12 +101,13 @@ SWEEP_MAX_M = 4096
 
 # The round-trip sample steps this many states at a time, and the sweep
 # whole rows of the grid up to this many (at least one row), whatever m
-# or the sample count is. A chunk's steps make ten int64 temporaries of
-# its size, 2.5 MiB, where m is no power of two, and six, 1.5 MiB, where
-# the reductions are masks; at most about 1.3 MiB of them are alive at
-# once. The 2-vCPU Xeon VM this was timed on has 2 MiB of L2 cache per
-# core (lscpu: 4 MiB over 2 instances), and chunks of 2**14 and 2**16
-# states were no faster there.
+# or the sample count is. A chunk's steps make ten temporaries of its
+# size where m is no power of two, and six where the reductions are
+# masks: 1.25 and 0.75 MiB of int32 words, which the sweep steps at the
+# reference size, or 2.5 and 1.5 MiB of int64 ones; at most about half
+# of them are alive at once. The 2-vCPU Xeon VM this was timed on has
+# 2 MiB of L2 cache per core (lscpu: 4 MiB over 2 instances), and chunks
+# of 2**14 and 2**16 states were no faster there.
 _SWEEP_CHUNK = 1 << 15
 
 # Orbit walks step up to this many lanes at once, a grid of half as many
@@ -290,6 +296,19 @@ def _tail_walk(step, x, y, n):
     return x, y
 
 
+def _words(m, c=0):
+    """The word type of an array check at modulus m that steps back with c.
+
+    np.int32 when every intermediate of the steps fits in it, np.int64
+    otherwise. A forward step's a*y + s*x + carry is below 2*m**2 and
+    the coverage index y + m*x below m**2; a backward step's slack, and
+    ``rund_backward_step``'s, whose floor carry can add 1 under a wrong
+    (c, d), lies within m**2 + m of 0, so its product with c within
+    c*(m**2 + m).
+    """
+    return np.int32 if max(2 * m * m + m, c * (m * m + m)) < 2**31 else np.int64
+
+
 def _affine_scan(p, w0, c, m):
     """The int64 words w_0 = w0, w_{i+1} = p*w_i + c_i mod m, for the words c.
 
@@ -356,8 +375,10 @@ class _LaneWalk:
 
     Every cell of the grid is a lane, the padding too. ``start`` is the
     grid before the first step, built once in the shapes the steps take,
-    the rows' x words (rows, 1) and every cell's y word (rows, cols); its
-    cell of lane l holds the state after l*T steps. Iterating yields the
+    the rows' x words (rows, 1) and every cell's y word (rows, cols), as
+    words of ``dtype``, which the steps keep; its cell of lane l holds the
+    state after l*T steps. The seeding stays on int64 arrays, since the
+    scan's and the array jump's products reach m**3. Iterating yields the
     grid's words (x, y) after each step t (from 0), when that cell holds
     the state after l*T + t + 1 steps, at index l*T + t of the orbit. The
     walk's window is the indices below count; the padding and the last
@@ -376,7 +397,7 @@ class _LaneWalk:
     end is proven, and a check gives a passing verdict only after one.
     """
 
-    def __init__(self, m, x, y, count, step, jump=None, end=None):
+    def __init__(self, m, x, y, count, step, jump=None, end=None, dtype=np.int64):
         self.count, self.span, self.end = count, -(-count // _LANES), end
         self.lanes, self._step = -(-count // self.span), step
         jump = jump or partial(_tail_walk, step)
@@ -392,7 +413,10 @@ class _LaneWalk:
         words, inverse = np.unique(xs[: cells - 1], return_inverse=True)
         tails = np.tile(jump(words, 0, self.span)[1][inverse], self.cols)[: cells - 1]
         ys = _affine_scan(pt, y, tails, m).reshape(self.cols, self.rows)
-        self.start = xs.reshape(self.rows, 1), np.ascontiguousarray(ys.T)
+        self.start = (
+            xs.reshape(self.rows, 1).astype(dtype, copy=False),
+            np.ascontiguousarray(ys.T, dtype=dtype),
+        )
 
     def in_lanes(self, x, y):
         """The grid's words (x, y) as two arrays in lane order, every cell, the padding included."""
@@ -454,7 +478,7 @@ def orbit_period(
             f"orbit_period walks {count} states, more than {SWEEP_MAX_M**2}; pass limit (--limit)"
         )
     end = cmap.jump(x0, y0, tail) if count < limit else None
-    walk = _LaneWalk(params.m, x0, y0, count, cmap.forward, cmap.jump, end)
+    walk = _LaneWalk(params.m, x0, y0, count, cmap.forward, cmap.jump, end, _words(params.m))
     first = count  # a recurrence at index count or past it lies past the walk
     for t, (ex, ey) in enumerate(walk):
         # x is tested on the row words, y on the cells of the rows it matched
@@ -499,8 +523,8 @@ def equidistribution_check(
     # steps are distinct and the walk's last, after tail + period steps,
     # is the first repeat, the state after tail steps: the seed when tail = 0.
     end = cmap.jump(x, y, tail)
-    for ex, ey in _LaneWalk(m, x, y, tail + period, cmap.forward, cmap.jump, end):
-        seen[(ey + m * ex).ravel()] = True
+    for ex, ey in _LaneWalk(m, x, y, tail + period, cmap.forward, cmap.jump, end, _words(m)):
+        seen[(ey + m * ex).ravel().astype(np.intp, copy=False)] = True
     covered = int(np.count_nonzero(seen))
     if covered != tail + period:
         raise InvariantError(f"the walk covers {covered} states, the closed form {(tail, period)}")
@@ -525,9 +549,9 @@ def _reversible(params, coupling, inverse) -> _CoupledMap:
     return _CoupledMap(params, coupling, derive_inverse(params) if inverse is None else inverse)
 
 
-def _grid(m):
-    """[0, m)**2 in z order as (x, y) chunks: x of shape (1, m), y of (rows, 1) rows."""
-    rows, x = max(1, _SWEEP_CHUNK // m), np.arange(m, dtype=np.int64).reshape(1, m)
+def _grid(m, dtype):
+    """[0, m)**2 in z order as (x, y) chunks of ``dtype``: x of shape (1, m), y of (rows, 1)."""
+    rows, x = max(1, _SWEEP_CHUNK // m), np.arange(m, dtype=dtype).reshape(1, m)
     return ((x, x.T[r : r + rows]) for r in range(0, m, rows))
 
 
@@ -535,8 +559,8 @@ def _grid(m):
 def _roundtrip(cmap, chunks) -> RoundTripReport:
     """Check backward(forward(state)) = state on the states of ``chunks``.
 
-    Each chunk is a pair of int64 word arrays (x, y) that broadcast to
-    an array of states. The first mismatch reported is the first in the
+    Each chunk is a pair of word arrays (x, y) of one type that broadcast
+    to an array of states. The first mismatch reported is the first in the
     order of the chunks and, within one, in the flat broadcast order.
     """
     states, mismatches, first = 0, 0, None
@@ -572,7 +596,7 @@ def roundtrip_sweep(
     m = _CoupledMap(params, coupling).m
     _require_sweepable(m, "roundtrip_sweep", "; use roundtrip_sample for spot checks at this size")
     cmap = _reversible(params, coupling, inverse)
-    return _roundtrip(cmap, _grid(m))
+    return _roundtrip(cmap, _grid(m, _words(m, cmap.c)))
 
 
 def roundtrip_sample(
@@ -666,7 +690,8 @@ def _retraces(k, cmap, n, end):
     each grid of the walk, stepped back by ``rund_backward_step`` with
     the (c, d) of ``k``, equals the grid before it, the walk's start grid
     first, so forw(j) steps back onto forw(j - 1) for every j the grid
-    holds, from forw(1) onto (0, 0) to the cells past the window. True
+    holds, from forw(1) onto (0, 0) to the cells past the window, on the
+    words :func:`_words` gives that c. True
     comes only once the walk has run out, past its stitch check and its
     end check against ``end``, the closed-form forw(n).
 
@@ -681,7 +706,7 @@ def _retraces(k, cmap, n, end):
     division is exact), so a run with them and the endpoint seed is never
     counted.
     """
-    walk = _LaneWalk(k.m, 0, 0, n, cmap.forward, cmap.jump, end)
+    walk = _LaneWalk(k.m, 0, 0, n, cmap.forward, cmap.jump, end, _words(k.m, k.c))
     qx, qy = walk.start
     for ex, ey in walk:
         px, py = rund_backward_step(ex, ey, k)
@@ -698,11 +723,12 @@ def _mismatches(k, true_k, n, seed, end):
     steps of the true inverse ``true_k`` from ``end`` = forw(n). The two
     backward walks share their lanes but not always their grid: they meet
     in lane order, and only the true walk has an end to prove, forw(1).
+    Both step the words :func:`_words` gives the larger of their c.
     """
-    count, mismatches, first = n - 1, 0, n
+    count, mismatches, first, dtype = n - 1, 0, n, _words(k.m, max(k.c, true_k.c))
 
     def back(q, x, y, end=None):
-        return _LaneWalk(q.m, x, y, count, partial(rund_backward_step, k=q), end=end)
+        return _LaneWalk(q.m, x, y, count, partial(rund_backward_step, k=q), end=end, dtype=dtype)
 
     given, true = back(k, *seed), back(true_k, *end, rund_forward_step(0, 0, k))
     # strict=True also steps the true walk past its last step, into its end checks

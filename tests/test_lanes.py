@@ -27,7 +27,10 @@ table. There the walks run in a grid of 8 rows, and every report equals
 the one with one row per lane. Every array check steps its grids with
 numpy's ufunc buffer at the row-sized ``_ROW_BUFFER``, and leaves the
 caller's buffer size as it found it after a pass, a failing verdict, a
-refusal and an error raised mid-walk.
+refusal and an error raised mid-walk. Each check's reports on the int32
+words its bound allows equal those on int64 words, on toy maps and at
+the reference size, where every grid stepped is int32 and c = 512, the
+first c past the bound there, steps int64.
 """
 
 import json
@@ -36,6 +39,7 @@ import subprocess
 import sys
 import tracemalloc
 from contextlib import contextmanager
+from functools import partial
 from unittest.mock import patch
 
 import numpy as np
@@ -48,6 +52,7 @@ from revlcg import (
     CoupledState,
     CouplingSpec,
     InvariantError,
+    InverseParams,
     LcgParams,
     NotInvertibleError,
     ParameterError,
@@ -808,6 +813,94 @@ def test_checks_step_their_grids_with_row_sized_buffers(caller_bufsize, check, p
     assert np.getbufsize() == CALLER_BUFSIZE
 
 
+def grid_words(check):
+    """(passed, the word types of every 2-D grid the array steps see) of ``check``."""
+    seen = set()
+
+    def spy(step):
+        def recording(*args, **kwargs):
+            seen.update(w.dtype for w in args if isinstance(w, np.ndarray) and w.ndim == 2)
+            return step(*args, **kwargs)
+
+        return recording
+
+    cmap = generator._CoupledMap
+    with (
+        patch.object(cmap, "forward", spy(cmap.forward)),
+        patch.object(cmap, "backward", spy(cmap.backward)),
+        patch.object(verification, "rund_backward_step", spy(rund_backward_step)),
+    ):
+        return check().passed, seen
+
+
+def test_reference_checks_step_int32_grids():
+    # the reference walks and sweep sit inside the int32 bound, and c = 512
+    # is the first backward word past it at m = 2048
+    params, coupling, seed = REFERENCE
+    for check in (
+        lambda: roundtrip_sweep(params, coupling),
+        lambda: orbit_period(seed, params, coupling),
+        lambda: equidistribution_check(params, coupling, seed),
+        paper_reproduction,
+    ):
+        assert grid_words(check) == (True, {np.dtype(np.int32)})
+    c512 = grid_words(lambda: paper_reproduction(RundConstants(c=512)))
+    assert c512 == (False, {np.dtype(np.int64)})
+
+
+def int64_words():
+    """Every array check stepped on int64 words, whatever its bound allows."""
+    return patch.object(verification, "_words", lambda m, c=0: np.int64)
+
+
+def outcome(check):
+    """The report of ``check``, or the type and message of the error it raised."""
+    try:
+        return check()
+    except Exception as err:
+        return type(err), str(err)
+
+
+@st.composite
+def word_checks(draw):
+    """The four array checks of one toy map, carry on or off, with any (c, d) in [0, m)."""
+    params, coupling, seed = draw(coupled_maps())
+    m = params.m
+    c, d = draw(st.integers(0, m - 1)), draw(st.integers(0, m - 1))
+    k = RundConstants(params.a, params.b, m, coupling.s, c, d, m * m)
+    return m, c, [
+        partial(roundtrip_sweep, params, coupling, InverseParams(c, d)),
+        partial(orbit_period, seed, params, coupling),
+        partial(equidistribution_check, params, coupling, seed),
+        partial(paper_reproduction, k),
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(checks=word_checks(), shape=SHAPES)
+def test_int32_words_match_int64_words(checks, shape):
+    m, c, calls = checks
+    assert verification._words(m, c) is np.int32
+    with engine_shape(shape):
+        shipped = [outcome(call) for call in calls]
+        with int64_words():
+            assert [outcome(call) for call in calls] == shipped
+
+
+# c = 204 and 205 fail and pass inside the bound, 511 is the last c of
+# m = 2048 to step int32 words and 512 the first to step int64
+@pytest.mark.parametrize(
+    "check",
+    [partial(paper_reproduction, RundConstants(c=c)) for c in (204, 205, 511, 512)]
+    + [partial(roundtrip_sweep, *REFERENCE[:2], InverseParams(c, 1497)) for c in (511, 512)],
+    ids=[f"paper c={c}" for c in (204, 205, 511, 512)] + ["sweep c=511", "sweep c=512"],
+)
+def test_reference_int32_words_match_int64_words(check):
+    shipped = check()
+    with int64_words():
+        assert check() == shipped
+
+
 def broken_jump_period():
     # the walk of test_broken_jump_fails_the_stitch_check, raising mid-walk
     with engine_shape((4, 1 << 15)), patch.object(generator, "_power", off_by_one_power):
@@ -990,8 +1083,8 @@ BROKEN_UNDER_O["closed form tail - 1: not a bijection, period"] = off_shape(
 EARLY_END = (
     "v = revlcg.verification\n"
     "class EarlyEnd(v._LaneWalk):\n"
-    "    def __init__(self, m, x, y, count, step, jump=None, end=None):\n"
-    "        super().__init__(m, x, y, count, step, jump, end)\n"
+    "    def __init__(self, m, x, y, count, step, *args, **kwargs):\n"
+    "        super().__init__(m, x, y, count, step, *args, **kwargs)\n"
     "        self.early = v._tail_walk(step, x, y, count - 1)\n"
     "    last = property(lambda self: self.early, lambda self, state: None)\n"
     "v._LaneWalk = EarlyEnd\n"

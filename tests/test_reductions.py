@@ -11,9 +11,13 @@ call: a mask at a power of two, floor division otherwise, and never
 rows of the (y, x) grid, x of shape (1, m) and y of shape (rows, 1):
 the chunks must broadcast to the states in z order, and the sweep must
 equal a state-by-state run of the reference, whatever the chunk size.
+Where the checks step int32 words, every value the steps make, traced
+on Python ints at the largest words, must fit in int32, and the first
+c past the bound must not.
 """
 
 import math
+import operator
 import random
 from unittest.mock import patch
 
@@ -30,8 +34,11 @@ from revlcg import (
     InverseParams,
     LcgParams,
     RoundTripReport,
+    RundConstants,
     derive_inverse,
     roundtrip_sweep,
+    rund_backward_step,
+    rund_forward_step,
     verification,
 )
 from revlcg.generator import _CoupledMap
@@ -106,12 +113,93 @@ def test_largest_modulus_stays_inside_int64(carry, m):
         check_against_reference(_CoupledMap(params, CouplingSpec(top, carry), inverse), x, y)
 
 
+class Traced(int):
+    """A Python int whose arithmetic records every result it makes, itself a Traced."""
+
+    results: list = []
+
+
+def _traced(op):
+    def run(left, right):
+        Traced.results.append(value := Traced(op(int(left), int(right))))
+        return value
+
+    return run
+
+
+for _name in ("add", "sub", "mul", "floordiv", "mod", "and"):
+    _op = getattr(operator, f"__{_name}__")
+    setattr(Traced, f"__{_name}__", _traced(_op))
+    setattr(Traced, f"__r{_name}__", _traced(lambda left, right, op=_op: op(right, left)))
+
+
+def widest_value(m, b, c, d, x, y):
+    """The largest magnitude the array steps make at (x, y), traced on Python ints.
+
+    With a = s = m - 1: the forward step with the carry on and off, the
+    map's backward step, rund's forward and backward steps, and the
+    coverage flag's index y + m*x.
+    """
+    top = m - 1
+    k = RundConstants(top, b, m, top, c, d, m * m)
+    Traced.results = []
+    x, y = Traced(x), Traced(y)
+    for carry in (True, False):
+        cmap = _CoupledMap(LcgParams(top, b, m), CouplingSpec(top, carry), InverseParams(c, d))
+        cmap.forward(x, y)
+        cmap.backward(x, y)
+    rund_forward_step(x, y, k)
+    rund_backward_step(x, y, k)
+    Traced.results.append(y + m * x)
+    return max(map(abs, Traced.results))
+
+
+# Moduli around the int32 edges: toy ones, the reference 2048, 1539 and
+# 4096, and 32767, the largest m whose forward steps take int32 words, and
+# 32768, the first whose do not.
+@pytest.mark.parametrize("m", [2, 3, 16, 1539, 2048, 4096, 16384, 32767, 32768])
+def test_int32_words_hold_every_intermediate(m):
+    top = m - 1
+    ends = sorted({0, 1, max(top - 1, 0), top})
+    words = [c for c in range(m) if verification._words(m, c) is np.int32]
+    # the words c below an edge take int32, and the first c past it int64
+    edge = len(words)
+    assert words == list(range(edge))
+    if edge < m:
+        assert verification._words(m, edge) is np.int64
+    # a = b = s = d = m - 1 and words at both ends, for every c sent to int32
+    for c in words:
+        assert max(widest_value(m, top, c, top, x, y) for x in ends for y in ends) < 2**31
+
+    def widest(c):
+        # b at both ends and d putting x0 at each end: x0 = 0 under y = m - 1
+        # gives the largest slack, and with b = 0 and x >= 1 rund's floor carry of -1
+        return max(
+            widest_value(m, b, c, (x0 - c * x) % m, x, y)
+            for b in (0, top) for x in ends for y in ends for x0 in ends
+        )
+
+    # the edge is exact: the last c sent to int32 stays inside it, and the
+    # first c past it, which takes int64, would not
+    if words:
+        assert widest(edge - 1) < 2**31
+        if edge < m:
+            assert widest(edge) >= 2**31
+
+
+def test_int32_bound_at_the_reference():
+    # c = 511 is the last backward word of m = 2048 to take int32, 512 the first int64
+    assert verification._words(2048) is np.int32
+    assert [verification._words(2048, c) for c in (204, 205, 511)] == [np.int32] * 3
+    assert verification._words(2048, 512) is np.int64
+
+
 def grid_states(m, stop):
     """The sweep's chunks, broadcast and concatenated in order, until they hold ``stop`` states."""
     rows = max(1, verification._SWEEP_CHUNK // m)
     xs, ys, held = [], [], 0
-    for x, y in _grid(m):
-        assert x.dtype == y.dtype == np.int64
+    for x, y in _grid(m, verification._words(m)):
+        assert x.dtype == y.dtype == verification._words(m)
         assert x.shape == (1, m) and y.shape == (min(rows, m - held // m), 1)
         bx, by = np.broadcast_arrays(x, y)
         xs.append(bx.ravel())
